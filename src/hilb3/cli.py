@@ -62,7 +62,7 @@ def _cmd_tangent(args, ring) -> tuple[dict, int]:
     if ideal_m is not None:
         rep = tancomb.tangent_report(ideal_m)
         if args.verify:
-            total = tanlin.mono_hom_dim(ideal_m, ring.p)
+            total = tanlin.mono_hom_dim(ideal_m)
             if total != rep.total:
                 raise PrimeDisagreementError(
                     f"combinatorial {rep.total} vs linear-algebra {total}")

@@ -24,21 +24,7 @@ import numpy as np
 
 from . import gfp, poly3
 from .errors import CharTwoError
-from .poly3 import PolyIdeal, QuotientData
-
-
-@dataclass
-class FiniteAlgebra:
-    """Quotient data together with the dual-module action matrices."""
-
-    quotient: QuotientData
-    omega_action: tuple[np.ndarray, ...]  # transposes of the mult matrices
-
-
-def finite_algebra(I: PolyIdeal) -> FiniteAlgebra:
-    qd = poly3.quotient_data(I)
-    return FiniteAlgebra(quotient=qd,
-                         omega_action=tuple(m.T.copy() for m in qd.mult_matrices))
+from .poly3 import PolyIdeal
 
 
 @dataclass

@@ -16,6 +16,7 @@ import numpy as np
 
 DEFAULT_PRIME = 2**31 - 1
 SECOND_PRIME = 2**31 - 19  # 2147483629, the largest prime below 2^31 - 1
+PRIME_LIMIT = 2**31  # every prime must lie below this for int64 exactness
 
 
 def is_prime(n: int) -> bool:
@@ -44,14 +45,6 @@ def is_prime(n: int) -> bool:
 
 def inv_mod(a: int, p: int) -> int:
     return pow(int(a) % p, p - 2, p)
-
-
-def as_matrix(rows, p: int) -> np.ndarray:
-    """Coerce a nested sequence (or array) into a reduced int64 F_p matrix."""
-    a = np.array(rows, dtype=np.int64)
-    if a.ndim == 1:
-        a = a.reshape(1, -1)
-    return np.mod(a, p)
 
 
 def zeros(nrows: int, ncols: int) -> np.ndarray:
@@ -131,17 +124,3 @@ def kernel_basis(a: np.ndarray, p: int) -> np.ndarray:
             basis[k, pc] = (-int(r[row, c])) % p
     return basis
 
-
-def solve(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray | None:
-    """One solution of a x = b, or None if inconsistent."""
-    a = np.mod(np.asarray(a, dtype=np.int64), p)
-    b = np.mod(np.asarray(b, dtype=np.int64).reshape(-1), p)
-    aug = np.hstack([a, b.reshape(-1, 1)])
-    r, pivots = rref(aug, p)
-    ncols = a.shape[1]
-    if ncols in pivots:
-        return None
-    x = np.zeros(ncols, dtype=np.int64)
-    for row, pc in enumerate(pivots):
-        x[pc] = r[row, ncols]
-    return x

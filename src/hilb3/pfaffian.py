@@ -101,27 +101,6 @@ def pfaffian(a: SkewMatrix) -> Poly:
     return pf(tuple(range(a.n)))
 
 
-def determinant(a: SkewMatrix) -> Poly:
-    """det(A), for checking Pf(A)^2 = det(A)."""
-    ring = a.ring
-
-    def det(rows: tuple[int, ...], cols: tuple[int, ...]) -> Poly:
-        if not rows:
-            return ring.one()
-        acc = ring.zero()
-        r = rows[0]
-        for pos, c in enumerate(cols):
-            e = a.entry(r, c)
-            if e.is_zero:
-                continue
-            term = e * det(rows[1:], tuple(k for k in cols if k != c))
-            acc = acc + term if pos % 2 == 0 else acc - term
-        return acc
-
-    idx = tuple(range(a.n))
-    return det(idx, idx)
-
-
 def submax_pfaffians(a: SkewMatrix) -> tuple[Poly, ...]:
     """(Pf(A)_1, Pf(A)_2, ...) for odd-size A."""
     if a.n % 2 != 1:

@@ -1,11 +1,11 @@
 """Sparse polynomials over F_p in x, y, z and Buchberger Groebner bases.
 
 Everything an ideal-theoretic computation downstream needs lives here:
-monomial orders (degrevlex, lex, and a block order with an auxiliary
-elimination variable t), reduced Groebner bases, normal forms, ideal
-sum/product/intersection/colon, and quotient-ring data (standard
-monomial basis plus the three commuting multiplication matrices) for
-zero-dimensional ideals.
+monomial orders (degrevlex, and a block order with an auxiliary
+elimination variable t), reduced Groebner bases with optional cofactor
+rows, normal forms, intersection and colon, and quotient-ring data
+(standard monomial basis plus the three commuting multiplication
+matrices) for zero-dimensional ideals.
 
 Coefficients are integers in [0, p) for a fixed prime p carried by the
 ring.  Buchberger runs with the coprime and chain criteria and a normal
@@ -22,7 +22,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .errors import InputError, NotZeroDimensionalError
-from .gfp import inv_mod
+from .gfp import PRIME_LIMIT, inv_mod
 
 Exponent = tuple[int, ...]
 
@@ -46,17 +46,12 @@ def _degrevlex_key(e: Exponent):
     return (sum(e), tuple(-e[i] for i in range(len(e) - 1, -1, -1)))
 
 
-def _lex_key(e: Exponent):
-    return e
-
-
 def _elim_last_key(e: Exponent):
     # block order: the last variable dominates, degrevlex on the rest
     return (e[-1], _degrevlex_key(e[:-1]))
 
 
 DEGREVLEX = MonomialOrder("degrevlex", _degrevlex_key)
-LEX = MonomialOrder("lex", _lex_key)
 ELIM_LAST = MonomialOrder("elim-last", _elim_last_key)
 
 
@@ -68,6 +63,9 @@ class PolyRing:
     """F_p[names]; equality is by prime and variable names."""
 
     def __init__(self, p: int, names: Sequence[str] = ("x", "y", "z")):
+        if int(p) >= PRIME_LIMIT:
+            raise InputError(f"prime {p} is not below 2^31, where int64 "
+                             "arithmetic mod p stops being exact")
         self.p = int(p)
         self.names = tuple(names)
         self.nvars = len(self.names)
@@ -360,23 +358,54 @@ def reduce_full(f: Poly, basis: Sequence[Poly], order: MonomialOrder,
     return rem, None
 
 
-def _s_poly(f: Poly, g: Poly, order: MonomialOrder) -> Poly:
-    """S-polynomial of two monic polynomials."""
+def s_poly(f: Poly, g: Poly, order: MonomialOrder) -> tuple[Poly, Exponent, Exponent]:
+    """S-polynomial m_f f - m_g g of two monic polynomials, with m_f, m_g."""
     lf = f.leading(order)[0]
     lg = g.leading(order)[0]
     l = _lcm_exp(lf, lg)
-    return f.mul_monomial(_quotient_exp(l, lf)) - g.mul_monomial(_quotient_exp(l, lg))
+    mf, mg = _quotient_exp(l, lf), _quotient_exp(l, lg)
+    return f.mul_monomial(mf) - g.mul_monomial(mg), mf, mg
 
 
-def buchberger(gens: Sequence[Poly], order: MonomialOrder) -> list[Poly]:
+def _monic(f: Poly, row: Optional[list[Poly]], order: MonomialOrder):
+    """f made monic, with its cofactor row (if any) scaled to match."""
+    c = f.leading(order)[1]
+    if row is not None and c != 1:
+        c = inv_mod(c, f.ring.p)
+        row = [a.scale(c) for a in row]
+    return f.monic(order), row
+
+
+def sub_multiples(row: list[Poly], quots: Sequence[Poly],
+                  rows: Sequence[list[Poly]]) -> list[Poly]:
+    """row - sum_k quots[k] * rows[k], entrywise."""
+    for q, other in zip(quots, rows):
+        if not q.is_zero:
+            row = [a - q * b for a, b in zip(row, other)]
+    return row
+
+
+def buchberger(gens: Sequence[Poly], order: MonomialOrder, track: bool = False):
     """A (non-reduced) Groebner basis, deterministic.
 
     Pairs are processed smallest lcm first; the coprime criterion and the
-    chain criterion prune reductions.
+    chain criterion prune reductions.  With track set, returns (basis, T)
+    where the cofactor rows T satisfy basis[i] = sum_j T[i][j] * gens[j].
     """
-    basis = [g.monic(order) for g in gens if not g.is_zero]
+    basis: list[Poly] = []
+    rows: list = []
+    for j, g in enumerate(gens):
+        if g.is_zero:
+            continue
+        unit = None
+        if track:
+            unit = [g.ring.zero()] * len(gens)
+            unit[j] = g.ring.one()
+        g, unit = _monic(g, unit, order)
+        basis.append(g)
+        rows.append(unit)
     if not basis:
-        return []
+        return ([], []) if track else []
     lts = [g.leading(order)[0] for g in basis]
     pending: set[tuple[int, int]] = set()
     heap: list = []
@@ -409,46 +438,66 @@ def buchberger(gens: Sequence[Poly], order: MonomialOrder) -> list[Poly]:
                 break
         if skip:
             continue
-        rem, _ = reduce_full(_s_poly(basis[i], basis[j], order), basis, order)
+        s, mi, mj = s_poly(basis[i], basis[j], order)
+        rem, quots = reduce_full(s, basis, order, track=track)
         if rem.is_zero:
             continue
-        rem = rem.monic(order)
+        row = None
+        if track:
+            row = [a.mul_monomial(mi) - b.mul_monomial(mj)
+                   for a, b in zip(rows[i], rows[j])]
+            row = sub_multiples(row, quots, rows)
+        rem, row = _monic(rem, row, order)
         basis.append(rem)
+        rows.append(row)
         lts.append(rem.leading(order)[0])
         new = len(basis) - 1
         for k in range(new):
             push(k, new)
-    return basis
+    return (basis, rows) if track else basis
 
 
-def reduce_basis(basis: Sequence[Poly], order: MonomialOrder) -> tuple[Poly, ...]:
-    """The reduced Groebner basis: minimal, interreduced, monic, sorted."""
-    basis = [g.monic(order) for g in basis if not g.is_zero]
+def reduce_basis(basis: Sequence[Poly], order: MonomialOrder,
+                 rows: Optional[Sequence[list[Poly]]] = None):
+    """The reduced Groebner basis: minimal, interreduced, monic, sorted.
+
+    Given cofactor rows (basis[i] = sum_j rows[i][j] * gens[j], as from
+    buchberger with track set), returns (reduced basis, rows) with the
+    rows carried through every step.
+    """
+    track = rows is not None
+    elems = [_monic(g, row, order)
+             for g, row in zip(basis, rows if track else [None] * len(basis))
+             if not g.is_zero]
     # minimalize: drop any element whose leading term another one divides
-    lts = [g.leading(order)[0] for g in basis]
-    keep = []
-    for i, lt in enumerate(lts):
-        if not any(j != i and _divides(lts[j], lt) and (lts[j] != lt or j < i)
-                   for j in range(len(basis))):
-            keep.append(basis[i])
+    lts = [g.leading(order)[0] for g, _ in elems]
+    keep = [elems[i] for i, lt in enumerate(lts)
+            if not any(j != i and _divides(lts[j], lt) and (lts[j] != lt or j < i)
+                       for j in range(len(elems)))]
+    basis = [g for g, _ in keep]
+    rows = [row for _, row in keep]
     # tail-reduce each against the others until stable
     changed = True
     while changed:
         changed = False
-        for i in range(len(keep)):
-            others = keep[:i] + keep[i + 1:]
+        for i in range(len(basis)):
+            others = basis[:i] + basis[i + 1:]
             if not others:
                 continue
-            rem, _ = reduce_full(keep[i], others, order)
+            rem, quots = reduce_full(basis[i], others, order, track=track)
             if rem.is_zero:
-                keep.pop(i)
+                basis.pop(i)
+                rows.pop(i)
                 changed = True
                 break
-            rem = rem.monic(order)
-            if rem != keep[i]:
-                keep[i] = rem
+            row = sub_multiples(rows[i], quots, rows[:i] + rows[i + 1:]) if track else None
+            rem, row = _monic(rem, row, order)
+            if rem != basis[i]:
+                basis[i], rows[i] = rem, row
                 changed = True
-    return tuple(sorted(keep, key=lambda g: order.key(g.leading(order)[0])))
+    by_lt = sorted(range(len(basis)), key=lambda i: order.key(basis[i].leading(order)[0]))
+    reduced = tuple(basis[i] for i in by_lt)
+    return (reduced, [rows[i] for i in by_lt]) if track else reduced
 
 
 # ---------------------------------------------------------------------------
@@ -516,14 +565,6 @@ def equal_ideals(I: PolyIdeal, J: PolyIdeal) -> bool:
 def is_unit_ideal(I: PolyIdeal) -> bool:
     gb = groebner(I)
     return len(gb) == 1 and gb[0] == I.ring.one()
-
-
-def ideal_sum(I: PolyIdeal, J: PolyIdeal) -> PolyIdeal:
-    return ideal(I.ring, I.gens + J.gens)
-
-
-def multiply_by_poly(I: PolyIdeal, f: Poly) -> PolyIdeal:
-    return ideal(I.ring, tuple(g * f for g in I.gens))
 
 
 # ---------------------------------------------------------------------------
@@ -600,15 +641,6 @@ class QuotientData:
     standard_monomials: tuple[Exponent, ...]
     colength: int
     mult_matrices: tuple[np.ndarray, ...]
-    index: dict[Exponent, int]
-
-    def coords(self, f: Poly) -> np.ndarray:
-        """Coordinates of NF(f) in the standard monomial basis."""
-        nf, _ = reduce_full(f, self.groebner_basis, self.order)
-        vec = np.zeros(self.colength, dtype=np.int64)
-        for e, c in nf.terms.items():
-            vec[self.index[e]] = c
-        return vec
 
 
 def standard_monomials(gb: Sequence[Poly], order: MonomialOrder) -> list[Exponent]:
@@ -664,7 +696,7 @@ def quotient_data(I: PolyIdeal, order: MonomialOrder = DEGREVLEX) -> QuotientDat
         mats.append(mat)
     return QuotientData(ring=ring, order=order, groebner_basis=gb,
                         standard_monomials=tuple(basis),
-                        colength=d, mult_matrices=tuple(mats), index=index)
+                        colength=d, mult_matrices=tuple(mats))
 
 
 def quotient_hilbert_function(qd: QuotientData) -> tuple[int, ...]:

@@ -16,14 +16,14 @@ to the originally given generators) makes checkable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from . import gfp, poly3
 from .mono3 import MonomialIdeal3
-from .poly3 import (DEGREVLEX, MonomialOrder, Poly, PolyIdeal, PolyRing,
-                    _lcm_exp, _quotient_exp, reduce_full)
+from .poly3 import (DEGREVLEX, Poly, PolyIdeal, PolyRing, _lcm_exp,
+                    reduce_full, s_poly, sub_multiples)
 
 
 @dataclass
@@ -42,8 +42,8 @@ class SyzygySet:
             assert acc.is_zero, "syzygy fails to annihilate the generators"
 
 
-def schreyer_syzygies(basis: Sequence[Poly], order: MonomialOrder = DEGREVLEX) -> SyzygySet:
-    """Syzygies of a Groebner basis from its S-pair reductions.
+def schreyer_syzygies(basis: Sequence[Poly]) -> SyzygySet:
+    """Syzygies of a degrevlex Groebner basis from its S-pair reductions.
 
     For each pair i < j the reduction of the S-polynomial to zero yields
     m_ij e_i - m_ji e_j - sum q_k e_k; these generate the syzygy module.
@@ -52,15 +52,11 @@ def schreyer_syzygies(basis: Sequence[Poly], order: MonomialOrder = DEGREVLEX) -
     if not basis:
         return SyzygySet(generators_used=(), syzygies=())
     ring = basis[0].ring
-    lts = [g.leading(order)[0] for g in basis]
     rows = []
     for j in range(len(basis)):
         for i in range(j):
-            l = _lcm_exp(lts[i], lts[j])
-            mi = _quotient_exp(l, lts[i])
-            mj = _quotient_exp(l, lts[j])
-            s_poly = basis[i].mul_monomial(mi) - basis[j].mul_monomial(mj)
-            rem, quots = reduce_full(s_poly, basis, order, track=True)
+            s, mi, mj = s_poly(basis[i], basis[j], DEGREVLEX)
+            rem, quots = reduce_full(s, basis, DEGREVLEX, track=True)
             assert rem.is_zero, "input basis is not a Groebner basis"
             row = [-q for q in quots]
             row[i] = row[i] + ring.monomial(mi)
@@ -69,98 +65,12 @@ def schreyer_syzygies(basis: Sequence[Poly], order: MonomialOrder = DEGREVLEX) -
     return SyzygySet(generators_used=basis, syzygies=tuple(rows))
 
 
-def syzygies(I: PolyIdeal, order: MonomialOrder = DEGREVLEX) -> SyzygySet:
+def syzygies(I: PolyIdeal) -> SyzygySet:
     """Syzygies of the reduced Groebner basis of I."""
-    return schreyer_syzygies(poly3.groebner(I, order), order)
+    return schreyer_syzygies(poly3.groebner(I))
 
 
-# ---------------------------------------------------------------------------
-# syzygies of an arbitrary generating set, via tracked Buchberger
-# ---------------------------------------------------------------------------
-
-def _tracked_groebner(gens: Sequence[Poly], order: MonomialOrder):
-    """Reduced Groebner basis G with rows T such that G = T . gens."""
-    ring = gens[0].ring
-    r = len(gens)
-
-    def unit_row(j: int, scale: int):
-        row = [ring.zero()] * r
-        row[j] = ring.constant(scale)
-        return row
-
-    basis, rows = [], []
-    for j, g in enumerate(gens):
-        if g.is_zero:
-            continue
-        c = gfp.inv_mod(g.leading(order)[1], ring.p)
-        basis.append(g.scale(c))
-        rows.append(unit_row(j, c))
-
-    def combine(row_i, row_j, mi, mj):
-        return [a.mul_monomial(mi) - b.mul_monomial(mj) for a, b in zip(row_i, row_j)]
-
-    lts = [g.leading(order)[0] for g in basis]
-    pairs = [(i, j) for j in range(len(basis)) for i in range(j)]
-    while pairs:
-        pairs.sort(key=lambda ij: (order.key(_lcm_exp(lts[ij[0]], lts[ij[1]])), ij))
-        i, j = pairs.pop(0)
-        l = _lcm_exp(lts[i], lts[j])
-        if l == tuple(a + b for a, b in zip(lts[i], lts[j])):
-            continue
-        mi, mj = _quotient_exp(l, lts[i]), _quotient_exp(l, lts[j])
-        s = basis[i].mul_monomial(mi) - basis[j].mul_monomial(mj)
-        rem, quots = reduce_full(s, basis, order, track=True)
-        if rem.is_zero:
-            continue
-        row = combine(rows[i], rows[j], mi, mj)
-        for k, q in enumerate(quots):
-            if not q.is_zero:
-                row = [a - q * b for a, b in zip(row, rows[k])]
-        c = gfp.inv_mod(rem.leading(order)[1], ring.p)
-        basis.append(rem.scale(c))
-        rows.append([a.scale(c) for a in row])
-        lts.append(basis[-1].leading(order)[0])
-        new = len(basis) - 1
-        pairs.extend((k, new) for k in range(new))
-
-    # minimalize
-    keep = []
-    for i, lt in enumerate(lts):
-        if not any(j != i and poly3._divides(lts[j], lt) and (lts[j] != lt or j < i)
-                   for j in range(len(basis))):
-            keep.append(i)
-    basis = [basis[i] for i in keep]
-    rows = [rows[i] for i in keep]
-    # tail-reduce with tracking
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(basis)):
-            others = basis[:i] + basis[i + 1:]
-            other_rows = rows[:i] + rows[i + 1:]
-            if not others:
-                continue
-            rem, quots = reduce_full(basis[i], others, order, track=True)
-            if rem.is_zero:
-                basis.pop(i)
-                rows.pop(i)
-                changed = True
-                break
-            row = rows[i]
-            for k, q in enumerate(quots):
-                if not q.is_zero:
-                    row = [a - q * b for a, b in zip(row, other_rows[k])]
-            c = gfp.inv_mod(rem.leading(order)[1], ring.p)
-            rem = rem.scale(c)
-            row = [a.scale(c) for a in row]
-            if rem != basis[i]:
-                changed = True
-            basis[i], rows[i] = rem, row
-    by_lt = sorted(range(len(basis)), key=lambda i: order.key(basis[i].leading(order)[0]))
-    return [basis[i] for i in by_lt], [rows[i] for i in by_lt]
-
-
-def generator_syzygies(I: PolyIdeal, order: MonomialOrder = DEGREVLEX) -> SyzygySet:
+def generator_syzygies(I: PolyIdeal) -> SyzygySet:
     """Syzygies of the generators of I exactly as given.
 
     Writes the Groebner basis as G = T . F and each given generator as
@@ -169,20 +79,19 @@ def generator_syzygies(I: PolyIdeal, order: MonomialOrder = DEGREVLEX) -> Syzygy
     """
     gens = tuple(I.gens)
     ring = I.ring
-    basis, T = _tracked_groebner(gens, order)
-    schreyer = schreyer_syzygies(basis, order)
+    basis, T = poly3.buchberger(gens, DEGREVLEX, track=True)
+    basis, T = poly3.reduce_basis(basis, DEGREVLEX, rows=T)
+    schreyer = schreyer_syzygies(basis)
     rows = []
     for s in schreyer.syzygies:
         rows.append(tuple(sum((s[i] * T[i][j] for i in range(len(basis))), ring.zero())
                           for j in range(len(gens))))
     for j, f in enumerate(gens):
-        rem, quots = reduce_full(f, basis, order, track=True)
+        rem, quots = reduce_full(f, basis, DEGREVLEX, track=True)
         assert rem.is_zero
-        row = [ring.zero()] * len(gens)
-        row[j] = ring.one()
-        for k, q in enumerate(quots):
-            if not q.is_zero:
-                row = [a - q * b for a, b in zip(row, T[k])]
+        unit = [ring.zero()] * len(gens)
+        unit[j] = ring.one()
+        row = sub_multiples(unit, quots, T)
         if any(not a.is_zero for a in row):
             rows.append(tuple(row))
     return SyzygySet(generators_used=gens, syzygies=tuple(rows))
@@ -212,23 +121,22 @@ def _hom_dim_from_syzygies(syz: SyzygySet, qd: poly3.QuotientData) -> int:
     return r * d - gfp.rank(mat, p)
 
 
-def hom_dim(I: PolyIdeal, order: MonomialOrder = DEGREVLEX,
-            use_given_generators: bool = False) -> int:
+def hom_dim(I: PolyIdeal, use_given_generators: bool = False) -> int:
     """dim_k Hom_S(I, S/I) = dim of the tangent space at [S/I].
 
     Raises NotZeroDimensionalError unless S/I is finite.  With
     use_given_generators the computation runs on I.gens instead of the
     Groebner basis; the result is the same.
     """
-    qd = poly3.quotient_data(I, order)
-    syz = generator_syzygies(I, order) if use_given_generators else syzygies(I, order)
+    qd = poly3.quotient_data(I)
+    syz = generator_syzygies(I) if use_given_generators else syzygies(I)
     return _hom_dim_from_syzygies(syz, qd)
 
 
-def tangent_excess(I: PolyIdeal, order: MonomialOrder = DEGREVLEX) -> tuple[int, int, int]:
+def tangent_excess(I: PolyIdeal) -> tuple[int, int, int]:
     """(colength d, dim T, excess dim T - 3d)."""
-    qd = poly3.quotient_data(I, order)
-    t = _hom_dim_from_syzygies(syzygies(I, order), qd)
+    qd = poly3.quotient_data(I)
+    t = _hom_dim_from_syzygies(syzygies(I), qd)
     return qd.colength, t, t - 3 * qd.colength
 
 
@@ -240,55 +148,54 @@ def mono_ideal(ring: PolyRing, ideal: MonomialIdeal3) -> PolyIdeal:
     return poly3.from_exponent_gens(ring, ideal.mingens)
 
 
-def hom_dim_weight(ideal: MonomialIdeal3, a: tuple[int, int, int], p: int) -> int:
+def hom_dim_weight(ideal: MonomialIdeal3, a: tuple[int, int, int]) -> int:
     """dim of the degree-a graded piece of Hom_S(I, S/I), for monomial I.
 
     A graded hom of weight a is determined by scalars c_j at the
     generators g_j with g_j + a in the staircase; each pairwise syzygy
-    whose lcm stays outside I after the shift forces c_i = c_j.  This
-    route is independent of the bounded-component count.
+    whose lcm stays outside I after the shift forces c_i = c_j, or
+    c_i = 0 when g_j + a lies in I.  The dimension is therefore the number
+    of classes of unknowns under c_i = c_j that hold no forced zero, over
+    any field.  This route is independent of the bounded-component count.
     """
     gens = ideal.mingens
-    unknowns = [j for j, g in enumerate(gens)
-                if (g[0] + a[0], g[1] + a[1], g[2] + a[2]) in ideal.staircase]
-    if not unknowns:
+    stair = ideal.staircase
+    parent = {j: j for j, g in enumerate(gens)
+              if (g[0] + a[0], g[1] + a[1], g[2] + a[2]) in stair}
+    if not parent:
         return 0
-    col = {j: k for k, j in enumerate(unknowns)}
-    rows = []
+
+    def find(j: int) -> int:
+        while parent[j] != j:
+            parent[j] = parent[parent[j]]
+            j = parent[j]
+        return j
+
+    killed = []
     for j in range(len(gens)):
         for i in range(j):
             l = _lcm_exp(gens[i], gens[j])
             shifted = (l[0] + a[0], l[1] + a[1], l[2] + a[2])
-            if shifted not in ideal.staircase:
+            if shifted not in stair:
                 continue  # both sides die in S/I, no condition
-            row = [0] * len(unknowns)
-            if i in col:
-                row[col[i]] += 1
-            if j in col:
-                row[col[j]] -= 1
-            if any(row):
-                rows.append(row)
-    if not rows:
-        return len(unknowns)
-    mat = gfp.as_matrix(rows, p)
-    return len(unknowns) - gfp.rank(mat, p)
+            if i in parent and j in parent:
+                parent[find(i)] = find(j)
+            elif i in parent or j in parent:
+                killed.append(i if i in parent else j)
+    return len({find(j) for j in parent} - {find(k) for k in killed})
 
 
-def mono_hom_dim(ideal: MonomialIdeal3, p: int,
-                 by_weight: bool = False,
-                 weights: Optional[Sequence[tuple[int, int, int]]] = None):
+def mono_hom_dim(ideal: MonomialIdeal3, by_weight: bool = False):
     """Tangent dimension of a monomial ideal via the graded linear route.
 
     Returns the total, or (total, {weight: dim}) when by_weight is set.
     """
     from .tancomb import weight_candidates
 
-    if weights is None:
-        weights = sorted(weight_candidates(ideal))
     detail = {}
     total = 0
-    for a in weights:
-        n = hom_dim_weight(ideal, a, p)
+    for a in sorted(weight_candidates(ideal)):
+        n = hom_dim_weight(ideal, a)
         if n:
             detail[a] = n
             total += n

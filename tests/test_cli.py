@@ -187,6 +187,21 @@ class TestFilesAndErrors:
         code, data = run_json(capsys, "--prime", "91", "series", "1")
         assert code == 2
 
+    def test_prime_above_int64_range_rejected(self, capsys):
+        # 4294967311 is prime, but products mod p overflow int64 above 2^31
+        code, data = run_json(capsys, "--prime", "4294967311", "bicanonical",
+                              "x^2+y*z, x*y^2, y^5, z-x")
+        assert code == 2
+        assert data["error"]["type"] == "InputError"
+        assert "result" not in data
+
+    def test_second_prime_above_int64_range_rejected(self, capsys):
+        code, data = run_json(capsys, "--second-prime", "4294967311", "bicanonical",
+                              "x^2+y*z, x*y^2, y^5, z-x")
+        assert code == 2
+        assert data["error"]["type"] == "InputError"
+        assert "result" not in data
+
 
 class TestDeterminismAndSecondPrime:
     def test_byte_identical_output(self, capsys):

@@ -36,13 +36,6 @@ class TestGorensteinType:
                 assert got == len(mono3.socle(ideal))
 
 
-class TestFiniteAlgebra:
-    def test_omega_action_is_transpose(self):
-        alg = duality.finite_algebra(M2)
-        for m, w in zip(alg.quotient.mult_matrices, alg.omega_action):
-            assert (w == m.T).all()
-
-
 class TestBicanonical:
     def test_planar_nine_seven_example(self):
         rep = duality.bicanonical_degree(PLANAR_97)

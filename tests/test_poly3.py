@@ -51,9 +51,6 @@ class TestOrders:
         ranked = sorted(mons, key=poly3.DEGREVLEX.key, reverse=True)
         assert ranked == mons  # x^2 > xy > y^2 > xz > yz > z^2
 
-    def test_lex(self):
-        assert poly3.LEX.key((1, 0, 0)) > poly3.LEX.key((0, 5, 5))
-
     def test_elim_block(self):
         # any monomial containing t beats any without
         assert poly3.ELIM_LAST.key((0, 0, 0, 1)) > poly3.ELIM_LAST.key((9, 9, 9, 0))
@@ -92,6 +89,51 @@ class TestGroebner:
         for _ in range(5):
             rng.shuffle(gens)
             assert poly3.groebner(poly3.ideal(R, gens)) == poly3.groebner(QUADRIC_APOLAR)
+
+
+TRACKED_INPUTS = [
+    "x^2, x*y^2, x*y*z, x*z^2, y^2*z^2, y*z^3, z^4, y^3 - x*z",
+    "x^2 - y*z, x*z, x*y, y^2, z^2",
+    # non-monic, redundant and repeated generators
+    "2*x^2 - 2*y*z, 3*x*z, x*y, x*y + x*z, y^2, z^2, y^2, x^3",
+    "5*x^2 + y, 7*x*y - z, y^2 + 3*x^2 + y, x*y - z",
+]
+
+
+def combine(row, gens):
+    return sum((t * g for t, g in zip(row, gens)), R.zero())
+
+
+class TestTrackedGroebner:
+    @pytest.mark.parametrize("text", TRACKED_INPUTS)
+    def test_rows_reproduce_basis(self, text):
+        gens = list(pi(text).gens) + [R.zero()]
+        basis, rows = poly3.buchberger(gens, poly3.DEGREVLEX, track=True)
+        assert basis == poly3.buchberger(gens, poly3.DEGREVLEX)
+        assert len(rows) == len(basis)
+        for g, row in zip(basis, rows):
+            assert len(row) == len(gens)
+            assert combine(row, gens) == g
+
+    @pytest.mark.parametrize("text", TRACKED_INPUTS)
+    def test_reduced_rows_reproduce_groebner(self, text):
+        I = pi(text)
+        gens = list(I.gens)
+        basis, rows = poly3.buchberger(gens, poly3.DEGREVLEX, track=True)
+        reduced, rows = poly3.reduce_basis(basis, poly3.DEGREVLEX, rows=rows)
+        assert reduced == poly3.groebner(I)
+        for g, row in zip(reduced, rows):
+            assert combine(row, gens) == g
+
+    def test_rows_scale_with_non_monic_input(self):
+        basis, rows = poly3.buchberger([pp("3*x"), R.zero()], poly3.DEGREVLEX, track=True)
+        assert basis == [pp("x")]
+        assert rows == [[R.constant(gfp.inv_mod(3, P)), R.zero()]]
+
+    def test_empty_input(self):
+        assert poly3.buchberger([], poly3.DEGREVLEX) == []
+        assert poly3.buchberger([R.zero()], poly3.DEGREVLEX, track=True) == ([], [])
+        assert poly3.reduce_basis([], poly3.DEGREVLEX, rows=[]) == ((), [])
 
 
 class TestNormalForm:
