@@ -3,7 +3,7 @@
 Subpackages by theme:
 
 - gfp:       exact dense linear algebra over a prime field
-- mono3:     monomial ideals of k[x,y,z] as staircases, plane partitions
+- mono3:     monomial ideals of k[x,y,z] as plane partitions (height arrays)
 - tancomb:   tangent spaces of monomial points via bounded components
 - smoothcls: singularizing triples, no-flip chains, smooth census
 - poly3:     sparse polynomials, Groebner bases, colon/intersection

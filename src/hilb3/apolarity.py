@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from . import gfp, poly3
-from .errors import SmallCharacteristicError, ZeroInputError
+from .errors import InvariantError, SmallCharacteristicError, ZeroInputError
 from .poly3 import Poly, PolyIdeal, PolyRing
 
 DUAL_NAMES = ("X", "Y", "Z")
@@ -112,5 +112,6 @@ def annihilator(fs: Sequence[Poly], ring: PolyRing) -> PolyIdeal:
     ann = poly3.ideal(ring, gens)
     expected = contraction_closure_dim(fs, p)
     got = poly3.quotient_data(ann).colength
-    assert got == expected, f"annihilator colength {got} != closure dim {expected}"
+    if got != expected:
+        raise InvariantError(f"annihilator colength {got} != closure dim {expected}")
     return ann

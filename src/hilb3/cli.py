@@ -350,11 +350,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _run(args, prime: int) -> tuple[dict, int]:
+def _ring(prime: int) -> poly3.PolyRing:
+    """F_p for an odd prime p below 2^31; anything else is an input error."""
     if not gfp.is_prime(prime) or prime <= 2:
         raise InputError(f"{prime} is not an odd prime")
-    ring = poly3.PolyRing(prime)
-    return HANDLERS[args.command](args, ring)
+    return poly3.PolyRing(prime)
 
 
 def main(argv=None) -> int:
@@ -366,24 +366,24 @@ def main(argv=None) -> int:
     envelope = {"schema": 1, "command": args.command, "prime": args.prime,
                 "note": CHAR_NOTE}
     try:
-        payload, status = _run(args, args.prime)
+        ring = _ring(args.prime)
         if args.second_prime is not None:
             envelope["second_prime"] = args.second_prime
-            if args.command in FIELD_DEPENDENT:
-                payload2, _ = _run(args, args.second_prime)
-                if payload2 != payload:
-                    raise PrimeDisagreementError(
-                        f"results differ between p={args.prime} and "
-                        f"p={args.second_prime}")
-                envelope["second_prime_checked"] = True
-            else:
-                envelope["second_prime_checked"] = False
+            ring2 = _ring(args.second_prime)
+        payload, status = HANDLERS[args.command](args, ring)
+        if args.second_prime is not None:
+            checked = args.command in FIELD_DEPENDENT
+            if checked and HANDLERS[args.command](args, ring2)[0] != payload:
+                raise PrimeDisagreementError(
+                    f"results differ between p={args.prime} and "
+                    f"p={args.second_prime}")
+            envelope["second_prime_checked"] = checked
         envelope["result"] = payload
     except InputError as exc:
         envelope["error"] = {"type": type(exc).__name__, "message": str(exc)}
         sys.stdout.write(render(args.command, envelope, args.format))
         return 2
-    except (Hilb3Error, OSError, AssertionError) as exc:
+    except (Hilb3Error, OSError) as exc:
         envelope["error"] = {"type": type(exc).__name__, "message": str(exc)}
         sys.stdout.write(render(args.command, envelope, args.format))
         return 1

@@ -18,12 +18,13 @@ bicanonical module.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import gfp, poly3
-from .errors import CharTwoError
+from .errors import CharTwoError, InvariantError
 from .poly3 import PolyIdeal
 
 
@@ -44,19 +45,9 @@ def gorenstein_type(I: PolyIdeal) -> int:
     return qd.colength - gfp.rank(stacked, qd.ring.p)
 
 
-def _sym_pair_index(d: int) -> dict[tuple[int, int], int]:
-    idx = {}
-    n = 0
-    for i in range(d):
-        for j in range(i, d):
-            idx[(i, j)] = n
-            n += 1
-    return idx
-
-
 def _sym2_relation_rank(mats, d: int, p: int) -> int:
     """Rank of the span of (r e_i) . e_j - e_i . (r e_j) in Sym^2."""
-    idx = _sym_pair_index(d)
+    idx = {ij: n for n, ij in enumerate(itertools.combinations_with_replacement(range(d), 2))}
     nsym = len(idx)
     rows = []
     for m in mats:
@@ -79,24 +70,19 @@ def _sym2_relation_rank(mats, d: int, p: int) -> int:
     return gfp.rank(np.vstack(rows), p)
 
 
-def _intertwiner_dim(mats, d: int, p: int, symmetric: bool) -> int:
-    """dim of {F : F M_v^T = M_v F for all v}, optionally F symmetric."""
+def _intertwiner_dims(mats, d: int, p: int) -> tuple[int, int]:
+    """dims of {F : F M_v^T = M_v F for all v}: F symmetric, then F arbitrary.
+
+    On row-major vec(F) the map F -> M_v F - F M_v^T is M_v (x) I - I (x) M_v.
+    A symmetric F is spanned by E_ij + E_ji (i <= j), whose columns are
+    the sum of columns ij and ji; the diagonal ones come out doubled,
+    which keeps the rank for odd p.
+    """
     eye = np.eye(d, dtype=np.int64)
-    if not symmetric:
-        blocks = [(np.kron(m, eye) - np.kron(eye, m)) % p for m in mats]
-        mat = np.vstack(blocks)
-        return d * d - gfp.rank(mat, p)
-    idx = _sym_pair_index(d)
-    cols = []
-    for (i, j), _ in sorted(idx.items(), key=lambda kv: kv[1]):
-        basis = np.zeros((d, d), dtype=np.int64)
-        basis[i, j] = 1
-        basis[j, i] = 1
-        col = np.concatenate([((gfp.matmul(m, basis, p) - gfp.matmul(basis, m.T, p)) % p).ravel()
-                              for m in mats])
-        cols.append(col)
-    mat = np.stack(cols, axis=1)
-    return len(idx) - gfp.rank(mat, p)
+    mat = np.vstack([(np.kron(m, eye) - np.kron(eye, m)) % p for m in mats])
+    i, j = np.triu_indices(d)
+    sym = (mat[:, i * d + j] + mat[:, j * d + i]) % p
+    return len(i) - gfp.rank(sym, p), d * d - gfp.rank(mat, p)
 
 
 def bicanonical_degree(I: PolyIdeal, verify: bool = False) -> BicanonicalReport:
@@ -119,10 +105,8 @@ def bicanonical_degree(I: PolyIdeal, verify: bool = False) -> BicanonicalReport:
         all_mats = [poly3.evaluate_at_matrices(qd.ring.monomial(e), qd, cache)
                     for e in qd.standard_monomials if sum(e) > 0]
         full_rank = _sym2_relation_rank(all_mats, d, p)
-        assert full_rank == rel_rank, "algebra generators missed Sym^2 relations"
-    return BicanonicalReport(
-        colength=d,
-        sym2_omega_deg=nsym - rel_rank,
-        homsym_dim=_intertwiner_dim(mats, d, p, symmetric=True),
-        hom_full_dim=_intertwiner_dim(mats, d, p, symmetric=False),
-    )
+        if full_rank != rel_rank:
+            raise InvariantError("algebra generators missed Sym^2 relations")
+    homsym_dim, hom_full_dim = _intertwiner_dims(mats, d, p)
+    return BicanonicalReport(colength=d, sym2_omega_deg=nsym - rel_rank,
+                             homsym_dim=homsym_dim, hom_full_dim=hom_full_dim)

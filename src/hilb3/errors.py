@@ -57,5 +57,9 @@ class EvenSizeError(Hilb3Error):
     """Submaximal Pfaffians of an even-size matrix requested."""
 
 
+class InvariantError(Hilb3Error):
+    """A result broke an identity the code relies on; the engine is at fault."""
+
+
 class PrimeDisagreementError(Hilb3Error):
     """Results over the two chosen primes disagree."""

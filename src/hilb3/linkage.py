@@ -21,8 +21,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from . import poly3, tanlin
-from .errors import (ExcessMismatchError, InputError, NotContainedError,
-                     NotRegularError, NotZeroDimensionalError)
+from .errors import (ExcessMismatchError, InputError, InvariantError,
+                     NotContainedError, NotRegularError, NotZeroDimensionalError)
 from .poly3 import Poly, PolyIdeal, PolyRing
 
 
@@ -68,10 +68,10 @@ def link(I: PolyIdeal, alpha: RegularSequence) -> LinkStep:
     target = poly3.colon(A, I)
     d_target = poly3.quotient_data(target).colength
     # both are theorems for valid links; a failure means a broken engine
-    assert d_source + d_target == d_alpha, \
-        f"colength additivity fails: {d_source} + {d_target} != {d_alpha}"
-    assert poly3.equal_ideals(poly3.colon(A, target), I), \
-        "double-link identity fails"
+    if d_source + d_target != d_alpha:
+        raise InvariantError(f"colength additivity fails: {d_source} + {d_target} != {d_alpha}")
+    if not poly3.equal_ideals(poly3.colon(A, target), I):
+        raise InvariantError("double-link identity fails")
     return LinkStep(source=I, alpha=alpha, target=target,
                     colengths=(d_source, d_alpha, d_target))
 

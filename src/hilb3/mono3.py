@@ -1,15 +1,16 @@
-"""Zero-dimensional monomial ideals of k[x,y,z] as staircase combinatorics.
+"""Zero-dimensional monomial ideals of k[x,y,z] as plane partitions.
 
 A monomial x^a y^b z^c is identified with its exponent vector (a, b, c).
-A finite-colength monomial ideal I is stored by its minimal generators
-together with its staircase: the (finite, downward closed) set of exponent
-vectors outside I.  The socle of S/I is spanned by the maximal staircase
-elements.
+A finite-colength monomial ideal I is stored as its height array
+heights[i][j] = #{k : x^i y^j z^k not in I}, a plane partition of the
+colength; h(i, j) reads 0 off the array.  The rest is read off h
+locally: the minimal generators are the corners (i, j, h(i, j)) where h
+drops against both lower neighbours, the socle of S/I is the cells
+(i, j, h(i, j) - 1) where h drops in both directions, and the staircase
+(the exponent vectors outside I) is expanded only on demand.
 
-Colength-d ideals are in bijection with plane partitions of d: the entry
-pi[i][j] is the number of k with (i, j, k) in the staircase.  MacMahon's
-product formula  prod_{i>=1} (1 - q^i)^{-i}  generates their counts and
-serves as an enumeration oracle.
+MacMahon's product formula  prod_{i>=1} (1 - q^i)^{-i}  generates the
+counts of plane partitions and serves as an enumeration oracle.
 """
 from __future__ import annotations
 
@@ -17,6 +18,7 @@ import itertools
 import json
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator
 
 from .errors import InputError, NotZeroDimensionalError, UnitIdealError
@@ -24,26 +26,13 @@ from .errors import InputError, NotZeroDimensionalError, UnitIdealError
 ExponentVec = tuple[int, int, int]
 
 ORIGIN: ExponentVec = (0, 0, 0)
-UNIT_VECS: tuple[ExponentVec, ...] = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 VAR_NAMES = ("x", "y", "z")
-
-
-def ev_add(a: ExponentVec, b: ExponentVec) -> ExponentVec:
-    return (a[0] + b[0], a[1] + b[1], a[2] + b[2])
+_INF = float("inf")
 
 
 def ev_sub(a: ExponentVec, b: ExponentVec) -> tuple[int, int, int]:
     """Componentwise difference; may be negative (a signed triple)."""
     return (a[0] - b[0], a[1] - b[1], a[2] - b[2])
-
-
-def ev_leq(a: ExponentVec, b: ExponentVec) -> bool:
-    """Divisibility order: a <= b componentwise."""
-    return a[0] <= b[0] and a[1] <= b[1] and a[2] <= b[2]
-
-
-def ev_degree(a: ExponentVec) -> int:
-    return a[0] + a[1] + a[2]
 
 
 def monomial_str(a: ExponentVec) -> str:
@@ -57,30 +46,52 @@ def monomial_str(a: ExponentVec) -> str:
     return "*".join(parts) if parts else "1"
 
 
+def _at(heights, i: int, j: int):
+    """h(i, j): 0 off the array, unbounded at a negative index."""
+    if i < 0 or j < 0:
+        return _INF
+    return heights[i][j] if i < len(heights) and j < len(heights[i]) else 0
+
+
 @dataclass(frozen=True)
 class MonomialIdeal3:
     """A monomial ideal of k[x,y,z] of finite colength.
 
-    mingens    minimal (pairwise incomparable) generators, sorted
-    staircase  exponent vectors outside the ideal
-    colength   |staircase| = dim_k S/I
+    heights    the canonical height array (positive entries, no empty
+               rows), the only stored field, so equality is ideal equality
+    mingens    minimal generators, sorted (derived, cached)
+    staircase  exponent vectors outside the ideal (derived, cached)
+    colength   dim_k S/I, the sum of the heights
     """
 
-    mingens: tuple[ExponentVec, ...]
-    staircase: frozenset[ExponentVec]
-    colength: int
+    heights: tuple[tuple[int, ...], ...]
 
-    def __contains__(self, v: ExponentVec) -> bool:
-        """Monomial membership; v must lie in N^3."""
-        return min(v) >= 0 and v not in self.staircase
-
-    def contains_signed(self, v: tuple[int, int, int]) -> bool:
-        """Membership test that tolerates negative entries (always False)."""
+    def __contains__(self, v: tuple[int, int, int]) -> bool:
+        """Monomial membership; a vector with a negative entry is never in I."""
         return v[0] >= 0 and v[1] >= 0 and v[2] >= 0 and v not in self.staircase
+
+    @cached_property
+    def staircase(self) -> frozenset[ExponentVec]:
+        return frozenset((i, j, k) for i, row in enumerate(self.heights)
+                         for j, h in enumerate(row) for k in range(h))
+
+    @cached_property
+    def mingens(self) -> tuple[ExponentVec, ...]:
+        """Corners (i, j, h(i, j)) where h drops against both lower neighbours."""
+        H = self.heights
+        if not H:
+            return (ORIGIN,)
+        return tuple((i, j, h) for i in range(len(H) + 1)
+                     for j in range(len(H[max(i - 1, 0)]) + 1)
+                     if (h := _at(H, i, j)) < _at(H, i - 1, j) and h < _at(H, i, j - 1))
+
+    @property
+    def colength(self) -> int:
+        return sum(map(sum, self.heights))
 
     @property
     def is_unit(self) -> bool:
-        return self.colength == 0
+        return not self.heights
 
     def __repr__(self) -> str:
         if self.is_unit:
@@ -90,38 +101,19 @@ class MonomialIdeal3:
 
 
 #: Distinguished unit-ideal value, legal as a colon result only.
-UNIT_IDEAL = MonomialIdeal3(mingens=(ORIGIN,), staircase=frozenset(), colength=0)
+UNIT_IDEAL = MonomialIdeal3(())
 
 
-def _minimalize(gens: Iterable[ExponentVec]) -> list[ExponentVec]:
-    gens = sorted(set(gens))
-    return [g for g in gens
-            if not any(h != g and ev_leq(h, g) for h in gens)]
-
-
-def _mingens_from_staircase(staircase: frozenset[ExponentVec]) -> tuple[ExponentVec, ...]:
-    """Minimal monomials outside a downward-closed finite set."""
-    gens = []
-    if not staircase:
-        return (ORIGIN,)
-    bounds = [max(v[i] for v in staircase) + 1 for i in range(3)]
-    for v in itertools.product(range(bounds[0] + 1), range(bounds[1] + 1), range(bounds[2] + 1)):
-        if v in staircase:
-            continue
-        if all(v[i] == 0 or (v[0] - (i == 0), v[1] - (i == 1), v[2] - (i == 2)) in staircase
-               for i in range(3)):
-            gens.append(v)
-    return tuple(sorted(gens))
-
-
-def _from_staircase(staircase: frozenset[ExponentVec]) -> MonomialIdeal3:
-    return MonomialIdeal3(mingens=_mingens_from_staircase(staircase),
-                          staircase=staircase, colength=len(staircase))
+def _canonical(rows: Iterable[tuple[int, ...]]) -> MonomialIdeal3:
+    """The ideal of a height array whose empty rows all come last."""
+    heights = tuple(row for row in rows if row)
+    return MonomialIdeal3(heights) if heights else UNIT_IDEAL
 
 
 def from_generators(gens: Iterable[ExponentVec]) -> MonomialIdeal3:
-    """Build the ideal, minimalizing generators and computing the staircase.
+    """Build the ideal; generators need not be minimal.
 
+    h(i, j) is the least g_z over generators g with g_x <= i, g_y <= j.
     Raises UnitIdealError if 1 is among the generators and
     NotZeroDimensionalError if some coordinate axis never enters the ideal.
     """
@@ -132,48 +124,52 @@ def from_generators(gens: Iterable[ExponentVec]) -> MonomialIdeal3:
         raise InputError(f"negative exponent in {gens}")
     if ORIGIN in gens:
         raise UnitIdealError("1 is a generator")
-    gens = _minimalize(gens)
-    bounds = [None, None, None]
-    for g in gens:
-        for i in range(3):
-            if all(g[j] == 0 for j in range(3) if j != i):
-                if bounds[i] is None or g[i] < bounds[i]:
-                    bounds[i] = g[i]
-    missing = [VAR_NAMES[i] for i in range(3) if bounds[i] is None]
+    missing = [VAR_NAMES[i] for i in range(3) if not any(g[i] == sum(g) for g in gens)]
     if missing:
         raise NotZeroDimensionalError(
             f"no pure power of {', '.join(missing)} among the generators")
-    staircase = frozenset(
-        v for v in itertools.product(range(bounds[0]), range(bounds[1]), range(bounds[2]))
-        if not any(ev_leq(g, v) for g in gens))
-    return MonomialIdeal3(mingens=tuple(sorted(gens)), staircase=staircase,
-                          colength=len(staircase))
+    low: dict[tuple[int, int], int] = {}
+    for a, b, c in gens:
+        low[a, b] = min(c, low.get((a, b), c))
+    # the pure powers keep every h finite and end the sweep
+    rows: list[tuple[int, ...]] = []
+    for i in itertools.count():
+        row: list[int] = []
+        for j in itertools.count():
+            h = min(low.get((i, j), _INF), _at(rows, i - 1, j), row[-1] if row else _INF)
+            if not h:
+                break
+            row.append(h)
+        if not row:
+            return MonomialIdeal3(tuple(rows))
+        rows.append(tuple(row))
 
 
 def socle(ideal: MonomialIdeal3) -> tuple[ExponentVec, ...]:
-    """Maximal staircase elements; their number is the Gorenstein type."""
-    st = ideal.staircase
-    return tuple(sorted(v for v in st
-                        if all(ev_add(v, e) not in st for e in UNIT_VECS)))
+    """Maximal staircase elements, sorted; their number is the Gorenstein type.
+
+    They are the cells (i, j, h - 1) where h drops in both directions.
+    """
+    H = ideal.heights
+    return tuple((i, j, h - 1) for i, row in enumerate(H) for j, h in enumerate(row)
+                 if h > _at(H, i + 1, j) and h > _at(H, i, j + 1))
 
 
 def colon_by_monomial(ideal: MonomialIdeal3, f: ExponentVec) -> MonomialIdeal3:
-    """(I : f); its staircase is the staircase of I translated by -f.
+    """(I : f); for f = (a, b, c) its heights are max(0, h(i + a, j + b) - c).
 
     Returns the distinguished UNIT_IDEAL value when f lies in I.
     """
-    st = frozenset(ev_sub(v, f) for v in ideal.staircase if ev_leq(f, v))
-    if not st:
-        return UNIT_IDEAL
-    return _from_staircase(st)
+    a, b, c = f
+    return _canonical(tuple(h - c for h in row[b:] if h > c) for row in ideal.heights[a:])
 
 
 def add_monomial(ideal: MonomialIdeal3, f: ExponentVec) -> MonomialIdeal3:
-    """I + (f) as a monomial ideal (truncates the staircase under f)."""
-    st = frozenset(v for v in ideal.staircase if not ev_leq(f, v))
-    if not st:
-        return UNIT_IDEAL
-    return _from_staircase(st)
+    """I + (f); for f = (a, b, c) it clips h to c on i >= a, j >= b."""
+    a, b, c = f
+    # with c = 0 the clipped part of a row is dropped
+    return _canonical(row if i < a else row[:b] + tuple(min(h, c) for h in row[b:] if c)
+                      for i, row in enumerate(ideal.heights))
 
 
 def is_strongly_stable(ideal: MonomialIdeal3) -> bool:
@@ -189,20 +185,23 @@ def is_strongly_stable(ideal: MonomialIdeal3) -> bool:
                 shifted = list(m)
                 shifted[j] -= 1
                 shifted[i] += 1
-                if tuple(shifted) in ideal.staircase:
+                if tuple(shifted) not in ideal:
                     return False
     return True
 
 
 def hilbert_function(ideal: MonomialIdeal3) -> tuple[int, ...]:
-    """Counts of staircase monomials by total degree, trailing zeros trimmed."""
-    if ideal.is_unit:
-        return ()
-    top = max(ev_degree(v) for v in ideal.staircase)
-    h = [0] * (top + 1)
-    for v in ideal.staircase:
-        h[ev_degree(v)] += 1
-    return tuple(h)
+    """Counts of staircase monomials by total degree, trailing zeros trimmed.
+
+    Column (i, j) holds one monomial in each degree i + j, ..., i + j + h - 1.
+    """
+    hf: list[int] = []
+    for i, row in enumerate(ideal.heights):
+        for j, h in enumerate(row):
+            hf.extend([0] * (i + j + h - len(hf)))
+            for k in range(i + j, i + j + h):
+                hf[k] += 1
+    return tuple(hf)
 
 
 def macmahon_series(n: int) -> list[int]:
@@ -248,12 +247,9 @@ def plane_partitions(d: int) -> Iterator[tuple[tuple[int, ...], ...]]:
     yield from rec(d, tuple([d] * d))
 
 
-def ideal_from_plane_partition(pp: tuple[tuple[int, ...], ...]) -> MonomialIdeal3:
-    staircase = frozenset((i, j, k)
-                          for i, row in enumerate(pp)
-                          for j, h in enumerate(row)
-                          for k in range(h))
-    return _from_staircase(staircase)
+def ideal_from_plane_partition(pp: Iterable[Iterable[int]]) -> MonomialIdeal3:
+    """The ideal whose height array is the plane partition pp."""
+    return MonomialIdeal3(tuple(map(tuple, pp)))
 
 
 def enumerate_ideals(d: int) -> Iterator[MonomialIdeal3]:
@@ -267,14 +263,13 @@ def enumerate_ideals(d: int) -> Iterator[MonomialIdeal3]:
 def enumerate_planar_ideals(d: int) -> Iterator[MonomialIdeal3]:
     """Colength-d monomial ideals of k[x,y], embedded with z as a generator.
 
-    One per ordinary partition of d: the staircase lies in the z = 0
-    plane, so every ideal contains z.
+    One per ordinary partition of d: every height is 1, so every ideal
+    contains z.
     """
     if d < 1:
         raise InputError("colength must be >= 1")
     for row in _partitions_bounded(d, tuple([d] * d)):
-        staircase = frozenset((i, j, 0) for i, h in enumerate(row) for j in range(h))
-        yield _from_staircase(staircase)
+        yield MonomialIdeal3(tuple((1,) * h for h in row))
 
 
 # ---------------------------------------------------------------------------

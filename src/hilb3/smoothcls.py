@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from . import mono3
-from .errors import HasTripleError
+from .errors import HasTripleError, InvariantError
 from .mono3 import ExponentVec, MonomialIdeal3, monomial_str
 
 SINGULAR_EXCESS_LOWER_BOUND = 6
@@ -60,18 +60,23 @@ class BGChainCert:
     colengths: tuple[int, ...]
 
     def validate(self, ideal: MonomialIdeal3) -> None:
-        assert len(self.quotients) == len(self.multipliers) + 1
-        assert sum(self.colengths) == ideal.colength, "colengths do not add up"
+        if len(self.quotients) != len(self.multipliers) + 1:
+            raise InvariantError("need one quotient more than multipliers")
+        if sum(self.colengths) != ideal.colength:
+            raise InvariantError("colengths do not add up")
         cur = ideal
         for i, q in enumerate(self.quotients):
-            assert len(mono3.socle(q)) == 1, f"quotient {i} is not Gorenstein"
-            assert q.colength == self.colengths[i]
+            if len(mono3.socle(q)) != 1:
+                raise InvariantError(f"quotient {i} is not Gorenstein")
+            if q.colength != self.colengths[i]:
+                raise InvariantError(f"quotient {i} has colength {q.colength}")
             if i < len(self.multipliers):
                 f = self.multipliers[i]
-                assert q == mono3.add_monomial(cur, f)
+                if q != mono3.add_monomial(cur, f):
+                    raise InvariantError(f"quotient {i} is not J + ({monomial_str(f)})")
                 cur = mono3.colon_by_monomial(cur, f)
-            else:
-                assert q == cur
+            elif q != cur:
+                raise InvariantError("last quotient is not the final colon ideal")
 
 
 @dataclass(frozen=True)

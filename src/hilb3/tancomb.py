@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .errors import InvariantError
 from .mono3 import MonomialIdeal3, ev_sub
 
 SIGNATURES = ("ppn", "pnp", "npp", "nnp", "npn", "pnn")
@@ -52,7 +53,7 @@ def bounded_components(ideal: MonomialIdeal3, a: tuple[int, int, int]) -> int:
     points are shared across seeds so no component is counted twice.
     """
     st = ideal.staircase
-    in_ideal = ideal.contains_signed
+    in_ideal = ideal.__contains__
 
     def in_shifted_ideal(v: tuple[int, int, int]) -> bool:
         return in_ideal((v[0] - a[0], v[1] - a[1], v[2] - a[2]))
@@ -111,7 +112,8 @@ def tangent_report(ideal: MonomialIdeal3) -> TangentReport:
         sig = signature_of(a)
         # ppp weights cannot occur among candidates and nnn weights never
         # carry bounded components; both would indicate a bug.
-        assert sig in by_signature, f"unexpected nonzero weight {a} ({sig})"
+        if sig not in by_signature:
+            raise InvariantError(f"unexpected nonzero weight {a} ({sig})")
         by_signature[sig] += n
         total += n
         if sig in DOUBLY_NEGATIVE:

@@ -21,6 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from . import gfp, poly3
+from .errors import InvariantError
 from .mono3 import MonomialIdeal3
 from .poly3 import (DEGREVLEX, Poly, PolyIdeal, PolyRing, _lcm_exp,
                     reduce_full, s_poly, sub_multiples)
@@ -39,7 +40,8 @@ class SyzygySet:
             acc = ring.zero()
             for coeff, g in zip(s, self.generators_used):
                 acc = acc + coeff * g
-            assert acc.is_zero, "syzygy fails to annihilate the generators"
+            if not acc.is_zero:
+                raise InvariantError("syzygy fails to annihilate the generators")
 
 
 def schreyer_syzygies(basis: Sequence[Poly]) -> SyzygySet:
@@ -57,7 +59,8 @@ def schreyer_syzygies(basis: Sequence[Poly]) -> SyzygySet:
         for i in range(j):
             s, mi, mj = s_poly(basis[i], basis[j], DEGREVLEX)
             rem, quots = reduce_full(s, basis, DEGREVLEX, track=True)
-            assert rem.is_zero, "input basis is not a Groebner basis"
+            if not rem.is_zero:
+                raise InvariantError("input basis is not a Groebner basis")
             row = [-q for q in quots]
             row[i] = row[i] + ring.monomial(mi)
             row[j] = row[j] - ring.monomial(mj)
@@ -88,7 +91,8 @@ def generator_syzygies(I: PolyIdeal) -> SyzygySet:
                           for j in range(len(gens))))
     for j, f in enumerate(gens):
         rem, quots = reduce_full(f, basis, DEGREVLEX, track=True)
-        assert rem.is_zero
+        if not rem.is_zero:
+            raise InvariantError(f"generator {j} does not reduce to zero by its Groebner basis")
         unit = [ring.zero()] * len(gens)
         unit[j] = ring.one()
         row = sub_multiples(unit, quots, T)

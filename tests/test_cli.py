@@ -202,6 +202,19 @@ class TestFilesAndErrors:
         assert data["error"]["type"] == "InputError"
         assert "result" not in data
 
+    def test_composite_second_prime_rejected_for_combinatorial(self, capsys):
+        code, data = run_json(capsys, "--second-prime", "91", "series", "3")
+        assert code == 2
+        assert data["error"] == {"type": "InputError", "message": "91 is not an odd prime"}
+        assert data["second_prime"] == 91
+        assert "result" not in data
+
+    def test_second_prime_above_int64_range_rejected_for_census(self, capsys):
+        code, data = run_json(capsys, "--second-prime", "4294967311", "census", "3")
+        assert code == 2
+        assert data["error"]["type"] == "InputError"
+        assert "result" not in data
+
 
 class TestDeterminismAndSecondPrime:
     def test_byte_identical_output(self, capsys):

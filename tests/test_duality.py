@@ -1,3 +1,6 @@
+import random
+
+import numpy as np
 import pytest
 
 from hilb3 import apolarity, duality, gfp, mono3, poly3, smoothcls
@@ -13,6 +16,35 @@ def pi(text):
 
 def mono_poly_ideal(ideal):
     return poly3.from_exponent_gens(R, ideal.mingens)
+
+
+def homsym_dim_reference(mats, d, p):
+    """dim {F symmetric : F M^T = M F}, one pair of products per E_ij + E_ji.
+
+    An independent construction to check duality's column sums of the
+    Kronecker matrix against.
+    """
+    cols = []
+    for i in range(d):
+        for j in range(i, d):
+            basis = np.zeros((d, d), dtype=np.int64)
+            basis[i, j] = 1
+            basis[j, i] = 1
+            cols.append(np.concatenate(
+                [((gfp.matmul(m, basis, p) - gfp.matmul(basis, m.T, p)) % p).ravel()
+                 for m in mats]))
+    return len(cols) - gfp.rank(np.stack(cols, axis=1), p)
+
+
+def random_presentation(mats, p, rng):
+    """The matrices conjugated by a random invertible matrix over F_p."""
+    d = mats[0].shape[0]
+    while True:
+        g = np.array([[rng.randrange(p) for _ in range(d)] for _ in range(d)], dtype=np.int64)
+        red, pivots = gfp.rref(np.hstack([g, gfp.identity(d)]), p)
+        if pivots == list(range(d)):
+            ginv = red[:, d:]
+            return [gfp.matmul(gfp.matmul(g, m, p), ginv, p) for m in mats]
 
 
 M2 = pi("x^2, x*y, x*z, y^2, y*z, z^2")
@@ -94,6 +126,24 @@ class TestBicanonical:
         rep = duality.bicanonical_degree(M2)
         assert duality.gorenstein_type(M2) == 3
         assert rep.sym2_omega_deg != rep.colength
+
+    def test_homsym_matches_per_basis_reference(self):
+        rng = random.Random(5)
+        for p in (gfp.DEFAULT_PRIME, gfp.SECOND_PRIME):
+            ring = poly3.PolyRing(p)
+            for d in range(1, 7):
+                ideals = list(mono3.enumerate_ideals(d))
+                for ideal in rng.sample(ideals, min(4, len(ideals))):
+                    qd = poly3.quotient_data(poly3.from_exponent_gens(ring, ideal.mingens))
+                    mats = random_presentation(list(qd.mult_matrices), p, rng)
+                    got = duality._intertwiner_dims(mats, d, p)[0]
+                    assert got == homsym_dim_reference(mats, d, p), (p, ideal)
+            for text in ["x^2 - y*z, x*z, x*y, y^2, z^2", "x^2 - y, y^2 - z, z^3",
+                         "x^2 + y*z, x*y^2, y^5, z - x"]:
+                qd = poly3.quotient_data(poly3.parse_ideal(text, ring))
+                rep = duality.bicanonical_degree(poly3.parse_ideal(text, ring))
+                assert rep.homsym_dim == homsym_dim_reference(
+                    qd.mult_matrices, qd.colength, p), (p, text)
 
     def test_char_two_rejected(self):
         I = poly3.parse_ideal("x, y, z", poly3.PolyRing(2))

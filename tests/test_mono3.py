@@ -1,6 +1,10 @@
+import dataclasses
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hilb3 import mono3
 from hilb3.errors import InputError, NotZeroDimensionalError, UnitIdealError
@@ -9,8 +13,158 @@ I1 = mono3.parse_monomial_ideal("x^2, x*y, x*z, y^2, y*z, z^3")
 I2 = mono3.parse_monomial_ideal("x^2, x*y, x*z, y^2, z^2")
 
 
+UNIT_VECS = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+
+
 def ev(s):
     return mono3.parse_monomial(s)
+
+
+def ev_add(a, b):
+    return (a[0] + b[0], a[1] + b[1], a[2] + b[2])
+
+
+# ---------------------------------------------------------------------------
+# brute-force oracle: the bounding-box code that mono3 ran before it stored
+# the height array, kept here as the reference for the local rules
+# ---------------------------------------------------------------------------
+
+def ev_leq(a, b):
+    """Divisibility order: a <= b componentwise."""
+    return a[0] <= b[0] and a[1] <= b[1] and a[2] <= b[2]
+
+
+def oracle_minimalize(gens):
+    gens = sorted(set(gens))
+    return [g for g in gens if not any(h != g and ev_leq(h, g) for h in gens)]
+
+
+def oracle_staircase(gens):
+    """Cells of the box under the pure powers that no generator divides."""
+    bounds = [min(g[i] for g in gens if sum(g) == g[i]) for i in range(3)]
+    return frozenset(v for v in itertools.product(*map(range, bounds))
+                     if not any(ev_leq(g, v) for g in gens))
+
+
+def oracle_mingens(staircase):
+    """Minimal monomials outside a downward-closed finite set, by box scan."""
+    if not staircase:
+        return ((0, 0, 0),)
+    bounds = [max(v[i] for v in staircase) + 1 for i in range(3)]
+    gens = []
+    for v in itertools.product(*(range(b + 1) for b in bounds)):
+        if v in staircase:
+            continue
+        if all(v[i] == 0 or (v[0] - (i == 0), v[1] - (i == 1), v[2] - (i == 2)) in staircase
+               for i in range(3)):
+            gens.append(v)
+    return tuple(sorted(gens))
+
+
+def oracle_socle(staircase):
+    return tuple(sorted(v for v in staircase
+                        if all(ev_add(v, e) not in staircase for e in UNIT_VECS)))
+
+
+def oracle_hilbert_function(staircase):
+    if not staircase:
+        return ()
+    h = [0] * (max(map(sum, staircase)) + 1)
+    for v in staircase:
+        h[sum(v)] += 1
+    return tuple(h)
+
+
+def oracle_colon(staircase, f):
+    return frozenset(mono3.ev_sub(v, f) for v in staircase if ev_leq(f, v))
+
+
+def oracle_add(staircase, f):
+    return frozenset(v for v in staircase if not ev_leq(f, v))
+
+
+exps = st.integers(min_value=0, max_value=4)
+monomials = st.tuples(exps, exps, exps)
+pure = st.integers(min_value=1, max_value=5)
+
+
+@st.composite
+def primary_generators(draw):
+    """An m-primary generator list: three pure powers plus random monomials."""
+    a, b, c = draw(pure), draw(pure), draw(pure)
+    extra = draw(st.lists(monomials.filter(any), max_size=6))
+    gens = [(a, 0, 0), (0, b, 0), (0, 0, c)] + extra
+    return draw(st.permutations(gens))
+
+
+@st.composite
+def plane_partitions(draw):
+    """Any plane partition inside a 4x4x5 box: running minima of a random grid."""
+    grid = draw(st.lists(st.lists(st.integers(0, 5), min_size=4, max_size=4),
+                         min_size=1, max_size=4))
+    rows = []
+    for i, raw in enumerate(grid):
+        row = []
+        for j, h in enumerate(raw):
+            h = min([h] + row[-1:] + ([rows[i - 1][j]] if i else []))
+            row.append(h)
+        rows.append(row)
+    return tuple(t for t in (tuple(h for h in row if h) for row in rows) if t)
+
+
+def check_against_oracle(ideal, staircase):
+    assert ideal.staircase == staircase
+    assert ideal.colength == len(staircase)
+    assert ideal.mingens == oracle_mingens(staircase)
+    assert mono3.socle(ideal) == oracle_socle(staircase)
+    assert mono3.hilbert_function(ideal) == oracle_hilbert_function(staircase)
+    assert mono3.from_generators(ideal.mingens) == ideal
+
+
+class TestAgainstOracle:
+    def test_one_stored_field(self):
+        assert [f.name for f in dataclasses.fields(mono3.MonomialIdeal3)] == ["heights"]
+
+    @settings(max_examples=150, deadline=None)
+    @given(primary_generators())
+    def test_from_generators(self, gens):
+        ideal = mono3.from_generators(gens)
+        check_against_oracle(ideal, oracle_staircase(gens))
+        assert ideal.mingens == tuple(oracle_minimalize(gens))
+
+    @settings(max_examples=150, deadline=None)
+    @given(plane_partitions())
+    def test_plane_partition(self, pp):
+        ideal = mono3.ideal_from_plane_partition(pp)
+        assert ideal.heights == pp
+        staircase = frozenset((i, j, k) for i, row in enumerate(pp)
+                              for j, h in enumerate(row) for k in range(h))
+        if pp:
+            check_against_oracle(ideal, staircase)
+        else:
+            assert ideal.is_unit and ideal == mono3.UNIT_IDEAL
+
+    @settings(max_examples=150, deadline=None)
+    @given(plane_partitions().filter(bool), monomials)
+    def test_colon_and_add(self, pp, f):
+        ideal = mono3.ideal_from_plane_partition(pp)
+        colon = mono3.colon_by_monomial(ideal, f)
+        want = oracle_colon(ideal.staircase, f)
+        assert colon.staircase == want
+        assert (colon is mono3.UNIT_IDEAL) == (not want)
+        if want:
+            check_against_oracle(colon, want)
+        added = mono3.add_monomial(ideal, f)
+        want = oracle_add(ideal.staircase, f)
+        assert added.staircase == want
+        if want:
+            check_against_oracle(added, want)
+
+    def test_every_small_ideal(self):
+        for d in range(1, 8):
+            for ideal in mono3.enumerate_ideals(d):
+                check_against_oracle(ideal, ideal.staircase)
+                assert ideal.mingens == tuple(oracle_minimalize(ideal.mingens))
 
 
 class TestFromGenerators:
@@ -53,8 +207,8 @@ class TestSocle:
             for ideal in mono3.enumerate_ideals(d):
                 for s in mono3.socle(ideal):
                     assert s in ideal.staircase
-                    for e in mono3.UNIT_VECS:
-                        assert mono3.ev_add(s, e) in ideal
+                    for e in UNIT_VECS:
+                        assert ev_add(s, e) in ideal
 
 
 class TestColon:
@@ -81,7 +235,7 @@ class TestColon:
             f = (1, 0, 1)
             g = (0, 2, 0)
             lhs = mono3.colon_by_monomial(mono3.colon_by_monomial(ideal, f), g)
-            rhs = mono3.colon_by_monomial(ideal, mono3.ev_add(f, g))
+            rhs = mono3.colon_by_monomial(ideal, ev_add(f, g))
             assert lhs == rhs
 
 

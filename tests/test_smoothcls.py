@@ -1,7 +1,12 @@
+import os
+import subprocess
+import sys
+import textwrap
+
 import pytest
 
 from hilb3 import mono3, smoothcls, tancomb
-from hilb3.errors import HasTripleError
+from hilb3.errors import HasTripleError, InvariantError
 
 I1 = mono3.parse_monomial_ideal("x^2, x*y, x*z, y^2, y*z, z^3")
 I2 = mono3.parse_monomial_ideal("x^2, x*y, x*z, y^2, z^2")
@@ -13,6 +18,13 @@ def ev(s):
 
 
 class TestFindTriple:
+    def test_reads_only_the_socle(self):
+        # the census path: neither staircase nor generators get expanded
+        for ideal in mono3.enumerate_ideals(7):
+            smoothcls.find_triple(ideal)
+            assert "staircase" not in vars(ideal)
+            assert "mingens" not in vars(ideal)
+
     def test_singular_staircase_example(self):
         t = smoothcls.find_triple(I1)
         assert t is not None
@@ -99,6 +111,37 @@ class TestNoflipChain:
                     cert = smoothcls.noflip_chain(ideal)
                     cert.validate(ideal)
                     assert sum(cert.colengths) == d
+
+
+    def test_corrupted_certificates_raise(self):
+        cert = smoothcls.noflip_chain(I2)
+        bad = [smoothcls.BGChainCert(cert.multipliers, cert.quotients, (3, 2)),
+               smoothcls.BGChainCert(cert.multipliers, cert.quotients[::-1], (1, 4)),
+               smoothcls.BGChainCert(((0, 1, 0),), cert.quotients, cert.colengths),
+               smoothcls.BGChainCert((), cert.quotients, cert.colengths)]
+        for c in bad:
+            with pytest.raises(InvariantError):
+                c.validate(I2)
+
+    def test_validate_survives_python_O(self):
+        # invariant checks are explicit raises, not asserts, so -O keeps them
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        code = textwrap.dedent("""
+            from hilb3 import mono3, smoothcls
+            from hilb3.errors import InvariantError
+            ideal = mono3.parse_monomial_ideal("x^2, x*y, x*z, y^2, z^2")
+            cert = smoothcls.noflip_chain(ideal)
+            bad = smoothcls.BGChainCert(cert.multipliers, cert.quotients, (3, 2))
+            try:
+                bad.validate(ideal)
+            except InvariantError as exc:
+                print("raised:", exc)
+        """)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                             capture_output=True, text=True, check=True).stdout
+        assert out == "raised: quotient 0 has colength 4\n"
 
 
 class TestClassify:
