@@ -25,7 +25,8 @@ for step, (e_src, e_tgt) in zip(report.steps, report.excesses):
     d_src, d_alpha, d_tgt = step.colengths
     print(f"  d = {d_src:>2} --(alpha of colength {d_alpha:>2})--> d = {d_tgt:>2}"
           f"   excess {e_src} -> {e_tgt}")
-print(f"target of the last step: {report.steps[-1].target}")
+last = poly3.ideal(ring, poly3.groebner(report.steps[-1].target))  # reduced basis
+print(f"target of the last step: {last}")
 print(f"common excess along the chain: {report.excess}")
 
 print()

@@ -350,6 +350,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = None  # built by the first main() call, then reused
+
+
 def _ring(prime: int) -> poly3.PolyRing:
     """F_p for an odd prime p below 2^31; anything else is an input error."""
     if not gfp.is_prime(prime) or prime <= 2:
@@ -358,9 +361,11 @@ def _ring(prime: int) -> poly3.PolyRing:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     envelope = {"schema": 1, "command": args.command, "prime": args.prime,

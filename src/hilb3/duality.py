@@ -108,5 +108,8 @@ def bicanonical_degree(I: PolyIdeal, verify: bool = False) -> BicanonicalReport:
         if full_rank != rel_rank:
             raise InvariantError("algebra generators missed Sym^2 relations")
     homsym_dim, hom_full_dim = _intertwiner_dims(mats, d, p)
+    if homsym_dim != nsym - rel_rank:
+        raise InvariantError(f"symmetric Hom has dimension {homsym_dim}, "
+                             f"Sym^2 omega has degree {nsym - rel_rank}")
     return BicanonicalReport(colength=d, sym2_omega_deg=nsym - rel_rank,
                              homsym_dim=homsym_dim, hom_full_dim=hom_full_dim)

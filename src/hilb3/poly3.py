@@ -2,10 +2,11 @@
 
 Everything an ideal-theoretic computation downstream needs lives here:
 monomial orders (degrevlex, and a block order with an auxiliary
-elimination variable t), reduced Groebner bases with optional cofactor
-rows, normal forms, intersection and colon, and quotient-ring data
+elimination variable t), reduced degrevlex Groebner bases with optional
+cofactor rows, normal forms, intersection via t, quotient-ring data
 (standard monomial basis plus the three commuting multiplication
-matrices) for zero-dimensional ideals.
+matrices) for zero-dimensional ideals, and the colon (I : J) of a
+zero-dimensional I as a kernel on S/I.
 
 Coefficients are integers in [0, p) for a fixed prime p carried by the
 ring.  Buchberger runs with the coprime and chain criteria and a normal
@@ -22,7 +23,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .errors import InputError, NotZeroDimensionalError
-from .gfp import PRIME_LIMIT, inv_mod
+from .gfp import PRIME_LIMIT, inv_mod, kernel_basis
 
 Exponent = tuple[int, ...]
 
@@ -506,11 +507,11 @@ def reduce_basis(basis: Sequence[Poly], order: MonomialOrder,
 
 @dataclass
 class PolyIdeal:
-    """A finitely generated ideal with cached reduced Groebner bases."""
+    """A finitely generated ideal with its reduced Groebner basis cached."""
 
     ring: PolyRing
     gens: tuple[Poly, ...]
-    _gb: dict[str, tuple[Poly, ...]] = field(default_factory=dict, repr=False)
+    _gb: Optional[tuple[Poly, ...]] = field(default=None, repr=False)
 
     def __eq__(self, other):
         if not isinstance(other, PolyIdeal) or self.ring != other.ring:
@@ -540,17 +541,15 @@ def from_exponent_gens(ring: PolyRing, gens: Iterable[Exponent]) -> PolyIdeal:
                         for g in gens))
 
 
-def groebner(I: PolyIdeal, order: MonomialOrder = DEGREVLEX) -> tuple[Poly, ...]:
-    """Reduced Groebner basis, cached per order."""
-    cached = I._gb.get(order.name)
-    if cached is None:
-        cached = reduce_basis(buchberger(I.gens, order), order)
-        I._gb[order.name] = cached
-    return cached
+def groebner(I: PolyIdeal) -> tuple[Poly, ...]:
+    """Reduced degrevlex Groebner basis, cached on the ideal."""
+    if I._gb is None:
+        I._gb = reduce_basis(buchberger(I.gens, DEGREVLEX), DEGREVLEX)
+    return I._gb
 
 
-def normal_form(f: Poly, I: PolyIdeal, order: MonomialOrder = DEGREVLEX) -> Poly:
-    rem, _ = reduce_full(f, groebner(I, order), order)
+def normal_form(f: Poly, I: PolyIdeal) -> Poly:
+    rem, _ = reduce_full(f, groebner(I), DEGREVLEX)
     return rem
 
 
@@ -568,7 +567,7 @@ def is_unit_ideal(I: PolyIdeal) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# intersection and colon via the elimination variable
+# intersection via the elimination variable
 # ---------------------------------------------------------------------------
 
 def _lift(f: Poly, ring4: PolyRing) -> Poly:
@@ -592,64 +591,33 @@ def intersect(I: PolyIdeal, J: PolyIdeal) -> PolyIdeal:
     return ideal(ring, kept)
 
 
-def divide_exact(f: Poly, g: Poly, order: MonomialOrder = DEGREVLEX) -> Poly:
-    """f / g for f in the principal ideal (g)."""
-    rem, quots = reduce_full(f, [g.monic(order)], order, track=True)
-    if not rem.is_zero:
-        raise InputError("polynomial is not divisible")
-    lc = g.leading(order)[1]
-    return quots[0].scale(inv_mod(lc, f.ring.p))
-
-
-def colon_by_poly(I: PolyIdeal, f: Poly) -> PolyIdeal:
-    """(I : f) = (I cap (f)) / f."""
-    if f.is_zero:
-        raise InputError("colon by zero")
-    meet = intersect(I, ideal(I.ring, (f,)))
-    return ideal(I.ring, tuple(divide_exact(g, f) for g in meet.gens))
-
-
-def colon(I: PolyIdeal, J) -> PolyIdeal:
-    """(I : J) for J an ideal or a single polynomial."""
-    if isinstance(J, Poly):
-        return colon_by_poly(I, J)
-    result: Optional[PolyIdeal] = None
-    for f in J.gens:
-        step = colon_by_poly(I, f)
-        result = step if result is None else intersect(result, step)
-    if result is None:  # J = (0); (I : 0) = (1)
-        return ideal(I.ring, (I.ring.one(),))
-    return result
-
-
 # ---------------------------------------------------------------------------
-# quotient-ring data
+# quotient-ring data, and the colon as a kernel on the finite algebra S/I
 # ---------------------------------------------------------------------------
 
 @dataclass
 class QuotientData:
     """Finite quotient S/I: standard monomials and multiplication matrices.
 
-    standard_monomials are sorted ascending in the order used (the first
-    one is 1).  mult_matrices[v] is the matrix of multiplication by the
+    standard_monomials are sorted ascending in degrevlex (the first one
+    is 1).  mult_matrices[v] is the matrix of multiplication by the
     v-th variable: column j holds the coordinates of NF(x_v * m_j).
     """
 
     ring: PolyRing
-    order: MonomialOrder
     groebner_basis: tuple[Poly, ...]
     standard_monomials: tuple[Exponent, ...]
     colength: int
     mult_matrices: tuple[np.ndarray, ...]
 
 
-def standard_monomials(gb: Sequence[Poly], order: MonomialOrder) -> list[Exponent]:
+def standard_monomials(gb: Sequence[Poly]) -> list[Exponent]:
     """Monomials not divisible by any leading term; raises if infinite."""
-    ring = gb[0].ring if gb else None
     if not gb:
         raise NotZeroDimensionalError("the zero ideal is not zero-dimensional")
+    ring = gb[0].ring
     n = ring.nvars
-    lts = [g.leading(order)[0] for g in gb]
+    lts = [g.leading(DEGREVLEX)[0] for g in gb]
     for i in range(n):
         if not any(all(lt[j] == 0 for j in range(n) if j != i) for lt in lts):
             raise NotZeroDimensionalError(
@@ -669,14 +637,12 @@ def standard_monomials(gb: Sequence[Poly], order: MonomialOrder) -> list[Exponen
                 continue
             found.add(w)
             frontier.append(w)
-    return sorted(found, key=order.key)
+    return sorted(found, key=_degrevlex_key)
 
 
-def quotient_data(I: PolyIdeal, order: MonomialOrder = DEGREVLEX) -> QuotientData:
-    gb = groebner(I, order)
-    if not gb:
-        raise NotZeroDimensionalError("the zero ideal is not zero-dimensional")
-    basis = standard_monomials(gb, order)
+def quotient_data(I: PolyIdeal) -> QuotientData:
+    gb = groebner(I)
+    basis = standard_monomials(gb)
     d = len(basis)
     index = {m: i for i, m in enumerate(basis)}
     ring = I.ring
@@ -690,11 +656,11 @@ def quotient_data(I: PolyIdeal, order: MonomialOrder = DEGREVLEX) -> QuotientDat
             if shifted in index:
                 mat[index[shifted], j] = 1
                 continue
-            nf, _ = reduce_full(ring.monomial(shifted), gb, order)
+            nf, _ = reduce_full(ring.monomial(shifted), gb, DEGREVLEX)
             for e, c in nf.terms.items():
                 mat[index[e], j] = c
         mats.append(mat)
-    return QuotientData(ring=ring, order=order, groebner_basis=gb,
+    return QuotientData(ring=ring, groebner_basis=gb,
                         standard_monomials=tuple(basis),
                         colength=d, mult_matrices=tuple(mats))
 
@@ -738,3 +704,21 @@ def evaluate_at_matrices(f: Poly, qd: QuotientData,
     for e, c in f.terms.items():
         out = (out + c * mono_matrix(e)) % p
     return out
+
+
+def colon(I: PolyIdeal, J) -> PolyIdeal:
+    """(I : J) for a zero-dimensional I and J an ideal or a single polynomial.
+
+    (I : J)/I is the common kernel of multiplication by the generators of
+    J on S/I; its vectors, read on the standard monomials, are added to I.
+    """
+    ring = I.ring
+    gens = [g for g in ((J,) if isinstance(J, Poly) else J.gens) if not g.is_zero]
+    if not gens:  # (I : 0) = (1)
+        return ideal(ring, (ring.one(),))
+    qd = quotient_data(I)
+    cache: dict[Exponent, np.ndarray] = {}
+    stacked = np.vstack([evaluate_at_matrices(g, qd, cache) for g in gens])
+    lifts = [ring.poly(dict(zip(qd.standard_monomials, map(int, v))))
+             for v in kernel_basis(stacked, ring.p)]
+    return ideal(ring, I.gens + tuple(lifts))

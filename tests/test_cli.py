@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from hilb3 import cli
+from hilb3 import cli, duality
 
 
 def run(capsys, *argv):
@@ -148,6 +148,14 @@ class TestParityAnnBicanonical:
         assert code == 0
         res = data["result"]
         assert (res["hom_full_dim"], res["homsym_dim"]) == (9, 7)
+
+    def test_bicanonical_degree_mismatch_exits_1(self, capsys, monkeypatch):
+        rank = duality._sym2_relation_rank
+        monkeypatch.setattr(duality, "_sym2_relation_rank",
+                            lambda mats, d, p: rank(mats, d, p) + 1)
+        code, data = run_json(capsys, "bicanonical", "x^2, x*y^2, y^5, z")
+        assert code == 1
+        assert data["error"]["type"] == "InvariantError"
 
 
 class TestFilesAndErrors:

@@ -2,8 +2,10 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hilb3 import gfp, mono3, poly3
+from hilb3 import gfp, mono3, poly3, tancomb, tanlin
 from hilb3.errors import InputError, NotZeroDimensionalError
 
 P = gfp.DEFAULT_PRIME
@@ -59,7 +61,7 @@ class TestOrders:
 class TestGroebner:
     def test_quadric_apolar_standard_monomials(self):
         gb = poly3.groebner(QUADRIC_APOLAR)
-        std = poly3.standard_monomials(gb, poly3.DEGREVLEX)
+        std = poly3.standard_monomials(gb)
         assert set(std) == {(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 1, 1)}
 
     def test_unit_ideal(self):
@@ -157,6 +159,23 @@ class TestNormalForm:
             assert nf(f + g, QUADRIC_APOLAR) == nf(f, QUADRIC_APOLAR) + nf(g, QUADRIC_APOLAR)
 
 
+def translate(ideal, point):
+    """The monomial ideal moved to the point: x^i y^j z^k -> (x-a)^i (y-b)^j (z-c)^k."""
+    shifts = [R.var(v) - R.constant(c) for v, c in enumerate(point)]
+    gens = []
+    for g in ideal.mingens:
+        f = R.one()
+        for shift, k in zip(shifts, g):
+            for _ in range(k):
+                f = f * shift
+        gens.append(f)
+    return poly3.ideal(R, gens)
+
+
+SMALL_IDEALS = [I for d in range(1, 6) for I in mono3.enumerate_ideals(d)]
+points = st.tuples(*[st.integers(-3, 3)] * 3)
+
+
 class TestIntersect:
     def test_principal(self):
         assert poly3.intersect(pi("x"), pi("y")) == pi("x*y")
@@ -169,10 +188,83 @@ class TestIntersect:
     def test_two_planes(self):
         assert poly3.intersect(pi("x, y"), pi("x, z")) == pi("x, y*z")
 
+    @settings(max_examples=20, deadline=None)
+    @given(st.sampled_from(SMALL_IDEALS), st.sampled_from(SMALL_IDEALS), points, points)
+    def test_disjoint_supports_add_colength_and_tangent(self, A, B, a, b):
+        # the scheme of the intersection is the disjoint union of the two
+        # points, so d and dim T add up
+        if a == b:
+            b = (b[0] + 1,) + b[1:]
+        meet = poly3.intersect(translate(A, a), translate(B, b))
+        d, t, _ = tanlin.tangent_excess(meet)
+        assert d == A.colength + B.colength
+        assert t == tancomb.tangent_report(A).total + tancomb.tangent_report(B).total
+
+
+# the elimination colon: (I : f) = (I cap (f)) / f, intersected over f in J
+
+def divide_exact(f, g):
+    """f / g for f in the principal ideal (g)."""
+    order = poly3.DEGREVLEX
+    rem, quots = poly3.reduce_full(f, [g.monic(order)], order, track=True)
+    assert rem.is_zero
+    return quots[0].scale(gfp.inv_mod(g.leading(order)[1], P))
+
+
+def oracle_colon(I, J):
+    result = None
+    for f in J.gens:
+        meet = poly3.intersect(I, poly3.ideal(R, (f,)))
+        step = poly3.ideal(R, (divide_exact(g, f) for g in meet.gens))
+        result = step if result is None else poly3.intersect(result, step)
+    return result
+
+
+COLON_IDEALS = [I for d in range(3, 9) for I in mono3.enumerate_ideals(d)]
+
+
+def polys(low, high):
+    """Nonzero polynomials of up to three terms, of degree low to high."""
+    exps = st.tuples(*[st.integers(0, high)] * 3).filter(lambda e: low <= sum(e) <= high)
+    return st.dictionaries(exps, st.integers(1, P - 1), min_size=1, max_size=3).map(R.poly)
+
+
+@st.composite
+def colon_inputs(draw):
+    """I: a monomial ideal plus extra polynomials; J: one to three polynomials,
+    all of them inside I when `inside` is drawn."""
+    base = draw(st.sampled_from(COLON_IDEALS))
+    I = poly3.ideal(R, poly3.from_exponent_gens(R, base.mingens).gens
+                    + tuple(draw(st.lists(polys(2, 3), max_size=2))))
+    inside = draw(st.booleans())
+    gens = []
+    for f in draw(st.lists(polys(1, 2), min_size=1, max_size=3)):
+        if inside:
+            f = f * draw(st.sampled_from(I.gens))
+        gens.append(f)
+    return I, poly3.ideal(R, gens), inside
+
 
 class TestColon:
     def test_principal_example(self):
-        assert poly3.colon(pi("x^2"), pp("x")) == pi("x")
+        assert poly3.colon(pi("x^2, y, z"), pp("x")) == pi("x, y, z")
+
+    def test_positive_dimensional_rejected(self):
+        with pytest.raises(NotZeroDimensionalError):
+            poly3.colon(pi("x^2"), pp("x"))
+
+    def test_by_zero(self):
+        assert poly3.is_unit_ideal(poly3.colon(pi("x^2, y, z"), R.zero()))
+        assert poly3.is_unit_ideal(poly3.colon(pi("x^2, y, z"), poly3.ideal(R, ())))
+
+    @settings(max_examples=60, deadline=None)
+    @given(colon_inputs())
+    def test_matches_elimination_oracle(self, inputs):
+        I, J, inside = inputs
+        got = poly3.colon(I, J)
+        assert got == oracle_colon(I, J)
+        if inside:
+            assert poly3.is_unit_ideal(got)
 
     def test_by_unit(self):
         I = pi("x^2, y^3, z")
