@@ -6,7 +6,7 @@ Subpackages by theme:
 - mono3:     monomial ideals of k[x,y,z] as plane partitions (height arrays)
 - tancomb:   tangent spaces of monomial points via bounded components
 - smoothcls: singularizing triples, no-flip chains, smooth census
-- poly3:     sparse polynomials, Groebner bases, intersection, colon as a kernel on S/I
+- poly3:     degrevlex Groebner bases, intersection by syzygies, colon as a kernel on S/I
 - tanlin:    tangent dimension of arbitrary finite algebras via syzygies
 - linkage:   links by length-3 regular sequences, chain verification
 - apolarity: contraction action and annihilator ideals (inverse systems)

@@ -57,7 +57,7 @@ def contract(s: Poly, f: Poly) -> Poly:
 def _monomials_up_to(degree: int) -> list[tuple[int, int, int]]:
     mons = [e for e in itertools.product(range(degree + 1), repeat=3)
             if sum(e) <= degree]
-    return sorted(mons, key=poly3.DEGREVLEX.key)
+    return sorted(mons, key=poly3.degrevlex_key)
 
 
 def contraction_closure_dim(fs: Sequence[Poly], p: int) -> int:

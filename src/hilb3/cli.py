@@ -53,6 +53,15 @@ def _gb_strings(I: poly3.PolyIdeal) -> list[str]:
     return [poly3.poly_str(g) for g in poly3.groebner(I)]
 
 
+def _chain_payload(chain: smoothcls.BGChainCert) -> dict:
+    return {
+        "multipliers": [mono3.monomial_str(f) for f in chain.multipliers],
+        "colengths": list(chain.colengths),
+        "quotients": [[mono3.monomial_str(g) for g in q.mingens]
+                      for q in chain.quotients],
+    }
+
+
 # ---------------------------------------------------------------------------
 # subcommand handlers; each returns (payload dict, exit code)
 # ---------------------------------------------------------------------------
@@ -93,14 +102,7 @@ def _cmd_classify(args, ring) -> tuple[dict, int]:
         return {"verdict": "singular",
                 "triple": list(res.triple.monomials()),
                 "excess_lower_bound": res.excess_lower_bound}, 0
-    chain = res.chain
-    return {"verdict": "smooth",
-            "chain": {
-                "multipliers": [mono3.monomial_str(f) for f in chain.multipliers],
-                "colengths": list(chain.colengths),
-                "quotients": [[mono3.monomial_str(g) for g in q.mingens]
-                              for q in chain.quotients],
-            }}, 0
+    return {"verdict": "smooth", "chain": _chain_payload(res.chain)}, 0
 
 
 def _cmd_triple(args, ring) -> tuple[dict, int]:
@@ -114,13 +116,7 @@ def _cmd_triple(args, ring) -> tuple[dict, int]:
 
 def _cmd_chain(args, ring) -> tuple[dict, int]:
     ideal_m = _parse_mono(args.ideal)
-    cert = smoothcls.noflip_chain(ideal_m)
-    return {
-        "multipliers": [mono3.monomial_str(f) for f in cert.multipliers],
-        "colengths": list(cert.colengths),
-        "quotients": [[mono3.monomial_str(g) for g in q.mingens]
-                      for q in cert.quotients],
-    }, 0
+    return _chain_payload(smoothcls.noflip_chain(ideal_m)), 0
 
 
 def _cmd_census(args, ring) -> tuple[dict, int]:

@@ -2,7 +2,8 @@
 
 Matrices are numpy ``int64`` arrays with entries reduced into ``[0, p)``.
 With p < 2^31 every intermediate product fits in an int64, so plain
-Gaussian elimination with ``% p`` after each row operation is exact.
+Gaussian elimination with ``% p`` after each row operation is exact;
+``matmul`` and ``rref`` raise ``InputError`` for any larger p.
 Pivoting always takes the first row with a nonzero entry, which makes
 every result deterministic.
 
@@ -14,9 +15,18 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import InputError
+
 DEFAULT_PRIME = 2**31 - 1
 SECOND_PRIME = 2**31 - 19  # 2147483629, the largest prime below 2^31 - 1
 PRIME_LIMIT = 2**31  # every prime must lie below this for int64 exactness
+
+
+def require_exact(p: int) -> None:
+    """Raise InputError unless int64 arithmetic mod p is exact (p < 2^31)."""
+    if int(p) >= PRIME_LIMIT:
+        raise InputError(f"prime {p} is not below 2^31, where int64 "
+                         "arithmetic mod p stops being exact")
 
 
 def is_prime(n: int) -> bool:
@@ -63,6 +73,7 @@ def matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     the inner dimension into slices of length 1 would be slow, so slices of
     length 2 are used: 2 * (p-1)^2 < 2^63 - 1 holds for p <= 2^31 - 1.
     """
+    require_exact(p)
     a = np.mod(a, p)
     b = np.mod(b, p)
     n = a.shape[1]
@@ -75,6 +86,7 @@ def matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
 
 def rref(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form and the list of pivot columns."""
+    require_exact(p)
     a = np.mod(np.array(a, dtype=np.int64, copy=True), p)
     nrows, ncols = a.shape
     pivots: list[int] = []

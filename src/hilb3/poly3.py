@@ -1,17 +1,16 @@
 """Sparse polynomials over F_p in x, y, z and Buchberger Groebner bases.
 
 Everything an ideal-theoretic computation downstream needs lives here:
-monomial orders (degrevlex, and a block order with an auxiliary
-elimination variable t), reduced degrevlex Groebner bases with optional
-cofactor rows, normal forms, intersection via t, quotient-ring data
-(standard monomial basis plus the three commuting multiplication
-matrices) for zero-dimensional ideals, and the colon (I : J) of a
-zero-dimensional I as a kernel on S/I.
+reduced Groebner bases with optional cofactor rows, normal forms,
+intersection by syzygies, quotient-ring data (standard monomial basis
+plus the three commuting multiplication matrices) for zero-dimensional
+ideals, and the colon (I : J) of a zero-dimensional I as a kernel on S/I.
+The one monomial order is degree reverse lexicographic with x > y > z.
 
 Coefficients are integers in [0, p) for a fixed prime p carried by the
 ring.  Buchberger runs with the coprime and chain criteria and a normal
-(smallest-lcm-first) selection strategy; reduced bases are unique for a
-fixed order, so ideal equality is Groebner-basis equality.
+(smallest-lcm-first) selection strategy; reduced bases are unique, so
+ideal equality is Groebner-basis equality.
 """
 from __future__ import annotations
 
@@ -23,37 +22,14 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .errors import InputError, NotZeroDimensionalError
-from .gfp import PRIME_LIMIT, inv_mod, kernel_basis
+from .gfp import inv_mod, kernel_basis, require_exact
 
 Exponent = tuple[int, ...]
 
 
-# ---------------------------------------------------------------------------
-# monomial orders
-# ---------------------------------------------------------------------------
-
-class MonomialOrder:
-    """A monomial order given by a sort key; larger key = larger monomial."""
-
-    def __init__(self, name: str, key):
-        self.name = name
-        self.key = key
-
-    def __repr__(self):
-        return f"MonomialOrder({self.name})"
-
-
-def _degrevlex_key(e: Exponent):
+def degrevlex_key(e: Exponent):
+    """Sort key of the monomial order: larger key = larger monomial."""
     return (sum(e), tuple(-e[i] for i in range(len(e) - 1, -1, -1)))
-
-
-def _elim_last_key(e: Exponent):
-    # block order: the last variable dominates, degrevlex on the rest
-    return (e[-1], _degrevlex_key(e[:-1]))
-
-
-DEGREVLEX = MonomialOrder("degrevlex", _degrevlex_key)
-ELIM_LAST = MonomialOrder("elim-last", _elim_last_key)
 
 
 # ---------------------------------------------------------------------------
@@ -64,9 +40,7 @@ class PolyRing:
     """F_p[names]; equality is by prime and variable names."""
 
     def __init__(self, p: int, names: Sequence[str] = ("x", "y", "z")):
-        if int(p) >= PRIME_LIMIT:
-            raise InputError(f"prime {p} is not below 2^31, where int64 "
-                             "arithmetic mod p stops being exact")
+        require_exact(p)
         self.p = int(p)
         self.names = tuple(names)
         self.nvars = len(self.names)
@@ -105,9 +79,6 @@ class PolyRing:
 
     def monomial(self, e: Exponent, c: int = 1) -> "Poly":
         return self.poly({tuple(e): c})
-
-    def with_elim_var(self) -> "PolyRing":
-        return PolyRing(self.p, self.names + ("t",))
 
 
 class Poly:
@@ -177,12 +148,12 @@ class Poly:
         return Poly(self.ring, {tuple(a + b for a, b in zip(e, te)): tc * c % p
                                 for te, tc in self.terms.items()})
 
-    def leading(self, order: MonomialOrder) -> tuple[Exponent, int]:
-        e = max(self.terms, key=order.key)
+    def leading(self) -> tuple[Exponent, int]:
+        e = max(self.terms, key=degrevlex_key)
         return e, self.terms[e]
 
-    def monic(self, order: MonomialOrder) -> "Poly":
-        _, c = self.leading(order)
+    def monic(self) -> "Poly":
+        _, c = self.leading()
         return self.scale(inv_mod(c, self.ring.p)) if c != 1 else self
 
     def degree(self) -> int:
@@ -192,14 +163,14 @@ class Poly:
         return f"Poly({poly_str(self)})"
 
 
-def poly_str(f: Poly, names: Optional[Sequence[str]] = None) -> str:
+def poly_str(f: Poly) -> str:
     """Deterministic human-readable form, degrevlex-descending terms."""
     if f.is_zero:
         return "0"
-    names = names or f.ring.names
+    names = f.ring.names
     p = f.ring.p
     parts = []
-    for e in sorted(f.terms, key=_degrevlex_key, reverse=True):
+    for e in sorted(f.terms, key=degrevlex_key, reverse=True):
         c = f.terms[e]
         sign = "+"
         if c > p // 2:  # print balanced representatives for readability
@@ -229,11 +200,9 @@ def poly_str(f: Poly, names: Optional[Sequence[str]] = None) -> str:
 _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z]+)|(\^)|(\*)|(\+)|(-))")
 
 
-def parse_poly(text: str, ring: PolyRing, names: Optional[Sequence[str]] = None) -> Poly:
-    """Parse integer-coefficient polynomials in the given variable names."""
-    names = tuple(names or ring.names)
-    if len(names) != ring.nvars:
-        raise InputError("variable name list does not match the ring")
+def parse_poly(text: str, ring: PolyRing) -> Poly:
+    """Parse integer-coefficient polynomials in the ring's variable names."""
+    names = ring.names
     pos, n = 0, len(text)
     terms: dict[Exponent, int] = {}
     sign = 1
@@ -317,8 +286,7 @@ def _lcm_exp(a: Exponent, b: Exponent) -> Exponent:
     return tuple(max(x, y) for x, y in zip(a, b))
 
 
-def reduce_full(f: Poly, basis: Sequence[Poly], order: MonomialOrder,
-                track: bool = False):
+def reduce_full(f: Poly, basis: Sequence[Poly], track: bool = False):
     """Full division of f by the (monic) basis.
 
     Returns (remainder, quotients) where quotients[i] is a Poly with
@@ -328,13 +296,12 @@ def reduce_full(f: Poly, basis: Sequence[Poly], order: MonomialOrder,
     """
     ring = f.ring
     p = ring.p
-    lts = [g.leading(order)[0] for g in basis]
+    lts = [g.leading()[0] for g in basis]
     work = dict(f.terms)
     remainder: dict[Exponent, int] = {}
     quotients = [dict() for _ in basis] if track else None
-    key = order.key
     while work:
-        e = max(work, key=key)
+        e = max(work, key=degrevlex_key)
         c = work.pop(e)
         for i, lt in enumerate(lts):
             if _divides(lt, e):
@@ -359,22 +326,22 @@ def reduce_full(f: Poly, basis: Sequence[Poly], order: MonomialOrder,
     return rem, None
 
 
-def s_poly(f: Poly, g: Poly, order: MonomialOrder) -> tuple[Poly, Exponent, Exponent]:
+def s_poly(f: Poly, g: Poly) -> tuple[Poly, Exponent, Exponent]:
     """S-polynomial m_f f - m_g g of two monic polynomials, with m_f, m_g."""
-    lf = f.leading(order)[0]
-    lg = g.leading(order)[0]
+    lf = f.leading()[0]
+    lg = g.leading()[0]
     l = _lcm_exp(lf, lg)
     mf, mg = _quotient_exp(l, lf), _quotient_exp(l, lg)
     return f.mul_monomial(mf) - g.mul_monomial(mg), mf, mg
 
 
-def _monic(f: Poly, row: Optional[list[Poly]], order: MonomialOrder):
+def _monic(f: Poly, row: Optional[list[Poly]]):
     """f made monic, with its cofactor row (if any) scaled to match."""
-    c = f.leading(order)[1]
+    c = f.leading()[1]
     if row is not None and c != 1:
         c = inv_mod(c, f.ring.p)
         row = [a.scale(c) for a in row]
-    return f.monic(order), row
+    return f.monic(), row
 
 
 def sub_multiples(row: list[Poly], quots: Sequence[Poly],
@@ -386,7 +353,7 @@ def sub_multiples(row: list[Poly], quots: Sequence[Poly],
     return row
 
 
-def buchberger(gens: Sequence[Poly], order: MonomialOrder, track: bool = False):
+def buchberger(gens: Sequence[Poly], track: bool = False):
     """A (non-reduced) Groebner basis, deterministic.
 
     Pairs are processed smallest lcm first; the coprime criterion and the
@@ -402,18 +369,18 @@ def buchberger(gens: Sequence[Poly], order: MonomialOrder, track: bool = False):
         if track:
             unit = [g.ring.zero()] * len(gens)
             unit[j] = g.ring.one()
-        g, unit = _monic(g, unit, order)
+        g, unit = _monic(g, unit)
         basis.append(g)
         rows.append(unit)
     if not basis:
         return ([], []) if track else []
-    lts = [g.leading(order)[0] for g in basis]
+    lts = [g.leading()[0] for g in basis]
     pending: set[tuple[int, int]] = set()
     heap: list = []
 
     def push(i: int, j: int):
         l = _lcm_exp(lts[i], lts[j])
-        heapq.heappush(heap, (order.key(l), i, j))
+        heapq.heappush(heap, (degrevlex_key(l), i, j))
         pending.add((i, j))
 
     for j in range(len(basis)):
@@ -439,8 +406,8 @@ def buchberger(gens: Sequence[Poly], order: MonomialOrder, track: bool = False):
                 break
         if skip:
             continue
-        s, mi, mj = s_poly(basis[i], basis[j], order)
-        rem, quots = reduce_full(s, basis, order, track=track)
+        s, mi, mj = s_poly(basis[i], basis[j])
+        rem, quots = reduce_full(s, basis, track=track)
         if rem.is_zero:
             continue
         row = None
@@ -448,18 +415,17 @@ def buchberger(gens: Sequence[Poly], order: MonomialOrder, track: bool = False):
             row = [a.mul_monomial(mi) - b.mul_monomial(mj)
                    for a, b in zip(rows[i], rows[j])]
             row = sub_multiples(row, quots, rows)
-        rem, row = _monic(rem, row, order)
+        rem, row = _monic(rem, row)
         basis.append(rem)
         rows.append(row)
-        lts.append(rem.leading(order)[0])
+        lts.append(rem.leading()[0])
         new = len(basis) - 1
         for k in range(new):
             push(k, new)
     return (basis, rows) if track else basis
 
 
-def reduce_basis(basis: Sequence[Poly], order: MonomialOrder,
-                 rows: Optional[Sequence[list[Poly]]] = None):
+def reduce_basis(basis: Sequence[Poly], rows: Optional[Sequence[list[Poly]]] = None):
     """The reduced Groebner basis: minimal, interreduced, monic, sorted.
 
     Given cofactor rows (basis[i] = sum_j rows[i][j] * gens[j], as from
@@ -467,11 +433,11 @@ def reduce_basis(basis: Sequence[Poly], order: MonomialOrder,
     rows carried through every step.
     """
     track = rows is not None
-    elems = [_monic(g, row, order)
+    elems = [_monic(g, row)
              for g, row in zip(basis, rows if track else [None] * len(basis))
              if not g.is_zero]
     # minimalize: drop any element whose leading term another one divides
-    lts = [g.leading(order)[0] for g, _ in elems]
+    lts = [g.leading()[0] for g, _ in elems]
     keep = [elems[i] for i, lt in enumerate(lts)
             if not any(j != i and _divides(lts[j], lt) and (lts[j] != lt or j < i)
                        for j in range(len(elems)))]
@@ -485,18 +451,18 @@ def reduce_basis(basis: Sequence[Poly], order: MonomialOrder,
             others = basis[:i] + basis[i + 1:]
             if not others:
                 continue
-            rem, quots = reduce_full(basis[i], others, order, track=track)
+            rem, quots = reduce_full(basis[i], others, track=track)
             if rem.is_zero:
                 basis.pop(i)
                 rows.pop(i)
                 changed = True
                 break
             row = sub_multiples(rows[i], quots, rows[:i] + rows[i + 1:]) if track else None
-            rem, row = _monic(rem, row, order)
+            rem, row = _monic(rem, row)
             if rem != basis[i]:
                 basis[i], rows[i] = rem, row
                 changed = True
-    by_lt = sorted(range(len(basis)), key=lambda i: order.key(basis[i].leading(order)[0]))
+    by_lt = sorted(range(len(basis)), key=lambda i: degrevlex_key(basis[i].leading()[0]))
     reduced = tuple(basis[i] for i in by_lt)
     return (reduced, [rows[i] for i in by_lt]) if track else reduced
 
@@ -527,12 +493,12 @@ def ideal(ring: PolyRing, gens: Iterable[Poly]) -> PolyIdeal:
     return PolyIdeal(ring=ring, gens=gens)
 
 
-def parse_ideal(text: str, ring: PolyRing, names: Optional[Sequence[str]] = None) -> PolyIdeal:
+def parse_ideal(text: str, ring: PolyRing) -> PolyIdeal:
     """Comma-separated polynomial list."""
     parts = [s for s in text.split(",") if s.strip()]
     if not parts:
         raise InputError("no generators given")
-    return ideal(ring, (parse_poly(s, ring, names) for s in parts))
+    return ideal(ring, (parse_poly(s, ring) for s in parts))
 
 
 def from_exponent_gens(ring: PolyRing, gens: Iterable[Exponent]) -> PolyIdeal:
@@ -544,12 +510,12 @@ def from_exponent_gens(ring: PolyRing, gens: Iterable[Exponent]) -> PolyIdeal:
 def groebner(I: PolyIdeal) -> tuple[Poly, ...]:
     """Reduced degrevlex Groebner basis, cached on the ideal."""
     if I._gb is None:
-        I._gb = reduce_basis(buchberger(I.gens, DEGREVLEX), DEGREVLEX)
+        I._gb = reduce_basis(buchberger(I.gens))
     return I._gb
 
 
 def normal_form(f: Poly, I: PolyIdeal) -> Poly:
-    rem, _ = reduce_full(f, groebner(I), DEGREVLEX)
+    rem, _ = reduce_full(f, groebner(I))
     return rem
 
 
@@ -567,28 +533,24 @@ def is_unit_ideal(I: PolyIdeal) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# intersection via the elimination variable
+# intersection by syzygies
 # ---------------------------------------------------------------------------
 
-def _lift(f: Poly, ring4: PolyRing) -> Poly:
-    return Poly(ring4, {e + (0,): c for e, c in f.terms.items()})
-
-
-def _project(f: Poly, ring: PolyRing) -> Poly:
-    return Poly(ring, {e[:-1]: c for e, c in f.terms.items()})
-
-
 def intersect(I: PolyIdeal, J: PolyIdeal) -> PolyIdeal:
-    """I cap J = (t I + (1-t) J) cap k[x,y,z], eliminating t."""
+    """I cap J, for any two ideals of the ring.
+
+    Every syzygy s of (f_1..f_r, -g_1..-g_s) gives sum_i s_i f_i, which
+    lies in both ideals; these sums over a generating set of the syzygy
+    module generate I cap J (Greuel-Pfister, A Singular Introduction to
+    Commutative Algebra, 1.8.7).
+    """
+    from .tanlin import generator_syzygies  # tanlin imports this module
+
     ring = I.ring
-    ring4 = ring.with_elim_var()
-    t = ring4.var(ring4.nvars - 1)
-    one_minus_t = ring4.one() - t
-    gens4 = [t * _lift(f, ring4) for f in I.gens]
-    gens4 += [one_minus_t * _lift(g, ring4) for g in J.gens]
-    gb = reduce_basis(buchberger(gens4, ELIM_LAST), ELIM_LAST)
-    kept = [_project(g, ring) for g in gb if all(e[-1] == 0 for e in g.terms)]
-    return ideal(ring, kept)
+    gens = I.gens + tuple(-g for g in J.gens)
+    syz = generator_syzygies(PolyIdeal(ring=ring, gens=gens))
+    return ideal(ring, (sum((a * f for a, f in zip(s, I.gens)), ring.zero())
+                        for s in syz.syzygies))
 
 
 # ---------------------------------------------------------------------------
@@ -605,7 +567,6 @@ class QuotientData:
     """
 
     ring: PolyRing
-    groebner_basis: tuple[Poly, ...]
     standard_monomials: tuple[Exponent, ...]
     colength: int
     mult_matrices: tuple[np.ndarray, ...]
@@ -617,7 +578,7 @@ def standard_monomials(gb: Sequence[Poly]) -> list[Exponent]:
         raise NotZeroDimensionalError("the zero ideal is not zero-dimensional")
     ring = gb[0].ring
     n = ring.nvars
-    lts = [g.leading(DEGREVLEX)[0] for g in gb]
+    lts = [g.leading()[0] for g in gb]
     for i in range(n):
         if not any(all(lt[j] == 0 for j in range(n) if j != i) for lt in lts):
             raise NotZeroDimensionalError(
@@ -637,7 +598,7 @@ def standard_monomials(gb: Sequence[Poly]) -> list[Exponent]:
                 continue
             found.add(w)
             frontier.append(w)
-    return sorted(found, key=_degrevlex_key)
+    return sorted(found, key=degrevlex_key)
 
 
 def quotient_data(I: PolyIdeal) -> QuotientData:
@@ -656,12 +617,11 @@ def quotient_data(I: PolyIdeal) -> QuotientData:
             if shifted in index:
                 mat[index[shifted], j] = 1
                 continue
-            nf, _ = reduce_full(ring.monomial(shifted), gb, DEGREVLEX)
+            nf, _ = reduce_full(ring.monomial(shifted), gb)
             for e, c in nf.terms.items():
                 mat[index[e], j] = c
         mats.append(mat)
-    return QuotientData(ring=ring, groebner_basis=gb,
-                        standard_monomials=tuple(basis),
+    return QuotientData(ring=ring, standard_monomials=tuple(basis),
                         colength=d, mult_matrices=tuple(mats))
 
 

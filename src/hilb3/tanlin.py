@@ -23,8 +23,8 @@ import numpy as np
 from . import gfp, poly3
 from .errors import InvariantError
 from .mono3 import MonomialIdeal3
-from .poly3 import (DEGREVLEX, Poly, PolyIdeal, PolyRing, _lcm_exp,
-                    reduce_full, s_poly, sub_multiples)
+from .poly3 import (Poly, PolyIdeal, PolyRing, _lcm_exp, reduce_full, s_poly,
+                    sub_multiples)
 
 
 @dataclass
@@ -57,8 +57,8 @@ def schreyer_syzygies(basis: Sequence[Poly]) -> SyzygySet:
     rows = []
     for j in range(len(basis)):
         for i in range(j):
-            s, mi, mj = s_poly(basis[i], basis[j], DEGREVLEX)
-            rem, quots = reduce_full(s, basis, DEGREVLEX, track=True)
+            s, mi, mj = s_poly(basis[i], basis[j])
+            rem, quots = reduce_full(s, basis, track=True)
             if not rem.is_zero:
                 raise InvariantError("input basis is not a Groebner basis")
             row = [-q for q in quots]
@@ -82,15 +82,15 @@ def generator_syzygies(I: PolyIdeal) -> SyzygySet:
     """
     gens = tuple(I.gens)
     ring = I.ring
-    basis, T = poly3.buchberger(gens, DEGREVLEX, track=True)
-    basis, T = poly3.reduce_basis(basis, DEGREVLEX, rows=T)
+    basis, T = poly3.buchberger(gens, track=True)
+    basis, T = poly3.reduce_basis(basis, rows=T)
     schreyer = schreyer_syzygies(basis)
     rows = []
     for s in schreyer.syzygies:
         rows.append(tuple(sum((s[i] * T[i][j] for i in range(len(basis))), ring.zero())
                           for j in range(len(gens))))
     for j, f in enumerate(gens):
-        rem, quots = reduce_full(f, basis, DEGREVLEX, track=True)
+        rem, quots = reduce_full(f, basis, track=True)
         if not rem.is_zero:
             raise InvariantError(f"generator {j} does not reduce to zero by its Groebner basis")
         unit = [ring.zero()] * len(gens)
@@ -189,18 +189,8 @@ def hom_dim_weight(ideal: MonomialIdeal3, a: tuple[int, int, int]) -> int:
     return len({find(j) for j in parent} - {find(k) for k in killed})
 
 
-def mono_hom_dim(ideal: MonomialIdeal3, by_weight: bool = False):
-    """Tangent dimension of a monomial ideal via the graded linear route.
-
-    Returns the total, or (total, {weight: dim}) when by_weight is set.
-    """
+def mono_hom_dim(ideal: MonomialIdeal3) -> int:
+    """Tangent dimension of a monomial ideal via the graded linear route."""
     from .tancomb import weight_candidates
 
-    detail = {}
-    total = 0
-    for a in sorted(weight_candidates(ideal)):
-        n = hom_dim_weight(ideal, a)
-        if n:
-            detail[a] = n
-            total += n
-    return (total, detail) if by_weight else total
+    return sum(hom_dim_weight(ideal, a) for a in weight_candidates(ideal))

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from hilb3 import gfp
+from hilb3.errors import InputError
 
 P = gfp.DEFAULT_PRIME
 P2 = gfp.SECOND_PRIME
@@ -64,3 +65,22 @@ def test_matmul_matches_python_ints():
              for j in range(4)] for i in range(5)]
     assert got.tolist() == want
 
+
+# entries near 2^32 make int64 products overflow, so the answers would be wrong
+BIG_PRIMES = [gfp.PRIME_LIMIT + 11, 4294967311]
+
+
+@pytest.mark.parametrize("p", BIG_PRIMES)
+def test_matmul_rejects_primes_from_2_31(p):
+    a = np.ones((2, 2), dtype=np.int64)
+    with pytest.raises(InputError):
+        gfp.matmul(a, a, p)
+
+
+@pytest.mark.parametrize("p", BIG_PRIMES)
+def test_rref_rejects_primes_from_2_31(p):
+    a = np.ones((2, 2), dtype=np.int64)
+    with pytest.raises(InputError):
+        gfp.rref(a, p)
+    with pytest.raises(InputError):
+        gfp.rank(a, p)

@@ -50,12 +50,8 @@ class TestParsing:
 class TestOrders:
     def test_degrevlex_degree_two(self):
         mons = [(2, 0, 0), (1, 1, 0), (0, 2, 0), (1, 0, 1), (0, 1, 1), (0, 0, 2)]
-        ranked = sorted(mons, key=poly3.DEGREVLEX.key, reverse=True)
+        ranked = sorted(mons, key=poly3.degrevlex_key, reverse=True)
         assert ranked == mons  # x^2 > xy > y^2 > xz > yz > z^2
-
-    def test_elim_block(self):
-        # any monomial containing t beats any without
-        assert poly3.ELIM_LAST.key((0, 0, 0, 1)) > poly3.ELIM_LAST.key((9, 9, 9, 0))
 
 
 class TestGroebner:
@@ -75,8 +71,7 @@ class TestGroebner:
 
     def test_idempotent(self):
         gb = poly3.groebner(QUADRIC_APOLAR)
-        again = poly3.reduce_basis(poly3.buchberger(list(gb), poly3.DEGREVLEX),
-                                   poly3.DEGREVLEX)
+        again = poly3.reduce_basis(poly3.buchberger(list(gb)))
         assert again == gb
 
     def test_membership(self):
@@ -110,8 +105,8 @@ class TestTrackedGroebner:
     @pytest.mark.parametrize("text", TRACKED_INPUTS)
     def test_rows_reproduce_basis(self, text):
         gens = list(pi(text).gens) + [R.zero()]
-        basis, rows = poly3.buchberger(gens, poly3.DEGREVLEX, track=True)
-        assert basis == poly3.buchberger(gens, poly3.DEGREVLEX)
+        basis, rows = poly3.buchberger(gens, track=True)
+        assert basis == poly3.buchberger(gens)
         assert len(rows) == len(basis)
         for g, row in zip(basis, rows):
             assert len(row) == len(gens)
@@ -121,21 +116,21 @@ class TestTrackedGroebner:
     def test_reduced_rows_reproduce_groebner(self, text):
         I = pi(text)
         gens = list(I.gens)
-        basis, rows = poly3.buchberger(gens, poly3.DEGREVLEX, track=True)
-        reduced, rows = poly3.reduce_basis(basis, poly3.DEGREVLEX, rows=rows)
+        basis, rows = poly3.buchberger(gens, track=True)
+        reduced, rows = poly3.reduce_basis(basis, rows=rows)
         assert reduced == poly3.groebner(I)
         for g, row in zip(reduced, rows):
             assert combine(row, gens) == g
 
     def test_rows_scale_with_non_monic_input(self):
-        basis, rows = poly3.buchberger([pp("3*x"), R.zero()], poly3.DEGREVLEX, track=True)
+        basis, rows = poly3.buchberger([pp("3*x"), R.zero()], track=True)
         assert basis == [pp("x")]
         assert rows == [[R.constant(gfp.inv_mod(3, P)), R.zero()]]
 
     def test_empty_input(self):
-        assert poly3.buchberger([], poly3.DEGREVLEX) == []
-        assert poly3.buchberger([R.zero()], poly3.DEGREVLEX, track=True) == ([], [])
-        assert poly3.reduce_basis([], poly3.DEGREVLEX, rows=[]) == ((), [])
+        assert poly3.buchberger([]) == []
+        assert poly3.buchberger([R.zero()], track=True) == ([], [])
+        assert poly3.reduce_basis([], rows=[]) == ((), [])
 
 
 class TestNormalForm:
@@ -176,6 +171,23 @@ SMALL_IDEALS = [I for d in range(1, 6) for I in mono3.enumerate_ideals(d)]
 points = st.tuples(*[st.integers(-3, 3)] * 3)
 
 
+COLON_IDEALS = [I for d in range(3, 9) for I in mono3.enumerate_ideals(d)]
+
+
+def polys(low, high):
+    """Nonzero polynomials of up to three terms, of degree low to high."""
+    exps = st.tuples(*[st.integers(0, high)] * 3).filter(lambda e: low <= sum(e) <= high)
+    return st.dictionaries(exps, st.integers(1, P - 1), min_size=1, max_size=3).map(R.poly)
+
+
+@st.composite
+def zero_dim_ideals(draw):
+    """A monomial ideal of colength 3 to 8 plus up to two polynomials of degree 2 to 3."""
+    base = draw(st.sampled_from(COLON_IDEALS))
+    return poly3.ideal(R, poly3.from_exponent_gens(R, base.mingens).gens
+                       + tuple(draw(st.lists(polys(2, 3), max_size=2))))
+
+
 class TestIntersect:
     def test_principal(self):
         assert poly3.intersect(pi("x"), pi("y")) == pi("x*y")
@@ -200,15 +212,28 @@ class TestIntersect:
         assert d == A.colength + B.colength
         assert t == tancomb.tangent_report(A).total + tancomb.tangent_report(B).total
 
+    @settings(max_examples=40, deadline=None)
+    @given(zero_dim_ideals(), zero_dim_ideals())
+    def test_zero_dimensional_pairs(self, I, J):
+        # membership in both gives meet <= I cap J; the colength identity
+        # d(I cap J) + d(I + J) = d(I) + d(J) then forces equality
+        meet = poly3.intersect(I, J)
+        for g in meet.gens:
+            assert poly3.contains(I, g) and poly3.contains(J, g)
 
-# the elimination colon: (I : f) = (I cap (f)) / f, intersected over f in J
+        def d(K):
+            return poly3.quotient_data(K).colength
+
+        assert d(meet) + d(poly3.ideal(R, I.gens + J.gens)) == d(I) + d(J)
+
+
+# the colon by intersection: (I : f) = (I cap (f)) / f, intersected over f in J
 
 def divide_exact(f, g):
     """f / g for f in the principal ideal (g)."""
-    order = poly3.DEGREVLEX
-    rem, quots = poly3.reduce_full(f, [g.monic(order)], order, track=True)
+    rem, quots = poly3.reduce_full(f, [g.monic()], track=True)
     assert rem.is_zero
-    return quots[0].scale(gfp.inv_mod(g.leading(order)[1], P))
+    return quots[0].scale(gfp.inv_mod(g.leading()[1], P))
 
 
 def oracle_colon(I, J):
@@ -220,22 +245,11 @@ def oracle_colon(I, J):
     return result
 
 
-COLON_IDEALS = [I for d in range(3, 9) for I in mono3.enumerate_ideals(d)]
-
-
-def polys(low, high):
-    """Nonzero polynomials of up to three terms, of degree low to high."""
-    exps = st.tuples(*[st.integers(0, high)] * 3).filter(lambda e: low <= sum(e) <= high)
-    return st.dictionaries(exps, st.integers(1, P - 1), min_size=1, max_size=3).map(R.poly)
-
-
 @st.composite
 def colon_inputs(draw):
-    """I: a monomial ideal plus extra polynomials; J: one to three polynomials,
-    all of them inside I when `inside` is drawn."""
-    base = draw(st.sampled_from(COLON_IDEALS))
-    I = poly3.ideal(R, poly3.from_exponent_gens(R, base.mingens).gens
-                    + tuple(draw(st.lists(polys(2, 3), max_size=2))))
+    """I: a zero-dimensional ideal; J: one to three polynomials, all of them
+    inside I when `inside` is drawn."""
+    I = draw(zero_dim_ideals())
     inside = draw(st.booleans())
     gens = []
     for f in draw(st.lists(polys(1, 2), min_size=1, max_size=3)):
