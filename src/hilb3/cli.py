@@ -18,7 +18,8 @@ import sys
 
 from . import (apolarity, duality, gfp, linkage, mono3, pfaffian, poly3,
                smoothcls, tancomb, tanlin)
-from .errors import Hilb3Error, InputError, PrimeDisagreementError
+from .errors import (Hilb3Error, InputError, InvariantError,
+                     PrimeDisagreementError)
 
 CHAR_NOTE = ("exact arithmetic over F_p; characteristic-zero statements are "
              "certified only by agreement across two large primes "
@@ -73,7 +74,7 @@ def _cmd_tangent(args, ring) -> tuple[dict, int]:
         if args.verify:
             total = tanlin.mono_hom_dim(ideal_m)
             if total != rep.total:
-                raise PrimeDisagreementError(
+                raise InvariantError(
                     f"combinatorial {rep.total} vs linear-algebra {total}")
         return {
             "route": "monomial",
@@ -90,7 +91,7 @@ def _cmd_tangent(args, ring) -> tuple[dict, int]:
     if args.verify:
         alt = tanlin.hom_dim(I, use_given_generators=True)
         if alt != t:
-            raise PrimeDisagreementError(
+            raise InvariantError(
                 f"Groebner-basis route {t} vs given-generators route {alt}")
     return {"route": "syzygy", "colength": d, "total": t, "excess": excess}, 0
 
@@ -125,7 +126,7 @@ def _cmd_census(args, ring) -> tuple[dict, int]:
         coeffs = mono3.macmahon_series(args.dmax)
         for d, total, _ in rows:
             if total != coeffs[d]:
-                raise PrimeDisagreementError(
+                raise InvariantError(
                     f"enumeration count {total} != series coefficient {coeffs[d]} at d={d}")
     return {"rows": [list(r) for r in rows]}, 0
 

@@ -128,11 +128,9 @@ def kernel_basis(a: np.ndarray, p: int) -> np.ndarray:
     if a.shape[0] == 0 or ncols == 0:
         return identity(ncols)
     r, pivots = rref(a, p)
-    free = [c for c in range(ncols) if c not in pivots]
+    free = np.setdiff1d(np.arange(ncols), pivots)
     basis = zeros(len(free), ncols)
-    for k, c in enumerate(free):
-        basis[k, c] = 1
-        for row, pc in enumerate(pivots):
-            basis[k, pc] = (-int(r[row, c])) % p
+    basis[np.arange(len(free)), free] = 1
+    basis[:, pivots] = (-r[:len(pivots)][:, free]).T % p
     return basis
 

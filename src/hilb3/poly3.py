@@ -527,11 +527,6 @@ def equal_ideals(I: PolyIdeal, J: PolyIdeal) -> bool:
     return groebner(I) == groebner(J)
 
 
-def is_unit_ideal(I: PolyIdeal) -> bool:
-    gb = groebner(I)
-    return len(gb) == 1 and gb[0] == I.ring.one()
-
-
 # ---------------------------------------------------------------------------
 # intersection by syzygies
 # ---------------------------------------------------------------------------
@@ -562,14 +557,19 @@ class QuotientData:
     """Finite quotient S/I: standard monomials and multiplication matrices.
 
     standard_monomials are sorted ascending in degrevlex (the first one
-    is 1).  mult_matrices[v] is the matrix of multiplication by the
-    v-th variable: column j holds the coordinates of NF(x_v * m_j).
+    is 1); standard_set holds the same monomials for membership tests.
+    mult_matrices[v] is the matrix of multiplication by the v-th
+    variable: column j holds the coordinates of NF(x_v * m_j).
+    groebner_basis is the reduced basis of I, which evaluate_at_matrices
+    uses to replace f by f mod I.
     """
 
     ring: PolyRing
     standard_monomials: tuple[Exponent, ...]
+    standard_set: frozenset[Exponent]
     colength: int
     mult_matrices: tuple[np.ndarray, ...]
+    groebner_basis: tuple[Poly, ...]
 
 
 def standard_monomials(gb: Sequence[Poly]) -> list[Exponent]:
@@ -622,7 +622,8 @@ def quotient_data(I: PolyIdeal) -> QuotientData:
                 mat[index[e], j] = c
         mats.append(mat)
     return QuotientData(ring=ring, standard_monomials=tuple(basis),
-                        colength=d, mult_matrices=tuple(mats))
+                        standard_set=frozenset(basis), colength=d,
+                        mult_matrices=tuple(mats), groebner_basis=gb)
 
 
 def quotient_hilbert_function(qd: QuotientData) -> tuple[int, ...]:
@@ -639,11 +640,22 @@ def quotient_hilbert_function(qd: QuotientData) -> tuple[int, ...]:
 
 def evaluate_at_matrices(f: Poly, qd: QuotientData,
                          cache: Optional[dict[Exponent, np.ndarray]] = None) -> np.ndarray:
-    """Matrix of multiplication by f on S/I, via the variable matrices."""
+    """Matrix of multiplication by f on S/I, via the variable matrices.
+
+    Multiplication by f on S/I depends only on f mod I (Cox, Little,
+    O'Shea, Using Algebraic Geometry, ch. 2 section 4), so an f with a
+    term outside the staircase is first replaced by its normal form; an
+    f whose terms are all standard monomials is used as it is.  Standard
+    monomials are closed under division, so the monomial matrices built
+    from the variable matrices are all standard too: one cache holds at
+    most colength - 1 products and never a power that is zero on S/I.
+    """
     from .gfp import matmul
 
     p = qd.ring.p
     d = qd.colength
+    if any(e not in qd.standard_set for e in f.terms):
+        f, _ = reduce_full(f, qd.groebner_basis)
     if cache is None:
         cache = {}
     origin = (0,) * qd.ring.nvars

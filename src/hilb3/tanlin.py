@@ -23,8 +23,7 @@ import numpy as np
 from . import gfp, poly3
 from .errors import InvariantError
 from .mono3 import MonomialIdeal3
-from .poly3 import (Poly, PolyIdeal, PolyRing, _lcm_exp, reduce_full, s_poly,
-                    sub_multiples)
+from .poly3 import Poly, PolyIdeal, _lcm_exp, reduce_full, s_poly, sub_multiples
 
 
 @dataclass
@@ -147,10 +146,6 @@ def tangent_excess(I: PolyIdeal) -> tuple[int, int, int]:
 # ---------------------------------------------------------------------------
 # graded (per-weight) dimensions for monomial ideals
 # ---------------------------------------------------------------------------
-
-def mono_ideal(ring: PolyRing, ideal: MonomialIdeal3) -> PolyIdeal:
-    return poly3.from_exponent_gens(ring, ideal.mingens)
-
 
 def hom_dim_weight(ideal: MonomialIdeal3, a: tuple[int, int, int]) -> int:
     """dim of the degree-a graded piece of Hom_S(I, S/I), for monomial I.

@@ -21,6 +21,10 @@ def ok(name: str, detail: str = "") -> None:
     print(f"ACCEPTANCE {name}: PASS {detail}".rstrip())
 
 
+def mono_ideal(ring, ideal):
+    return poly3.from_exponent_gens(ring, ideal.mingens)
+
+
 @pytest.fixture(scope="session")
 def sweep_d10():
     """Per-ideal data for every monomial ideal of colength <= 10."""
@@ -103,7 +107,7 @@ def test_criterion_06_oracle_equivalence_two_primes():
         for ideal in mono3.enumerate_ideals(d):
             want = tancomb.tangent_report(ideal).total
             for ring in rings:
-                assert tanlin.hom_dim(tanlin.mono_ideal(ring, ideal)) == want, ideal
+                assert tanlin.hom_dim(mono_ideal(ring, ideal)) == want, ideal
             n += 1
     ok("criterion 6 (syzygy oracle = bounded components, d<=8, two primes)",
        f"{n} ideals x 2 primes")
@@ -174,7 +178,7 @@ def test_criterion_10_bicanonical():
     n_planar = 0
     for d in range(1, 9):
         for ideal in mono3.enumerate_planar_ideals(d):
-            r = duality.bicanonical_degree(tanlin.mono_ideal(ring, ideal))
+            r = duality.bicanonical_degree(mono_ideal(ring, ideal))
             assert r.sym2_omega_deg == r.homsym_dim == d, ideal
             n_planar += 1
     n_free = 0
@@ -182,7 +186,7 @@ def test_criterion_10_bicanonical():
         for ideal in mono3.enumerate_ideals(d):
             if smoothcls.find_triple(ideal) is not None:
                 continue
-            r = duality.bicanonical_degree(tanlin.mono_ideal(ring, ideal))
+            r = duality.bicanonical_degree(mono_ideal(ring, ideal))
             assert r.sym2_omega_deg == r.homsym_dim, ideal
             assert r.sym2_omega_deg <= d, ideal
             n_free += 1

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from hilb3 import cli, duality
+from hilb3 import cli, duality, mono3, tanlin
 
 
 def run(capsys, *argv):
@@ -29,6 +29,12 @@ class TestCensus:
         assert code == 0
         assert data["schema"] == 1
         assert data["result"]["rows"] == [[1, 1, 1], [2, 3, 3], [3, 6, 6]]
+
+    def test_verify_series_mismatch_is_invariant_error(self, capsys, monkeypatch):
+        monkeypatch.setattr(mono3, "macmahon_series", lambda n: [0] * (n + 1))
+        code, data = run_json(capsys, "--verify", "census", "3")
+        assert code == 1
+        assert data["error"]["type"] == "InvariantError"
 
     def test_workers_flag(self, capsys):
         code, data = run_json(capsys, "--workers", "2", "census", "5")
@@ -96,6 +102,20 @@ class TestTangent:
                               "x^2 - y*z, x*z, x*y, y^2, z^2")
         assert code == 0
         assert data["result"]["route"] == "syzygy"
+
+    def test_verify_route_disagreement_is_invariant_error(self, capsys, monkeypatch):
+        monkeypatch.setattr(tanlin, "mono_hom_dim", lambda ideal: -1)
+        code, data = run_json(capsys, "--verify", "tangent", "x,y,z")
+        assert code == 1
+        assert data["error"]["type"] == "InvariantError"
+
+    def test_verify_generator_route_disagreement_is_invariant_error(self, capsys,
+                                                                    monkeypatch):
+        monkeypatch.setattr(tanlin, "hom_dim", lambda I, use_given_generators=False: -1)
+        code, data = run_json(capsys, "--verify", "tangent",
+                              "x^2 - y*z, x*z, x*y, y^2, z^2")
+        assert code == 1
+        assert data["error"]["type"] == "InvariantError"
 
 
 class TestChainAndTriple:

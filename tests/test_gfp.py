@@ -84,3 +84,36 @@ def test_rref_rejects_primes_from_2_31(p):
         gfp.rref(a, p)
     with pytest.raises(InputError):
         gfp.rank(a, p)
+
+
+def oracle_kernel_basis(a, p):
+    """kernel_basis read off the rref one free column and one pivot at a time."""
+    a = np.asarray(a, dtype=np.int64)
+    ncols = a.shape[1]
+    if a.shape[0] == 0 or ncols == 0:
+        return gfp.identity(ncols)
+    r, pivots = gfp.rref(a, p)
+    free = [c for c in range(ncols) if c not in pivots]
+    basis = gfp.zeros(len(free), ncols)
+    for k, c in enumerate(free):
+        basis[k, c] = 1
+        for row, pc in enumerate(pivots):
+            basis[k, pc] = (-int(r[row, c])) % p
+    return basis
+
+
+@pytest.mark.parametrize("p", [P, P2, 3])
+def test_kernel_basis_matches_oracle(p):
+    rng = np.random.default_rng(p)
+    for trial in range(120):
+        n, m = (int(v) for v in rng.integers(1, 16, size=2))
+        if trial % 3 == 0:  # rank at most k < min(n, m)
+            k = int(rng.integers(0, min(n, m)))
+            a = gfp.matmul(rng.integers(0, p, size=(n, k), dtype=np.int64),
+                           rng.integers(0, p, size=(k, m), dtype=np.int64), p)
+        else:
+            a = rng.integers(0, p, size=(n, m), dtype=np.int64)
+        got, want = gfp.kernel_basis(a, p), oracle_kernel_basis(a, p)
+        assert got.shape == want.shape == (m - gfp.rank(a, p), m)
+        assert got.dtype == np.int64
+        assert (got == want).all()

@@ -20,6 +20,10 @@ def pi(text):
     return poly3.parse_ideal(text, R)
 
 
+def is_unit_ideal(I):
+    return poly3.groebner(I) == (I.ring.one(),)
+
+
 QUADRIC_APOLAR = pi("x^2 - y*z, x*z, x*y, y^2, z^2")
 
 
@@ -62,7 +66,7 @@ class TestGroebner:
 
     def test_unit_ideal(self):
         assert poly3.groebner(pi("1")) == (R.one(),)
-        assert poly3.is_unit_ideal(pi("x, x - 1"))
+        assert is_unit_ideal(pi("x, x - 1"))
 
     def test_monomial_generators_unchanged(self):
         I = pi("x^2, x*y, z^3")
@@ -154,17 +158,26 @@ class TestNormalForm:
             assert nf(f + g, QUADRIC_APOLAR) == nf(f, QUADRIC_APOLAR) + nf(g, QUADRIC_APOLAR)
 
 
-def translate(ideal, point):
-    """The monomial ideal moved to the point: x^i y^j z^k -> (x-a)^i (y-b)^j (z-c)^k."""
-    shifts = [R.var(v) - R.constant(c) for v, c in enumerate(point)]
+def moved(I, point):
+    """The ideal moved to the point: x, y, z -> x - a, y - b, z - c in every generator."""
+    ring = I.ring
+    shifts = [ring.var(v) - ring.constant(c) for v, c in enumerate(point)]
     gens = []
-    for g in ideal.mingens:
-        f = R.one()
-        for shift, k in zip(shifts, g):
-            for _ in range(k):
-                f = f * shift
+    for g in I.gens:
+        f = ring.zero()
+        for e, c in g.terms.items():
+            term = ring.constant(c)
+            for shift, k in zip(shifts, e):
+                for _ in range(k):
+                    term = term * shift
+            f = f + term
         gens.append(f)
-    return poly3.ideal(R, gens)
+    return poly3.ideal(ring, gens)
+
+
+def translate(ideal, point):
+    """The monomial ideal moved to the point."""
+    return moved(poly3.from_exponent_gens(R, ideal.mingens), point)
 
 
 SMALL_IDEALS = [I for d in range(1, 6) for I in mono3.enumerate_ideals(d)]
@@ -174,18 +187,19 @@ points = st.tuples(*[st.integers(-3, 3)] * 3)
 COLON_IDEALS = [I for d in range(3, 9) for I in mono3.enumerate_ideals(d)]
 
 
-def polys(low, high):
+def polys(low, high, ring=R):
     """Nonzero polynomials of up to three terms, of degree low to high."""
     exps = st.tuples(*[st.integers(0, high)] * 3).filter(lambda e: low <= sum(e) <= high)
-    return st.dictionaries(exps, st.integers(1, P - 1), min_size=1, max_size=3).map(R.poly)
+    coeffs = st.integers(1, ring.p - 1)
+    return st.dictionaries(exps, coeffs, min_size=1, max_size=3).map(ring.poly)
 
 
 @st.composite
-def zero_dim_ideals(draw):
+def zero_dim_ideals(draw, ring=R):
     """A monomial ideal of colength 3 to 8 plus up to two polynomials of degree 2 to 3."""
     base = draw(st.sampled_from(COLON_IDEALS))
-    return poly3.ideal(R, poly3.from_exponent_gens(R, base.mingens).gens
-                       + tuple(draw(st.lists(polys(2, 3), max_size=2))))
+    return poly3.ideal(ring, poly3.from_exponent_gens(ring, base.mingens).gens
+                       + tuple(draw(st.lists(polys(2, 3, ring), max_size=2))))
 
 
 class TestIntersect:
@@ -268,8 +282,8 @@ class TestColon:
             poly3.colon(pi("x^2"), pp("x"))
 
     def test_by_zero(self):
-        assert poly3.is_unit_ideal(poly3.colon(pi("x^2, y, z"), R.zero()))
-        assert poly3.is_unit_ideal(poly3.colon(pi("x^2, y, z"), poly3.ideal(R, ())))
+        assert is_unit_ideal(poly3.colon(pi("x^2, y, z"), R.zero()))
+        assert is_unit_ideal(poly3.colon(pi("x^2, y, z"), poly3.ideal(R, ())))
 
     @settings(max_examples=60, deadline=None)
     @given(colon_inputs())
@@ -278,7 +292,7 @@ class TestColon:
         got = poly3.colon(I, J)
         assert got == oracle_colon(I, J)
         if inside:
-            assert poly3.is_unit_ideal(got)
+            assert is_unit_ideal(got)
 
     def test_by_unit(self):
         I = pi("x^2, y^3, z")
@@ -298,9 +312,42 @@ class TestColon:
             got = poly3.colon(I, R.monomial(f))
             want_m = mono3.colon_by_monomial(ideal, f)
             if want_m.is_unit:
-                assert poly3.is_unit_ideal(got)
+                assert is_unit_ideal(got)
             else:
                 assert got == poly3.from_exponent_gens(R, want_m.mingens)
+
+
+RINGS = (R, poly3.PolyRing(gfp.SECOND_PRIME))
+
+
+def oracle_evaluate(f, qd):
+    """Sum of c * M^e over the terms of f: every monomial matrix is a chain
+    of gfp.matmul products of the variable matrices, and f is not reduced."""
+    p, d = qd.ring.p, qd.colength
+    out = np.zeros((d, d), dtype=np.int64)
+    for e, c in f.terms.items():
+        m = np.eye(d, dtype=np.int64)
+        for v, k in enumerate(e):
+            for _ in range(k):
+                m = gfp.matmul(qd.mult_matrices[v], m, p)
+        out = (out + c * m) % p
+    return out
+
+
+@st.composite
+def evaluate_inputs(draw):
+    """A zero-dimensional ideal over either prime, a polynomial f, and a
+    random combination of the generators (an element of the ideal).  The
+    ideal is moved to a random point: at the origin its Groebner basis is
+    nearly always monomial, and then every non-standard term lies in I."""
+    ring = draw(st.sampled_from(RINGS))
+    I = moved(draw(zero_dim_ideals(ring)), draw(points))
+    f = draw(polys(0, 4, ring))
+    member = ring.zero()
+    for g in I.gens:
+        if draw(st.booleans()):
+            member = member + draw(polys(0, 2, ring)) * g
+    return I, f, member
 
 
 class TestQuotientData:
@@ -327,9 +374,8 @@ class TestQuotientData:
                     lhs = gfp.matmul(mats[a], mats[b], P)
                     rhs = gfp.matmul(mats[b], mats[a], P)
                     assert (lhs == rhs).all()
-            cache = {}
             for g in I.gens:
-                assert not poly3.evaluate_at_matrices(g, qd, cache).any()
+                assert not oracle_evaluate(g, qd).any()
 
     def test_colength_matches_mono3(self):
         rng = random.Random(1)
@@ -338,6 +384,22 @@ class TestQuotientData:
             for ideal in rng.sample(ideals, min(4, len(ideals))):
                 I = poly3.from_exponent_gens(R, ideal.mingens)
                 assert poly3.quotient_data(I).colength == d
+
+    @settings(max_examples=60, deadline=None)
+    @given(evaluate_inputs())
+    def test_evaluate_is_multiplication_by_normal_form(self, inputs):
+        I, f, member = inputs
+        qd = poly3.quotient_data(I)
+        cache = {}
+        got = poly3.evaluate_at_matrices(f, qd, cache)
+        assert (got == oracle_evaluate(f, qd)).all()
+        # column 0 is f times the standard monomial 1
+        index = {m: i for i, m in enumerate(qd.standard_monomials)}
+        want = np.zeros(qd.colength, dtype=np.int64)
+        for e, c in poly3.normal_form(f, I).terms.items():
+            want[index[e]] = c
+        assert (got[:, 0] == want).all()
+        assert not poly3.evaluate_at_matrices(member, qd, cache).any()
 
     def test_first_standard_monomial_is_one(self):
         qd = poly3.quotient_data(pi("x^2 - y, y^2 - z, z^2"))

@@ -1,8 +1,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hilb3 import gfp, mono3, poly3, tancomb, tanlin
+from hilb3 import gfp, linkage, mono3, poly3, tancomb, tanlin
 from hilb3.errors import NotZeroDimensionalError
 
 P = gfp.DEFAULT_PRIME
@@ -15,6 +17,61 @@ def pi(text):
 
 
 GGGL = "x^2, x*y^2, x*y*z, x*z^2, y^2*z^2, y*z^3, z^4, y^3 - x*z"
+
+
+def linear_image(ideal, ring, a, t):
+    """The monomial ideal after the change of coordinates x_i -> sum_j a[i][j] x_j + t[i]."""
+    forms = [sum((ring.var(j).scale(a[i][j]) for j in range(3)), ring.constant(t[i]))
+             for i in range(3)]
+    gens = []
+    for g in ideal.mingens:
+        f = ring.one()
+        for form, k in zip(forms, g):
+            for _ in range(k):
+                f = f * form
+        gens.append(f)
+    return poly3.ideal(ring, gens)
+
+
+def invertible(low, up, diag, perm):
+    """perm . L . U with L unit lower triangular and U upper triangular with
+    the given nonzero diagonal; every invertible 3x3 matrix has this form."""
+    L = [[1, 0, 0], [low[0], 1, 0], [low[1], low[2], 1]]
+    U = [[diag[0], up[0], up[1]], [0, diag[1], up[2]], [0, 0, diag[2]]]
+    LU = [[sum(L[i][k] * U[k][j] for k in range(3)) for j in range(3)] for i in range(3)]
+    return [LU[i] for i in perm]
+
+
+def random_change(rng, p):
+    """A random invertible matrix over F_p and a random translation."""
+    def entries():
+        return [rng.randrange(p) for _ in range(3)]
+
+    diag = [rng.randrange(1, p) for _ in range(3)]
+    return invertible(entries(), entries(), diag, rng.sample(range(3), 3)), entries()
+
+
+@st.composite
+def coordinate_changes(draw):
+    """An invertible matrix over both primes and a translation."""
+    entries = st.tuples(*[st.integers(0, P2 - 1)] * 3)
+    diag = draw(st.tuples(*[st.integers(1, P2 - 1)] * 3))
+    a = invertible(draw(entries), draw(entries), diag, draw(st.permutations(range(3))))
+    return a, list(draw(entries))
+
+
+@pytest.fixture
+def matmul_calls(monkeypatch):
+    """A one-element list counting the gfp.matmul calls made during the test."""
+    calls = [0]
+    original = gfp.matmul
+
+    def counting(a, b, p):
+        calls[0] += 1
+        return original(a, b, p)
+
+    monkeypatch.setattr(gfp, "matmul", counting)
+    return calls
 
 
 class TestSyzygies:
@@ -84,7 +141,7 @@ class TestHomDim:
         for d in range(1, 6):
             ideals = list(mono3.enumerate_ideals(d))
             for ideal in rng.sample(ideals, min(6, len(ideals))):
-                I = tanlin.mono_ideal(R, ideal)
+                I = poly3.from_exponent_gens(R, ideal.mingens)
                 assert tanlin.hom_dim(I) == tancomb.tangent_report(ideal).total
 
 
@@ -112,3 +169,37 @@ class TestGradedRoute:
                 for a in sorted(tancomb.weight_candidates(ideal)):
                     assert tancomb.bounded_components(ideal, a) == \
                         tanlin.hom_dim_weight(ideal, a), (ideal, a)
+
+
+UP_TO_TEN = [I for d in range(1, 11) for I in mono3.enumerate_ideals(d)]
+
+
+class TestCoordinateChange:
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from((P, P2)), st.sampled_from(UP_TO_TEN), coordinate_changes())
+    def test_tangent_excess_is_invariant(self, p, ideal, change):
+        # a linear change of coordinates plus a translation is an automorphism
+        # of A^3, so the image is a point of the same Hilbert scheme with the
+        # same tangent space
+        I = linear_image(ideal, poly3.PolyRing(p), *change)
+        d, t, excess = tanlin.tangent_excess(I)
+        rep = tancomb.tangent_report(ideal)
+        assert (d, t, excess) == (ideal.colength, rep.total, rep.excess)
+
+
+class TestMatrixTraffic:
+    def test_box_koszul_coefficients_need_no_products(self, matmul_calls):
+        # the parity subcommand's path: every syzygy coefficient of a box is
+        # a pure power inside the ideal, so it reduces to 0 before any product
+        rep = linkage.parity_report(pi("x^6, y^6, z^6"))
+        assert (rep.colength, rep.tangent_dim) == (216, 648)
+        assert matmul_calls == [0]
+
+    @pytest.mark.parametrize("text", ["x^2, x*y, x*z, y^2, y*z, z^2",
+                                      "x^3, y^3, z^3, y*z^2, x^2*z, x*y^2",
+                                      "x^2, y^3, z^3"])
+    def test_one_cache_builds_fewer_products_than_the_colength(self, matmul_calls, text):
+        ideal = mono3.parse_monomial_ideal(text)
+        I = linear_image(ideal, R, *random_change(random.Random(text), P))
+        assert tanlin.hom_dim(I) == tancomb.tangent_report(ideal).total
+        assert 0 < matmul_calls[0] <= ideal.colength - 1
