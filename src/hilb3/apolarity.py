@@ -46,14 +46,6 @@ def contract_monomial(m: tuple[int, int, int], f: Poly) -> Poly:
     return Poly(f.ring, terms)
 
 
-def contract(s: Poly, f: Poly) -> Poly:
-    """s o f for a polynomial s in the acting ring."""
-    out = f.ring.zero()
-    for e, c in s.terms.items():
-        out = out + contract_monomial(e, f).scale(c)
-    return out
-
-
 def _monomials_up_to(degree: int) -> list[tuple[int, int, int]]:
     mons = [e for e in itertools.product(range(degree + 1), repeat=3)
             if sum(e) <= degree]

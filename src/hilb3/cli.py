@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import (apolarity, duality, gfp, linkage, mono3, pfaffian, poly3,
@@ -121,6 +122,9 @@ def _cmd_chain(args, ring) -> tuple[dict, int]:
 
 
 def _cmd_census(args, ring) -> tuple[dict, int]:
+    cpus = os.cpu_count() or 1
+    if not 1 <= args.workers <= cpus:
+        raise InputError(f"--workers must be between 1 and {cpus}, got {args.workers}")
     rows = smoothcls.smooth_census(args.dmax, workers=args.workers)
     if args.verify:
         coeffs = mono3.macmahon_series(args.dmax)
@@ -302,7 +306,7 @@ def _add_common_flags(parser, suppress: bool) -> None:
     parser.add_argument("--format", choices=("json", "csv", "text"),
                         default=d("json"), help="output format")
     parser.add_argument("--workers", type=int, default=d(1),
-                        help="worker processes for census")
+                        help="worker processes for census (1 to the CPU count)")
     parser.add_argument("--verify", action="store_true",
                         default=d(False),
                         help="enable expensive brute-force cross-checks")

@@ -66,12 +66,10 @@ def identity(n: int) -> np.ndarray:
 
 
 def matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """Exact product mod p, chunked so accumulated dot products cannot overflow.
+    """Exact product mod p, reducing after every slice of two inner indices.
 
-    Each summand is < p^2 < 2^62, so at most two terms may be summed before
-    reduction; we reduce after every rank-1 update block instead, splitting
-    the inner dimension into slices of length 1 would be slow, so slices of
-    length 2 are used: 2 * (p-1)^2 < 2^63 - 1 holds for p <= 2^31 - 1.
+    No int64 sum overflows: a reduced entry plus two products of residues
+    is at most (p - 1) + 2 (p - 1)^2 < 2^63 - 1 for every p < 2^31.
     """
     require_exact(p)
     a = np.mod(a, p)

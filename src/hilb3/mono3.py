@@ -260,18 +260,6 @@ def enumerate_ideals(d: int) -> Iterator[MonomialIdeal3]:
         yield ideal_from_plane_partition(pp)
 
 
-def enumerate_planar_ideals(d: int) -> Iterator[MonomialIdeal3]:
-    """Colength-d monomial ideals of k[x,y], embedded with z as a generator.
-
-    One per ordinary partition of d: every height is 1, so every ideal
-    contains z.
-    """
-    if d < 1:
-        raise InputError("colength must be >= 1")
-    for row in _partitions_bounded(d, tuple([d] * d)):
-        yield MonomialIdeal3(tuple((1,) * h for h in row))
-
-
 # ---------------------------------------------------------------------------
 # text / JSON input formats
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 from . import duality, poly3
@@ -44,14 +45,14 @@ class SkewMatrix:
         pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
         return cls(n=n, upper=tuple(zip(pairs, entries)))
 
+    @cached_property
+    def _table(self) -> dict[tuple[int, int], Poly]:
+        return dict(self.upper)
+
     def entry(self, i: int, j: int) -> Poly:
-        ring = self.ring
-        if i == j:
-            return ring.zero()
-        table = dict(self.upper)
-        if i < j:
-            return table.get((i, j), ring.zero())
-        return -table.get((j, i), ring.zero())
+        if i > j:
+            return -self.entry(j, i)
+        return self._table.get((i, j), self.ring.zero())
 
     @property
     def ring(self) -> PolyRing:
@@ -60,8 +61,7 @@ class SkewMatrix:
     def delete(self, i: int) -> "SkewMatrix":
         keep = [k for k in range(self.n) if k != i]
         renum = {k: a for a, k in enumerate(keep)}
-        table = dict(self.upper)
-        entries = tuple(((renum[a], renum[b]), f) for (a, b), f in table.items()
+        entries = tuple(((renum[a], renum[b]), f) for (a, b), f in self.upper
                         if a != i and b != i)
         return SkewMatrix(n=self.n - 1, upper=entries)
 
@@ -71,14 +71,6 @@ def pfaffian(a: SkewMatrix) -> Poly:
     if a.n % 2 != 0:
         raise OddSizeError(f"Pfaffian needs even size, got {a.n}")
     ring = a.ring
-    table = {}
-    for (i, j), f in a.upper:
-        table[(i, j)] = f
-
-    def entry(i: int, j: int) -> Poly:
-        if i < j:
-            return table.get((i, j), ring.zero())
-        return -table.get((j, i), ring.zero())
 
     def pf(indices: tuple[int, ...]) -> Poly:
         if not indices:
@@ -88,7 +80,7 @@ def pfaffian(a: SkewMatrix) -> Poly:
         first, rest = indices[0], indices[1:]
         acc = ring.zero()
         for pos, j in enumerate(rest):  # position 2, 3, ... in 1-based terms
-            e = entry(first, j)
+            e = a.entry(first, j)
             if e.is_zero:
                 continue
             sub = tuple(k for k in rest if k != j)
@@ -106,11 +98,6 @@ def submax_pfaffians(a: SkewMatrix) -> tuple[Poly, ...]:
     if a.n % 2 != 1:
         raise EvenSizeError(f"submaximal Pfaffians need odd size, got {a.n}")
     return tuple(pfaffian(a.delete(i)) for i in range(a.n))
-
-
-def pfaffian_ideal(a: SkewMatrix) -> PolyIdeal:
-    """The ideal of all submaximal Pfaffians of an odd-size matrix."""
-    return poly3.ideal(a.ring, submax_pfaffians(a))
 
 
 @dataclass

@@ -501,12 +501,6 @@ def parse_ideal(text: str, ring: PolyRing) -> PolyIdeal:
     return ideal(ring, (parse_poly(s, ring) for s in parts))
 
 
-def from_exponent_gens(ring: PolyRing, gens: Iterable[Exponent]) -> PolyIdeal:
-    """Monomial ideal given by exponent vectors (bridge from mono3)."""
-    return ideal(ring, (ring.monomial(tuple(g) + (0,) * (ring.nvars - len(g)))
-                        for g in gens))
-
-
 def groebner(I: PolyIdeal) -> tuple[Poly, ...]:
     """Reduced degrevlex Groebner basis, cached on the ideal."""
     if I._gb is None:

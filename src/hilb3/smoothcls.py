@@ -5,18 +5,23 @@ A singularizing triple is a set of three socle monomials a, b, c with
     a1 > b1, c1     b2 > a2, c2     c3 > a3, b3.
 
 A monomial point of Hilb^d(A^3) is smooth exactly when no such triple
-exists, and in that case the socle monomials can be ordered so that each
-dominates all later ones in two coordinates; peeling off pure powers of
-the remaining variable produces a flag of principal ideals with
-Gorenstein subquotients (a broken Gorenstein structure without flips),
-which this module emits as a checkable certificate.  When a triple does
-exist, every doubly-negative signature carries a tangent vector and the
-tangent dimension is at least 3d + 6.
+exists.  Both halves of that statement come from one pass over the
+socle, the maxima peel: repeatedly remove an element that attains the
+coordinate maxima of the elements left in two coordinates.  If the peel
+gets stuck, each element left attains at most one maximum, and the three
+maxima witnesses form a triple; when a triple exists every
+doubly-negative signature carries a tangent vector and the tangent
+dimension is at least 3d + 6.  Otherwise the peel orders the socle so
+that each element dominates all later ones in two coordinates, and
+colon by pure powers of the remaining variable, read off the same pass,
+gives a flag of principal ideals with Gorenstein subquotients (a broken
+Gorenstein structure without flips), which this module emits as a
+checkable certificate.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterator, Optional
 
 from . import mono3
 from .errors import HasTripleError, InvariantError
@@ -87,100 +92,75 @@ class Classification:
     excess_lower_bound: int = 0
 
 
-def _max_coords(elems: Iterable[ExponentVec]) -> list[int]:
-    return [max(s[i] for s in elems) for i in range(3)]
+def _peel(remaining: list[ExponentVec]) -> Iterator[tuple[ExponentVec, int]]:
+    """The maxima peel of a sorted socle, removing each peeled element in place.
 
-
-def _greedy_step(remaining: list[ExponentVec]):
-    """One step of the per-coordinate-maxima ordering.
-
-    Returns (element, dominated coordinate pair, non-dominated coordinate)
-    or None when every remaining element attains at most one coordinate
-    maximum, in which case a singularizing triple exists.
+    Yields (s, k) where s is the lexicographically first element of
+    `remaining` that attains the coordinate maxima in both coordinates
+    other than k (the largest such k when s attains all three).  Stops when
+    `remaining` is empty, or stuck: every element left attains at most
+    one maximum, and `remaining` hands those elements back.
     """
-    mx = _max_coords(remaining)
-    for s in sorted(remaining):  # lexicographic tie-break, deterministic
-        hits = [i for i in range(3) if s[i] == mx[i]]
-        if len(hits) >= 2:
-            # With several valid pairs, drop the largest non-dominated index.
-            k = max(i for i in range(3)
-                    if all(j in hits for j in range(3) if j != i))
-            pair = tuple(j for j in range(3) if j != k)
-            return s, pair, k
-    return None
+    while remaining:
+        mx, my, mz = map(max, zip(*remaining))
+        for pos, s in enumerate(remaining):
+            hx, hy, hz = s[0] == mx, s[1] == my, s[2] == mz
+            if hx + hy + hz >= 2:
+                break
+        else:
+            return
+        del remaining[pos]
+        yield s, (2 if hx and hy else 1 if hx else 0)
 
 
-def _witness_triple(remaining: list[ExponentVec]) -> SingularizingTriple:
-    """Extract a triple from a stuck greedy step (one maximum each)."""
-    mx = _max_coords(remaining)
-    picks = [min(s for s in remaining if s[i] == mx[i]) for i in range(3)]
+def _witness_triple(stuck: list[ExponentVec]) -> SingularizingTriple:
+    """The per-coordinate maxima of a stuck peel (one maximum each)."""
+    mx = tuple(map(max, zip(*stuck)))
+    picks = [min(s for s in stuck if s[i] == mx[i]) for i in range(3)]
     return SingularizingTriple(a=picks[0], b=picks[1], c=picks[2])
 
 
 def find_triple(ideal: MonomialIdeal3) -> Optional[SingularizingTriple]:
     """Some singularizing triple among the socle monomials, if one exists.
 
-    Runs the maxima-peeling order; whenever it gets stuck, the three
-    per-coordinate maxima witnesses of the remaining set form a triple.
+    The maxima peel, run until it stops: if it gets stuck, the
+    per-coordinate maxima witnesses of the elements left form a triple.
     """
-    remaining = list(mono3.socle(ideal))
-    while len(remaining) >= 3:
-        step = _greedy_step(remaining)
-        if step is None:
-            return _witness_triple(remaining)
-        remaining.remove(step[0])
-    return None
-
-
-def socle_order(ideal: MonomialIdeal3) -> list[tuple[ExponentVec, tuple[int, int]]]:
-    """Order the socle so each element dominates all later ones twice.
-
-    Each entry is (socle monomial, pair of dominating coordinates); the
-    element is strictly smaller than all later ones in the remaining
-    coordinate.  Raises HasTripleError when no such order exists.
-    """
-    remaining = list(mono3.socle(ideal))
-    order = []
-    while remaining:
-        step = _greedy_step(remaining)
-        if step is None:
-            raise HasTripleError(_witness_triple(remaining).monomials())
-        s, pair, _k = step
-        order.append((s, pair))
-        remaining.remove(s)
-    return order
+    remaining = sorted(mono3.socle(ideal))
+    for _ in _peel(remaining):
+        pass
+    return _witness_triple(remaining) if remaining else None
 
 
 def noflip_chain(ideal: MonomialIdeal3) -> BGChainCert:
     """Broken Gorenstein chain without flips for a triple-free ideal.
 
-    Repeatedly take the leading socle monomial s of the current ideal J,
-    with non-dominated coordinate k; then J + (x_k^(s_k + 1)) is
-    Gorenstein with socle {s}, and the tail of the chain is the chain of
-    (J : x_k^(s_k + 1)).
+    Let the peel order the socle of I as s_1, ..., s_n, s_i not dominated
+    in coordinate k_i, and let J_0 = I, J_i = (J_{i-1} : f_i).  Every later
+    s_j exceeds s_i in coordinate k_i, so the socle of J_i is
+    {s_{i+1}, ..., s_n} divided by f_1...f_i, and its peel takes the same
+    steps.  So the multipliers are read off the one pass: with k = k_i and
+    acc = f_1...f_{i-1}, f_i = x_k^(s_i[k] - acc[k] + 1).  J_{i-1} + (f_i)
+    is Gorenstein with socle {s_i / acc}, and so is J_{n-1}, with socle
+    {s_n / f_1...f_{n-1}}.
     """
+    remaining = sorted(mono3.socle(ideal))
+    steps = list(_peel(remaining))
+    if remaining:
+        raise HasTripleError(_witness_triple(remaining).monomials())
     multipliers: list[ExponentVec] = []
     quotients: list[MonomialIdeal3] = []
-    colengths: list[int] = []
+    acc = [0, 0, 0]
     cur = ideal
-    while True:
-        soc = mono3.socle(cur)
-        if len(soc) == 1:
-            quotients.append(cur)
-            colengths.append(cur.colength)
-            break
-        step = _greedy_step(list(soc))
-        if step is None:
-            raise HasTripleError(_witness_triple(list(soc)).monomials())
-        s, _pair, k = step
-        f = tuple(s[k] + 1 if i == k else 0 for i in range(3))
+    for s, k in steps[:-1]:
+        f = tuple(s[k] - acc[k] + 1 if i == k else 0 for i in range(3))
+        acc[k] += f[k]
         multipliers.append(f)
-        q = mono3.add_monomial(cur, f)
-        quotients.append(q)
-        colengths.append(q.colength)
+        quotients.append(mono3.add_monomial(cur, f))
         cur = mono3.colon_by_monomial(cur, f)
+    quotients.append(cur)
     cert = BGChainCert(multipliers=tuple(multipliers), quotients=tuple(quotients),
-                       colengths=tuple(colengths))
+                       colengths=tuple(q.colength for q in quotients))
     cert.validate(ideal)
     return cert
 

@@ -41,6 +41,14 @@ class TestCensus:
         assert code == 0
         assert data["result"]["rows"][-1] == [5, 24, 21]
 
+    @pytest.mark.parametrize("workers", ["0", "100000"])
+    def test_workers_out_of_range_is_input_error(self, capsys, workers):
+        # census 3 is below the pool threshold, so no process starts either way
+        code, data = run_json(capsys, "--workers", workers, "census", "3")
+        assert code == 2
+        assert data["error"]["type"] == "InputError"
+        assert "result" not in data
+
 
 class TestClassify:
     def test_singular_verdict(self, capsys):

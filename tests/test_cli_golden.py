@@ -45,6 +45,7 @@ CASES = {
     "triple-absent": ["triple", "x,y,z"],
     "chain-ok": ["chain", "x^2,x*y,y^2,x*z,z^3"],
     "chain-singular": ["chain", "x^2,x*y,x*z,y^2,y*z,z^3"],
+    "chain-singular-deep": ["chain", "x^2, y^2, z^3, x*y*z, x*z^2, y*z^2"],
     "census-json": ["census", "6"],
     "census-csv-verify": ["--format", "csv", "--verify", "census", "7"],
     "census-text": ["--format", "text", "census", "4"],

@@ -53,29 +53,42 @@ class TestFindTriple:
                 assert (smoothcls.find_triple(ideal) is not None) == exhaustive(ideal)
 
 
+def peel_steps(ideal):
+    return list(smoothcls._peel(sorted(mono3.socle(ideal))))
+
+
 class TestSocleOrder:
     def test_two_element_socle(self):
-        order = smoothcls.socle_order(I2)
-        assert order[0] == (ev("y*z"), (1, 2))
-        assert order[1][0] == ev("x")
+        # y*z goes first, dominating in y and z, so the multiplier is a power of x
+        assert peel_steps(I2) == [(ev("y*z"), 0), (ev("x"), 2)]
+        cert = smoothcls.noflip_chain(I2)
+        assert cert.multipliers == (ev("x"),)
+        assert mono3.socle(cert.quotients[0]) == (ev("y*z"),)
+        # what is left is the socle element x, divided by the multiplier
+        assert mono3.socle(cert.quotients[1]) == (ev("1"),)
 
     def test_singleton(self):
         ideal = mono3.parse_monomial_ideal("x, y^2, z^2")
-        assert smoothcls.socle_order(ideal) == [(ev("y*z"), (0, 1))]
+        assert peel_steps(ideal) == [(ev("y*z"), 2)]
+        cert = smoothcls.noflip_chain(ideal)
+        assert cert.multipliers == ()
+        assert mono3.socle(cert.quotients[0]) == (ev("y*z"),)
 
     def test_raises_when_triple_exists(self):
-        with pytest.raises(HasTripleError):
-            smoothcls.socle_order(I1)
+        with pytest.raises(HasTripleError) as exc:
+            smoothcls.noflip_chain(I1)
+        assert exc.value.triple == smoothcls.find_triple(I1).monomials()
 
     def test_domination_property(self):
         for d in range(1, 8):
             for ideal in mono3.enumerate_ideals(d):
                 if smoothcls.find_triple(ideal) is not None:
                     continue
-                order = smoothcls.socle_order(ideal)
-                for p, (s, pair) in enumerate(order):
-                    k = ({0, 1, 2} - set(pair)).pop()
-                    for t, _ in order[p + 1:]:
+                steps = peel_steps(ideal)
+                assert sorted(s for s, _ in steps) == sorted(mono3.socle(ideal))
+                for p, (s, k) in enumerate(steps):
+                    pair = [i for i in range(3) if i != k]
+                    for t, _ in steps[p + 1:]:
                         assert s[pair[0]] >= t[pair[0]]
                         assert s[pair[1]] >= t[pair[1]]
                         assert s[k] < t[k]
@@ -104,6 +117,20 @@ class TestNoflipChain:
         with pytest.raises(HasTripleError):
             smoothcls.noflip_chain(I1)
 
+    def test_raised_triple_is_find_triple_in_the_socle(self):
+        # the error names the input's own socle monomials, never those of a
+        # colon ideal further down the chain
+        for d in range(1, 11):
+            for ideal in mono3.enumerate_ideals(d):
+                triple = smoothcls.find_triple(ideal)
+                if triple is None:
+                    continue
+                with pytest.raises(HasTripleError) as exc:
+                    smoothcls.noflip_chain(ideal)
+                assert exc.value.triple == triple.monomials(), ideal
+                socle = {mono3.monomial_str(s) for s in mono3.socle(ideal)}
+                assert set(exc.value.triple) <= socle, ideal
+
     def test_certificates_validate(self):
         for d in range(1, 9):
             for ideal in mono3.enumerate_ideals(d):
@@ -111,7 +138,6 @@ class TestNoflipChain:
                     cert = smoothcls.noflip_chain(ideal)
                     cert.validate(ideal)
                     assert sum(cert.colengths) == d
-
 
     def test_corrupted_certificates_raise(self):
         cert = smoothcls.noflip_chain(I2)

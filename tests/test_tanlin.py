@@ -141,7 +141,7 @@ class TestHomDim:
         for d in range(1, 6):
             ideals = list(mono3.enumerate_ideals(d))
             for ideal in rng.sample(ideals, min(6, len(ideals))):
-                I = poly3.from_exponent_gens(R, ideal.mingens)
+                I = poly3.ideal(R, map(R.monomial, ideal.mingens))
                 assert tanlin.hom_dim(I) == tancomb.tangent_report(ideal).total
 
 
