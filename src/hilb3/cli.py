@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import (apolarity, duality, gfp, linkage, mono3, pfaffian, poly3,
@@ -122,10 +121,7 @@ def _cmd_chain(args, ring) -> tuple[dict, int]:
 
 
 def _cmd_census(args, ring) -> tuple[dict, int]:
-    cpus = os.cpu_count() or 1
-    if not 1 <= args.workers <= cpus:
-        raise InputError(f"--workers must be between 1 and {cpus}, got {args.workers}")
-    rows = smoothcls.smooth_census(args.dmax, workers=args.workers)
+    rows = smoothcls.smooth_census(args.dmax)
     if args.verify:
         coeffs = mono3.macmahon_series(args.dmax)
         for d, total, _ in rows:
@@ -305,8 +301,6 @@ def _add_common_flags(parser, suppress: bool) -> None:
                              "prime and fail on disagreement")
     parser.add_argument("--format", choices=("json", "csv", "text"),
                         default=d("json"), help="output format")
-    parser.add_argument("--workers", type=int, default=d(1),
-                        help="worker processes for census (1 to the CPU count)")
     parser.add_argument("--verify", action="store_true",
                         default=d(False),
                         help="enable expensive brute-force cross-checks")

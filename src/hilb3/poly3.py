@@ -633,7 +633,7 @@ def quotient_hilbert_function(qd: QuotientData) -> tuple[int, ...]:
 
 
 def evaluate_at_matrices(f: Poly, qd: QuotientData,
-                         cache: Optional[dict[Exponent, np.ndarray]] = None) -> np.ndarray:
+                         cache: dict[Exponent, np.ndarray]) -> np.ndarray:
     """Matrix of multiplication by f on S/I, via the variable matrices.
 
     Multiplication by f on S/I depends only on f mod I (Cox, Little,
@@ -650,8 +650,6 @@ def evaluate_at_matrices(f: Poly, qd: QuotientData,
     d = qd.colength
     if any(e not in qd.standard_set for e in f.terms):
         f, _ = reduce_full(f, qd.groebner_basis)
-    if cache is None:
-        cache = {}
     origin = (0,) * qd.ring.nvars
     if origin not in cache:
         cache[origin] = np.eye(d, dtype=np.int64)

@@ -174,24 +174,15 @@ def classify(ideal: MonomialIdeal3) -> Classification:
                           excess_lower_bound=SINGULAR_EXCESS_LOWER_BOUND)
 
 
-def _census_chunk(ideals: list[MonomialIdeal3]) -> int:
-    return sum(1 for ideal in ideals if find_triple(ideal) is None)
-
-
-def smooth_census(dmax: int, workers: int = 1) -> list[tuple[int, int, int]]:
+def smooth_census(dmax: int) -> list[tuple[int, int, int]]:
     """Rows (d, total ideals, smooth ideals) for d = 1..dmax."""
     rows = []
     for d in range(1, dmax + 1):
-        ideals = list(mono3.enumerate_ideals(d))
-        if workers > 1 and len(ideals) >= 4 * workers:
-            import multiprocessing
-
-            chunks = [ideals[i::workers] for i in range(workers)]
-            with multiprocessing.Pool(workers) as pool:
-                smooth = sum(pool.map(_census_chunk, chunks))
-        else:
-            smooth = _census_chunk(ideals)
-        rows.append((d, len(ideals), smooth))
+        total = smooth = 0
+        for ideal in mono3.enumerate_ideals(d):
+            total += 1
+            smooth += find_triple(ideal) is None
+        rows.append((d, total, smooth))
     return rows
 
 

@@ -36,18 +36,17 @@ class TestCensus:
         assert code == 1
         assert data["error"]["type"] == "InvariantError"
 
-    def test_workers_flag(self, capsys):
-        code, data = run_json(capsys, "--workers", "2", "census", "5")
-        assert code == 0
-        assert data["result"]["rows"][-1] == [5, 24, 21]
-
-    @pytest.mark.parametrize("workers", ["0", "100000"])
-    def test_workers_out_of_range_is_input_error(self, capsys, workers):
-        # census 3 is below the pool threshold, so no process starts either way
-        code, data = run_json(capsys, "--workers", workers, "census", "3")
-        assert code == 2
-        assert data["error"]["type"] == "InputError"
-        assert "result" not in data
+    @pytest.mark.parametrize("argv", [
+        ("--workers", "2", "census", "3"),
+        ("census", "3", "--workers", "2"),
+        ("--workers", "-5", "series", "3"),
+    ])
+    def test_removed_workers_flag_is_rejected(self, capsys, argv):
+        # argparse rejects the flag before any subcommand runs
+        assert cli.main(list(argv)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("hilb3: error: ")
 
 
 class TestClassify:

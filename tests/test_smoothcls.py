@@ -197,5 +197,12 @@ class TestCensus:
         text = smoothcls.census_csv(smoothcls.smooth_census(2))
         assert text.splitlines() == ["d,total_ideals,smooth_ideals", "1,1,1", "2,3,3"]
 
-    def test_workers_agree(self):
-        assert smoothcls.smooth_census(6, workers=2) == smoothcls.smooth_census(6)
+    def test_rows_to_16(self):
+        # d <= 14 from the paper; 1116 and 1497 from the exhaustive tancomb
+        # excess-zero count in bench/derive_census_counts.py
+        smooth = [1, 3, 6, 12, 21, 36, 58, 91, 138, 204, 300, 417, 597, 816,
+                  1116, 1497]
+        rows = smoothcls.smooth_census(16)
+        assert [r[0] for r in rows] == list(range(1, 17))
+        assert [r[1] for r in rows] == mono3.macmahon_series(16)[1:]
+        assert [r[2] for r in rows] == smooth
