@@ -192,7 +192,7 @@ def _cmd_bicanonical(args, ring) -> tuple[dict, int]:
             "sym2_omega_deg": rep.sym2_omega_deg,
             "homsym_dim": rep.homsym_dim,
             "hom_full_dim": rep.hom_full_dim,
-            "gorenstein_type": duality.gorenstein_type(I)}, 0
+            "gorenstein_type": rep.gorenstein_type}, 0
 
 
 def _cmd_pfaffian_ideal(args, ring) -> tuple[dict, int]:

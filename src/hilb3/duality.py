@@ -15,10 +15,16 @@ Hom_R(omega_R, R) (matrices F with F M_v^T = M_v F) and its symmetric
 part (F also literally symmetric, since R and omega_R carry dual bases);
 in characteristic != 2 the symmetric part has the same dimension as the
 bicanonical module.
+
+Both the relation matrix and the intertwiner matrix (3 d^2 x d^2) are
+built as sparse entries straight from the nonzeros of the multiplication
+matrices, and their ranks are summed over the connected components of
+the row-column graph (``gfp.sparse_rank``).  For a monomial ideal every
+entry carries a torus weight, so the components are small; in generic
+coordinates there is one component and one dense elimination.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,55 +40,67 @@ class BicanonicalReport:
     sym2_omega_deg: int
     homsym_dim: int
     hom_full_dim: int
+    gorenstein_type: int
+
+
+def _socle_dim(qd: poly3.QuotientData) -> int:
+    if qd.colength == 0:
+        return 0
+    return qd.colength - gfp.rank(np.vstack(qd.mult_matrices), qd.ring.p)
 
 
 def gorenstein_type(I: PolyIdeal) -> int:
     """dim soc(S/I); type 1 means Gorenstein."""
-    qd = poly3.quotient_data(I)
-    if qd.colength == 0:
-        return 0
-    stacked = np.vstack(qd.mult_matrices)
-    return qd.colength - gfp.rank(stacked, qd.ring.p)
+    return _socle_dim(poly3.quotient_data(I))
+
+
+def _entries(mats, d: int) -> list[np.ndarray]:
+    """(v, s, k, c, t) for every nonzero c = mats[v][s, k] and every t < d."""
+    stack = np.asarray(mats, dtype=np.int64).reshape(len(mats), d, d)
+    v, s, k = np.nonzero(stack)
+    fields = (x[:, None] for x in (v, s, k, stack[v, s, k]))
+    return [x.ravel() for x in np.broadcast_arrays(*fields, np.arange(d))]
+
+
+def _pair(a: np.ndarray, b: np.ndarray, d: int) -> np.ndarray:
+    """Position of {a, b} in the row-major upper triangle of a d x d matrix."""
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    return lo * d - lo * (lo - 1) // 2 + hi - lo
 
 
 def _sym2_relation_rank(mats, d: int, p: int) -> int:
-    """Rank of the span of (r e_i) . e_j - e_i . (r e_j) in Sym^2."""
-    idx = {ij: n for n, ij in enumerate(itertools.combinations_with_replacement(range(d), 2))}
-    nsym = len(idx)
-    rows = []
-    for m in mats:
-        for i in range(d):
-            for j in range(i, d):
-                row = np.zeros(nsym, dtype=np.int64)
-                for k in range(d):
-                    c = int(m[i, k])
-                    if c:
-                        a, b = (k, j) if k <= j else (j, k)
-                        row[idx[(a, b)]] = (row[idx[(a, b)]] + c) % p
-                    c = int(m[j, k])
-                    if c:
-                        a, b = (i, k) if i <= k else (k, i)
-                        row[idx[(a, b)]] = (row[idx[(a, b)]] - c) % p
-                if row.any():
-                    rows.append(row)
-    if not rows:
-        return 0
-    return gfp.rank(np.vstack(rows), p)
+    """Rank of the span of (r e_i) . e_j - e_i . (r e_j) in Sym^2.
+
+    With m the matrix of the v-th r, row (v, {i, j}) holds +m[i, k] at
+    {k, j} and -m[j, k] at {i, k}: each nonzero m[s, k] meets every t,
+    as i = s <= t = j and as i = t <= s = j.
+    """
+    nsym = d * (d + 1) // 2
+    v, s, k, c, t = _entries(mats, d)
+    rows, cols = v * nsym + _pair(s, t, d), _pair(k, t, d)
+    up, down = t >= s, t <= s
+    return gfp.sparse_rank(np.concatenate([rows[up], rows[down]]),
+                           np.concatenate([cols[up], cols[down]]),
+                           np.concatenate([c[up], -c[down]]), (len(mats) * nsym, nsym), p)
 
 
 def _intertwiner_dims(mats, d: int, p: int) -> tuple[int, int]:
     """dims of {F : F M_v^T = M_v F for all v}: F symmetric, then F arbitrary.
 
-    On row-major vec(F) the map F -> M_v F - F M_v^T is M_v (x) I - I (x) M_v.
-    A symmetric F is spanned by E_ij + E_ji (i <= j), whose columns are
-    the sum of columns ij and ji; the diagonal ones come out doubled,
-    which keeps the rank for odd p.
+    On row-major vec(F) the map F -> M_v F - F M_v^T takes a nonzero
+    c = M_v[s, k] to +c at (st, kt) and -c at (ts, tk) for every t.
+    A symmetric F is spanned by E_ab + E_ba (a <= b), whose columns are
+    the sum of columns ab and ba: both kt and tk land on column {k, t}.
     """
-    eye = np.eye(d, dtype=np.int64)
-    mat = np.vstack([(np.kron(m, eye) - np.kron(eye, m)) % p for m in mats])
-    i, j = np.triu_indices(d)
-    sym = (mat[:, i * d + j] + mat[:, j * d + i]) % p
-    return len(i) - gfp.rank(sym, p), d * d - gfp.rank(mat, p)
+    nsym = d * (d + 1) // 2
+    v, s, k, c, t = _entries(mats, d)
+    rows = np.concatenate([(v * d + s) * d + t, (v * d + t) * d + s])
+    vals = np.concatenate([c, -c])
+    shape = len(mats) * d * d
+    full = gfp.sparse_rank(rows, np.concatenate([k * d + t, t * d + k]), vals, (shape, d * d), p)
+    pairs = _pair(k, t, d)
+    sym = gfp.sparse_rank(rows, np.concatenate([pairs, pairs]), vals, (shape, nsym), p)
+    return nsym - sym, d * d - full
 
 
 def bicanonical_degree(I: PolyIdeal, verify: bool = False) -> BicanonicalReport:
@@ -112,4 +130,5 @@ def bicanonical_degree(I: PolyIdeal, verify: bool = False) -> BicanonicalReport:
         raise InvariantError(f"symmetric Hom has dimension {homsym_dim}, "
                              f"Sym^2 omega has degree {nsym - rel_rank}")
     return BicanonicalReport(colength=d, sym2_omega_deg=nsym - rel_rank,
-                             homsym_dim=homsym_dim, hom_full_dim=hom_full_dim)
+                             homsym_dim=homsym_dim, hom_full_dim=hom_full_dim,
+                             gorenstein_type=_socle_dim(qd))

@@ -5,7 +5,10 @@ With p < 2^31 every intermediate product fits in an int64, so plain
 Gaussian elimination with ``% p`` after each row operation is exact;
 ``matmul`` and ``rref`` raise ``InputError`` for any larger p.
 Pivoting always takes the first row with a nonzero entry, which makes
-every result deterministic.
+every result deterministic.  ``sparse_rank`` ranks a matrix given by its
+nonzero entries block by block: the connected components of its
+row-column graph (the coarse Dulmage-Mendelsohn decomposition) each go
+through the same dense elimination.
 
 The default prime is 2^31 - 1.  Characteristic-zero statements are only
 certified numerically by agreement over two large primes, so a second
@@ -113,6 +116,55 @@ def rank(a: np.ndarray, p: int) -> int:
     if a.size == 0:
         return 0
     return len(rref(a, p)[1])
+
+
+def sparse_rank(rows, cols, vals, shape: tuple[int, int], p: int) -> int:
+    """Rank of the matrix of the given shape with COO entries (rows, cols, vals).
+
+    Entries at one position are summed mod p and positions that sum to
+    zero are dropped.  Each value is reduced into [0, p) first, so the sum
+    is exact in int64 while fewer than 2^32 entries share a position.
+    The rank is the sum of ``rank`` over the connected components of the
+    row-column graph (a node per row and per column, an edge per nonzero
+    entry), each densified as its own block.
+    """
+    require_exact(p)
+    nrows, ncols = shape
+    key = np.asarray(rows, dtype=np.int64) * ncols + np.asarray(cols, dtype=np.int64)
+    if key.size == 0:
+        return 0
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+    vals = np.add.reduceat(np.mod(np.asarray(vals, dtype=np.int64)[order], p), starts) % p
+    key = key[starts][vals != 0]
+    vals = vals[vals != 0]
+    r, c = key // ncols, key % ncols
+    # hook each root onto the least root across an edge, then jump pointers
+    # to the roots, until every edge joins two nodes under one root
+    cnode = nrows + c
+    label = np.arange(nrows + ncols)
+    while True:
+        least = np.minimum(label[r], label[cnode])
+        hooked = label.copy()
+        np.minimum.at(hooked, label[r], least)
+        np.minimum.at(hooked, label[cnode], least)
+        while not np.array_equal(hooked[hooked], hooked):
+            hooked = hooked[hooked]
+        if np.array_equal(hooked, label):
+            break
+        label = hooked
+    comp = label[r]
+    order = np.argsort(comp, kind="stable")
+    cuts = np.flatnonzero(np.diff(comp[order])) + 1
+    total = 0
+    for br, bc, bv in zip(*(np.split(a[order], cuts) for a in (r, c, vals))):
+        ur, lr = np.unique(br, return_inverse=True)
+        uc, lc = np.unique(bc, return_inverse=True)
+        block = zeros(len(ur), len(uc))
+        block[lr, lc] = bv
+        total += rank(block, p)
+    return total
 
 
 def kernel_basis(a: np.ndarray, p: int) -> np.ndarray:

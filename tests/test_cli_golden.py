@@ -26,6 +26,13 @@ GENERIC_ALPHA = ("x^2 + 2*x*y + 3*y^2 + 5*x*z + 7*y*z + 11*z^2, "
                  "2*x^2 + x*y + y^2 + 3*x*z + y*z + 4*z^2, "
                  "x^2 + x*y + 5*y^2 + x*z + 2*y*z + 3*z^2")
 
+
+def maximal_ideal_power(k):
+    """The ideal m^k, written as its degree-k monomials."""
+    return ", ".join(f"x^{a}*y^{b}*z^{k - a - b}"
+                     for a in range(k, -1, -1) for b in range(k - a, -1, -1))
+
+
 CASES = {
     "tangent-mono": ["tangent", MONO],
     "tangent-mono-verify": ["--verify", "tangent", MONO],
@@ -69,6 +76,8 @@ CASES = {
     "ann-empty": ["ann", " , "],
     "bicanonical": ["bicanonical", "x^2, x*y^2, y^5, z"],
     "bicanonical-verify": ["--verify", "bicanonical", "x^2+y*z, x*y^2, y^5, z-x"],
+    "bicanonical-m5": ["bicanonical", maximal_ideal_power(5)],
+    "bicanonical-m4-verify": ["--verify", "bicanonical", maximal_ideal_power(4)],
     "bicanonical-second-prime": [SP, "bicanonical", "x^2+y*z, x*y^2, y^5, z-x"],
     "pfaffian-ideal": ["pfaffian-ideal", "{data}/mats.json"],
     "pfaffian-ideal-csv": ["--format", "csv", "pfaffian-ideal", "{data}/mats.json"],

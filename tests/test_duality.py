@@ -1,4 +1,6 @@
+import itertools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hilb3.errors import CharTwoError
 
 P = gfp.DEFAULT_PRIME
 R = poly3.PolyRing(P)
+PRIMES = [gfp.DEFAULT_PRIME, gfp.SECOND_PRIME, 3]
 
 
 def pi(text):
@@ -39,6 +42,64 @@ def homsym_dim_reference(mats, d, p):
                 [((gfp.matmul(m, basis, p) - gfp.matmul(basis, m.T, p)) % p).ravel()
                  for m in mats]))
     return len(cols) - gfp.rank(np.stack(cols, axis=1), p)
+
+
+def maximal_ideal_power(k, ring=R):
+    return poly3.ideal(ring, [ring.monomial(e) for e in itertools.product(range(k + 1), repeat=3)
+                              if sum(e) == k])
+
+
+def moved_mono_ideal(ideal, point, ring):
+    """The monomial ideal moved to the point: x, y, z -> x - a, y - b, z - c."""
+    shifts = [ring.var(v) - ring.constant(c) for v, c in enumerate(point)]
+    gens = []
+    for e in ideal.mingens:
+        f = ring.one()
+        for shift, k in zip(shifts, e):
+            for _ in range(k):
+                f = f * shift
+        gens.append(f)
+    return poly3.ideal(ring, gens)
+
+
+def oracle_sym2_relation_rank(mats, d, p):
+    """Dense reference for duality._sym2_relation_rank: one row per (r, i <= j)."""
+    idx = {ij: n for n, ij in enumerate(itertools.combinations_with_replacement(range(d), 2))}
+    nsym = len(idx)
+    rows = []
+    for m in mats:
+        for i in range(d):
+            for j in range(i, d):
+                row = np.zeros(nsym, dtype=np.int64)
+                for k in range(d):
+                    c = int(m[i, k])
+                    if c:
+                        a, b = (k, j) if k <= j else (j, k)
+                        row[idx[(a, b)]] = (row[idx[(a, b)]] + c) % p
+                    c = int(m[j, k])
+                    if c:
+                        a, b = (i, k) if i <= k else (k, i)
+                        row[idx[(a, b)]] = (row[idx[(a, b)]] - c) % p
+                if row.any():
+                    rows.append(row)
+    if not rows:
+        return 0
+    return gfp.rank(np.vstack(rows), p)
+
+
+def oracle_intertwiner_dims(mats, d, p):
+    """Dense reference for duality._intertwiner_dims, on the Kronecker stack.
+
+    On row-major vec(F) the map F -> M_v F - F M_v^T is M_v (x) I - I (x) M_v.
+    A symmetric F is spanned by E_ij + E_ji (i <= j), whose columns are
+    the sum of columns ij and ji; the diagonal ones come out doubled,
+    which keeps the rank for odd p.
+    """
+    eye = np.eye(d, dtype=np.int64)
+    mat = np.vstack([(np.kron(m, eye) - np.kron(eye, m)) % p for m in mats])
+    i, j = np.triu_indices(d)
+    sym = (mat[:, i * d + j] + mat[:, j * d + i]) % p
+    return len(i) - gfp.rank(sym, p), d * d - gfp.rank(mat, p)
 
 
 def random_presentation(mats, p, rng):
@@ -150,6 +211,10 @@ class TestBicanonical:
                 assert rep.homsym_dim == homsym_dim_reference(
                     qd.mult_matrices, qd.colength, p), (p, text)
 
+    def test_reports_the_gorenstein_type(self):
+        for I in [M2, PLANAR_97, pi("x^2 - y*z, x*z, x*y, y^2, z^2"), pi("x^3, y^2, z^2")]:
+            assert duality.bicanonical_degree(I).gorenstein_type == duality.gorenstein_type(I)
+
     def test_char_two_rejected(self):
         I = poly3.parse_ideal("x, y, z", poly3.PolyRing(2))
         with pytest.raises(CharTwoError):
@@ -165,3 +230,64 @@ class TestBicanonical:
                 reps.append((r.colength, r.sym2_omega_deg, r.homsym_dim,
                              r.hom_full_dim))
             assert reps[0] == reps[1], text
+
+
+def oracle_cases(p, rng):
+    """(mats, d) over: every monomial ideal of colength <= 6 and a sample at
+    7 and 8, conjugates by random_presentation (dense, one component),
+    monomial ideals moved off the origin, and m^2..m^4."""
+    ring = poly3.PolyRing(p)
+    small = [I for d in range(1, 7) for I in mono3.enumerate_ideals(d)]
+    ideals = [mono_poly_ideal(I, ring) for I in small]
+    ideals += [mono_poly_ideal(I, ring) for d in (7, 8)
+               for I in rng.sample(list(mono3.enumerate_ideals(d)), 6)]
+    ideals += [moved_mono_ideal(I, [rng.randrange(1, p) for _ in range(3)], ring)
+               for I in rng.sample(small[1:], 8)]
+    ideals += [maximal_ideal_power(k, ring) for k in (2, 3, 4)]
+    for I in ideals:
+        qd = poly3.quotient_data(I)
+        yield list(qd.mult_matrices), qd.colength
+    for I in rng.sample(small[1:], 8):
+        qd = poly3.quotient_data(mono_poly_ideal(I, ring))
+        yield random_presentation(list(qd.mult_matrices), p, rng), qd.colength
+
+
+class TestSparseRanksMatchDenseOracles:
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_generator_relations_and_intertwiners(self, p):
+        rng = random.Random(p)
+        for mats, d in oracle_cases(p, rng):
+            assert duality._sym2_relation_rank(mats, d, p) == oracle_sym2_relation_rank(mats, d, p)
+            assert duality._intertwiner_dims(mats, d, p) == oracle_intertwiner_dims(mats, d, p)
+
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_relations_from_every_standard_monomial(self, p):
+        # the relation set bicanonical_degree(..., verify=True) builds
+        rng = random.Random(p)
+        ring = poly3.PolyRing(p)
+        ideals = [maximal_ideal_power(k, ring) for k in (2, 3, 4)]
+        ideals += [poly3.parse_ideal(text, ring) for text in
+                   ["x^2, x*y^2, y^5, z", "x^2 + y*z, x*y^2, y^5, z - x"]]
+        ideals += [moved_mono_ideal(I, [rng.randrange(1, p) for _ in range(3)], ring)
+                   for I in rng.sample(list(mono3.enumerate_ideals(6)), 3)]
+        for I in ideals:
+            qd = poly3.quotient_data(I)
+            cache: dict = {}
+            mats = [poly3.evaluate_at_matrices(ring.monomial(e), qd, cache)
+                    for e in qd.standard_monomials if sum(e) > 0]
+            d = qd.colength
+            assert duality._sym2_relation_rank(mats, d, p) == oracle_sym2_relation_rank(mats, d, p)
+
+
+@pytest.mark.parametrize("verify", [False, True])
+def test_m5_bicanonical_peak_memory(verify):
+    # the dense Kronecker stack for m^5 (d = 35) alone peaked above 120 MB
+    I = maximal_ideal_power(5)
+    tracemalloc.start()
+    try:
+        rep = duality.bicanonical_degree(I, verify=verify)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (rep.colength, rep.sym2_omega_deg, rep.hom_full_dim) == (35, 120, 225)
+    assert peak < 16 * 2**20

@@ -86,6 +86,75 @@ def test_rref_rejects_primes_from_2_31(p):
         gfp.rank(a, p)
 
 
+@pytest.mark.parametrize("p", BIG_PRIMES)
+def test_sparse_rank_rejects_primes_from_2_31(p):
+    with pytest.raises(InputError):
+        gfp.sparse_rank([0], [0], [1], (1, 1), p)
+    with pytest.raises(InputError):
+        gfp.sparse_rank([], [], [], (0, 0), p)
+
+
+def hidden_blocks(rng, p):
+    """Blocks of random shape and rank on a diagonal, rows and columns then shuffled."""
+    blocks = []
+    for _ in range(int(rng.integers(1, 6))):
+        n, m = (int(v) for v in rng.integers(1, 6, size=2))
+        k = int(rng.integers(0, min(n, m) + 1))
+        blocks.append(gfp.matmul(rng.integers(0, p, size=(n, k), dtype=np.int64),
+                                 rng.integers(0, p, size=(k, m), dtype=np.int64), p))
+    a = gfp.zeros(sum(b.shape[0] for b in blocks), sum(b.shape[1] for b in blocks))
+    r = c = 0
+    for b in blocks:
+        a[r:r + b.shape[0], c:c + b.shape[1]] = b
+        r, c = r + b.shape[0], c + b.shape[1]
+    return a[rng.permutation(a.shape[0])][:, rng.permutation(a.shape[1])]
+
+
+def scattered_coo(a, p, rng):
+    """COO triples of a, each entry split into two summands plus multiples of p,
+    with pairs that cancel mod p added at random positions, in random order."""
+    r, c = np.nonzero(a)
+    v = a[r, c]
+    part = rng.integers(0, p, size=v.size, dtype=np.int64)
+    zr = rng.integers(0, a.shape[0], size=4)
+    zc = rng.integers(0, a.shape[1], size=4)
+    x = rng.integers(1, p, size=4, dtype=np.int64)
+    rows = np.concatenate([r, r, zr, zr])
+    cols = np.concatenate([c, c, zc, zc])
+    vals = np.concatenate([part + p, v - part, x, 2 * p - x])
+    order = rng.permutation(rows.size)
+    return rows[order], cols[order], vals[order]
+
+
+@pytest.mark.parametrize("p", [P, P2, 3])
+def test_sparse_rank_matches_dense_rank_on_hidden_blocks(p):
+    rng = np.random.default_rng(p + 1)
+    for _ in range(80):
+        a = hidden_blocks(rng, p)
+        assert gfp.sparse_rank(*scattered_coo(a, p, rng), a.shape, p) == gfp.rank(a, p)
+
+
+@pytest.mark.parametrize("p", [P, 3])
+def test_sparse_rank_of_zero_matrices(p):
+    assert gfp.sparse_rank([], [], [], (0, 0), p) == 0
+    assert gfp.sparse_rank([], [], [], (3, 4), p) == 0
+    assert gfp.sparse_rank([0, 2], [1, 3], [0, p], (3, 4), p) == 0
+    # every entry cancels against a duplicate
+    assert gfp.sparse_rank([1, 1, 2, 2, 2], [0, 0, 3, 3, 3], [5, p - 5, 1, 1, -2], (3, 4), p) == 0
+
+
+@pytest.mark.parametrize("p", [P, 3])
+def test_sparse_rank_single_row_and_column_components(p):
+    # row 0 meets columns 0-2 only, column 3 meets rows 1-3 only, and (4, 4) is alone
+    rows = [0, 0, 0, 1, 2, 3, 4]
+    cols = [0, 1, 2, 3, 3, 3, 4]
+    vals = [1, 2, 1, 1, p - 1, 2, 1]
+    a = gfp.zeros(5, 5)
+    a[rows, cols] = vals
+    assert gfp.rank(a, p) == 3
+    assert gfp.sparse_rank(rows, cols, vals, (5, 5), p) == 3
+
+
 def oracle_kernel_basis(a, p):
     """kernel_basis read off the rref one free column and one pivot at a time."""
     a = np.asarray(a, dtype=np.int64)
