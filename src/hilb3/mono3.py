@@ -7,7 +7,9 @@ colength; h(i, j) reads 0 off the array.  The rest is read off h
 locally: the minimal generators are the corners (i, j, h(i, j)) where h
 drops against both lower neighbours, the socle of S/I is the cells
 (i, j, h(i, j) - 1) where h drops in both directions, and the staircase
-(the exponent vectors outside I) is expanded only on demand.
+(the exponent vectors outside I) is expanded only on demand, and so are
+the per-ideal tables the two monomial tangent routes read at every
+weight: the staircase graph and the pairwise generator lcms.
 
 MacMahon's product formula  prod_{i>=1} (1 - q^i)^{-i}  generates the
 counts of plane partitions and serves as an enumeration oracle.
@@ -57,11 +59,15 @@ def _at(heights, i: int, j: int):
 class MonomialIdeal3:
     """A monomial ideal of k[x,y,z] of finite colength.
 
-    heights    the canonical height array (positive entries, no empty
-               rows), the only stored field, so equality is ideal equality
-    mingens    minimal generators, sorted (derived, cached)
-    staircase  exponent vectors outside the ideal (derived, cached)
-    colength   dim_k S/I, the sum of the heights
+    heights          the canonical height array (positive entries, no
+                     empty rows), the only stored field, so equality is
+                     ideal equality
+    mingens          minimal generators, sorted (derived, cached)
+    staircase        exponent vectors outside the ideal (derived, cached)
+    staircase_graph  the staircase as a unit-step graph (derived, cached)
+    generator_lcms   lcms of the pairs of minimal generators (derived,
+                     cached)
+    colength         dim_k S/I, the sum of the heights
     """
 
     heights: tuple[tuple[int, ...], ...]
@@ -84,6 +90,30 @@ class MonomialIdeal3:
         return tuple((i, j, h) for i in range(len(H) + 1)
                      for j in range(len(H[max(i - 1, 0)]) + 1)
                      if (h := _at(H, i, j)) < _at(H, i - 1, j) and h < _at(H, i, j - 1))
+
+    @cached_property
+    def staircase_graph(self) -> tuple[tuple[ExponentVec, ...], tuple[tuple[int, ...], ...],
+                                       tuple[tuple[tuple[int, int, int], ...], ...]]:
+        """(cells, adjacent, outside) for the sorted staircase cells.
+
+        adjacent[n] indexes the unit-step neighbours of cells[n] inside the
+        staircase; outside[n] lists its neighbours with a negative entry.
+        """
+        cells = tuple(sorted(self.staircase))
+        index = {v: n for n, v in enumerate(cells)}
+        steps = [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)]
+        near = [[(v[0] + s[0], v[1] + s[1], v[2] + s[2]) for s in steps] for v in cells]
+        adjacent = tuple(tuple(index[w] for w in ws if w in index) for ws in near)
+        outside = tuple(tuple(w for w in ws if min(w) < 0) for ws in near)
+        return cells, adjacent, outside
+
+    @cached_property
+    def generator_lcms(self) -> tuple[tuple[int, int, ExponentVec], ...]:
+        """(i, j, lcm(g_i, g_j)) for every pair i < j of minimal generators."""
+        g = self.mingens
+        return tuple((i, j, (max(g[i][0], g[j][0]), max(g[i][1], g[j][1]),
+                             max(g[i][2], g[j][2])))
+                     for j in range(len(g)) for i in range(j))
 
     @property
     def colength(self) -> int:

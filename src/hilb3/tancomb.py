@@ -48,45 +48,35 @@ def bounded_components(ideal: MonomialIdeal3, a: tuple[int, int, int]) -> int:
     """Number of bounded connected components of (I+a) \\ I.
 
     Exploration runs over the part of the set inside N^3, which lies in
-    the (finite) staircase; a component is discarded as unbounded the
-    moment one of its neighbours inside the set leaves N^3.  Visited
-    points are shared across seeds so no component is counted twice.
+    the (finite) staircase, along the ideal's cached staircase graph; a
+    component is unbounded when a neighbour with a negative entry lies in
+    I+a (it is outside N^3, hence outside I).  Only the membership of each
+    cell in I+a depends on a.
     """
-    st = ideal.staircase
+    cells, adjacent, outside = ideal.staircase_graph
     in_ideal = ideal.__contains__
 
     def in_shifted_ideal(v: tuple[int, int, int]) -> bool:
         return in_ideal((v[0] - a[0], v[1] - a[1], v[2] - a[2]))
 
-    seeds = sorted(v for v in st if in_shifted_ideal(v))
-    visited: set[tuple[int, int, int]] = set()
+    # todo[n]: cells[n] lies in (I+a) \ I and no search has reached it yet
+    todo = [in_shifted_ideal(v) for v in cells]
     count = 0
-    for s in seeds:
-        if s in visited:
+    for s, seed in enumerate(todo):
+        if not seed:
             continue
-        visited.add(s)
+        todo[s] = False
         stack = [s]
         bounded = True
         while stack:
-            v = stack.pop()
-            for i in range(3):
-                for step in (1, -1):
-                    w = list(v)
-                    w[i] += step
-                    w = tuple(w)
-                    if w[i] < 0:
-                        # w is outside N^3 hence outside I; it belongs to the
-                        # set iff w - a lies in I, and then the component is
-                        # unbounded.
-                        if in_shifted_ideal(w):
-                            bounded = False
-                        continue
-                    if w in visited or w not in st or not in_shifted_ideal(w):
-                        continue
-                    visited.add(w)
-                    stack.append(w)
-        if bounded:
-            count += 1
+            n = stack.pop()
+            if bounded and any(map(in_shifted_ideal, outside[n])):
+                bounded = False
+            for m in adjacent[n]:
+                if todo[m]:
+                    todo[m] = False
+                    stack.append(m)
+        count += bounded
     return count
 
 

@@ -23,7 +23,7 @@ import numpy as np
 from . import gfp, poly3
 from .errors import InvariantError
 from .mono3 import MonomialIdeal3
-from .poly3 import Poly, PolyIdeal, _lcm_exp, reduce_full, s_poly, sub_multiples
+from .poly3 import Poly, PolyIdeal, reduce_full, s_poly, sub_multiples
 
 
 @dataclass
@@ -155,7 +155,9 @@ def hom_dim_weight(ideal: MonomialIdeal3, a: tuple[int, int, int]) -> int:
     whose lcm stays outside I after the shift forces c_i = c_j, or
     c_i = 0 when g_j + a lies in I.  The dimension is therefore the number
     of classes of unknowns under c_i = c_j that hold no forced zero, over
-    any field.  This route is independent of the bounded-component count.
+    any field.  The pairwise lcms are the ideal's cached generator_lcms,
+    so only their shifts depend on a.  This route is independent of the
+    bounded-component count.
     """
     gens = ideal.mingens
     stair = ideal.staircase
@@ -171,16 +173,13 @@ def hom_dim_weight(ideal: MonomialIdeal3, a: tuple[int, int, int]) -> int:
         return j
 
     killed = []
-    for j in range(len(gens)):
-        for i in range(j):
-            l = _lcm_exp(gens[i], gens[j])
-            shifted = (l[0] + a[0], l[1] + a[1], l[2] + a[2])
-            if shifted not in stair:
-                continue  # both sides die in S/I, no condition
-            if i in parent and j in parent:
-                parent[find(i)] = find(j)
-            elif i in parent or j in parent:
-                killed.append(i if i in parent else j)
+    for i, j, l in ideal.generator_lcms:
+        if (l[0] + a[0], l[1] + a[1], l[2] + a[2]) not in stair:
+            continue  # both sides die in S/I, no condition
+        if i in parent and j in parent:
+            parent[find(i)] = find(j)
+        elif i in parent or j in parent:
+            killed.append(i if i in parent else j)
     return len({find(j) for j in parent} - {find(k) for k in killed})
 
 

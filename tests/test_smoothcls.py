@@ -19,11 +19,13 @@ def ev(s):
 
 class TestFindTriple:
     def test_reads_only_the_socle(self):
-        # the census path: neither staircase nor generators get expanded
+        # the census path: no staircase, generators or tangent tables get built
         for ideal in mono3.enumerate_ideals(7):
             smoothcls.find_triple(ideal)
             assert "staircase" not in vars(ideal)
             assert "mingens" not in vars(ideal)
+            assert "staircase_graph" not in vars(ideal)
+            assert "generator_lcms" not in vars(ideal)
 
     def test_singular_staircase_example(self):
         t = smoothcls.find_triple(I1)
@@ -206,3 +208,8 @@ class TestCensus:
         assert [r[0] for r in rows] == list(range(1, 17))
         assert [r[1] for r in rows] == mono3.macmahon_series(16)[1:]
         assert [r[2] for r in rows] == smooth
+
+    def test_row_17(self):
+        # 2016 from the same exhaustive tancomb excess-zero count; past d = 14
+        # the paper lists no counts, so that count is the only oracle
+        assert smoothcls.smooth_census(17)[-1] == (17, 18334, 2016)

@@ -4,6 +4,50 @@ M = mono3.parse_monomial_ideal("x,y,z")
 M2 = mono3.parse_monomial_ideal("x^2,y^2,z^2,x*y,x*z,y*z")
 
 
+UP_TO_EIGHT = [I for d in range(1, 9) for I in mono3.enumerate_ideals(d)]
+
+
+def oracle_bounded_components(ideal, a):
+    """Bounded components of (I+a) \\ I by a search over exponent vectors.
+
+    It builds each neighbour and tests staircase membership at every
+    visited cell, where bounded_components reads the cached staircase graph.
+    """
+    st = ideal.staircase
+
+    def in_shifted_ideal(v):
+        return (v[0] - a[0], v[1] - a[1], v[2] - a[2]) in ideal
+
+    visited = set()
+    count = 0
+    for s in sorted(v for v in st if in_shifted_ideal(v)):
+        if s in visited:
+            continue
+        visited.add(s)
+        stack = [s]
+        bounded = True
+        while stack:
+            v = stack.pop()
+            for i in range(3):
+                for step in (1, -1):
+                    w = list(v)
+                    w[i] += step
+                    w = tuple(w)
+                    if w[i] < 0:
+                        # outside N^3 hence outside I: in the set iff w - a is
+                        # in I, and then the component is unbounded
+                        if in_shifted_ideal(w):
+                            bounded = False
+                        continue
+                    if w in visited or w not in st or not in_shifted_ideal(w):
+                        continue
+                    visited.add(w)
+                    stack.append(w)
+        if bounded:
+            count += 1
+    return count
+
+
 def tripod(a, b, c):
     return mono3.from_generators(
         [(a, 0, 0), (0, b, 0), (0, 0, c), (1, 1, 0), (1, 0, 1), (0, 1, 1)])
@@ -18,6 +62,42 @@ class TestBoundedComponents:
 
     def test_all_negative_is_unbounded(self):
         assert tancomb.bounded_components(M2, (-1, -1, -1)) == 0
+
+    def test_matches_oracle_on_every_weight(self):
+        # every candidate weight of every ideal of colength <= 8
+        for ideal in UP_TO_EIGHT:
+            for a in sorted(tancomb.weight_candidates(ideal)):
+                assert tancomb.bounded_components(ideal, a) == \
+                    oracle_bounded_components(ideal, a), (ideal, a)
+
+    def test_matches_oracle_off_the_candidates(self):
+        # weights that shift the staircase partly or wholly off N^3
+        for ideal in [M, M2, tripod(2, 3, 4)]:
+            for a in [(-3, 0, 0), (0, -2, -2), (5, 5, 5), (-1, 2, -1), (1, 0, -3)]:
+                assert tancomb.bounded_components(ideal, a) == \
+                    oracle_bounded_components(ideal, a), (ideal, a)
+
+
+class TestStaircaseGraph:
+    def test_tangent_report_builds_the_graph_once_per_ideal(self):
+        ideal = tripod(2, 3, 4)
+        assert "staircase_graph" not in vars(ideal)
+        tancomb.tangent_report(ideal)
+        graph = vars(ideal)["staircase_graph"]
+        tancomb.tangent_report(ideal)
+        assert ideal.staircase_graph is graph
+        assert "generator_lcms" not in vars(ideal)
+
+    def test_cells_and_neighbours(self):
+        for ideal in UP_TO_EIGHT:
+            cells, adjacent, outside = ideal.staircase_graph
+            assert cells == tuple(sorted(ideal.staircase))
+            for v, near, off in zip(cells, adjacent, outside):
+                steps = [tuple(v[k] + (s if k == i else 0) for k in range(3))
+                         for i in range(3) for s in (1, -1)]
+                assert sorted(cells[n] for n in near) == \
+                    sorted(w for w in steps if w in ideal.staircase)
+                assert sorted(off) == sorted(w for w in steps if min(w) < 0)
 
 
 class TestWeightCandidates:

@@ -60,6 +60,35 @@ def coordinate_changes(draw):
     return a, list(draw(entries))
 
 
+def oracle_hom_dim_weight(ideal, a):
+    """Degree-a piece of Hom_S(I, S/I) by a union-find over generator pairs.
+
+    It forms every pairwise lcm at each weight, where hom_dim_weight reads
+    the ideal's cached generator_lcms.
+    """
+    gens = ideal.mingens
+    stair = ideal.staircase
+    parent = {j: j for j, g in enumerate(gens)
+              if (g[0] + a[0], g[1] + a[1], g[2] + a[2]) in stair}
+
+    def find(j):
+        while parent[j] != j:
+            j = parent[j]
+        return j
+
+    killed = []
+    for j in range(len(gens)):
+        for i in range(j):
+            l = tuple(max(u, v) for u, v in zip(gens[i], gens[j]))
+            if (l[0] + a[0], l[1] + a[1], l[2] + a[2]) not in stair:
+                continue  # both sides die in S/I, no condition
+            if i in parent and j in parent:
+                parent[find(i)] = find(j)
+            elif i in parent or j in parent:
+                killed.append(i if i in parent else j)
+    return len({find(j) for j in parent} - {find(k) for k in killed})
+
+
 @pytest.fixture
 def matmul_calls(monkeypatch):
     """A one-element list counting the gfp.matmul calls made during the test."""
@@ -169,6 +198,39 @@ class TestGradedRoute:
                 for a in sorted(tancomb.weight_candidates(ideal)):
                     assert tancomb.bounded_components(ideal, a) == \
                         tanlin.hom_dim_weight(ideal, a), (ideal, a)
+
+
+    def test_matches_oracle_on_every_weight(self):
+        # every candidate weight of every ideal of colength <= 8
+        for d in range(1, 9):
+            for ideal in mono3.enumerate_ideals(d):
+                for a in sorted(tancomb.weight_candidates(ideal)):
+                    assert tanlin.hom_dim_weight(ideal, a) == \
+                        oracle_hom_dim_weight(ideal, a), (ideal, a)
+
+    def test_generator_lcms(self):
+        for d in range(1, 7):
+            for ideal in mono3.enumerate_ideals(d):
+                g = ideal.mingens
+                assert ideal.generator_lcms == tuple(
+                    (i, j, poly3._lcm_exp(g[i], g[j]))
+                    for j in range(len(g)) for i in range(j))
+
+    def test_mono_hom_dim_forms_no_lcm_per_weight(self, monkeypatch):
+        calls = [0]
+        original = poly3._lcm_exp
+
+        def counting(a, b):
+            calls[0] += 1
+            return original(a, b)
+
+        monkeypatch.setattr(poly3, "_lcm_exp", counting)
+        monkeypatch.setattr(tanlin, "_lcm_exp", counting, raising=False)
+        ideal = mono3.parse_monomial_ideal("x^3, y^3, z^3, y*z^2, x^2*z, x*y^2")
+        assert tanlin.mono_hom_dim(ideal) == 48
+        assert calls == [0]
+        assert "generator_lcms" in vars(ideal)
+        assert "staircase_graph" not in vars(ideal)
 
 
 UP_TO_TEN = [I for d in range(1, 11) for I in mono3.enumerate_ideals(d)]
