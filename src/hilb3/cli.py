@@ -72,7 +72,7 @@ def _cmd_tangent(args, ring) -> tuple[dict, int]:
     if ideal_m is not None:
         rep = tancomb.tangent_report(ideal_m)
         if args.verify:
-            total = tanlin.mono_hom_dim(ideal_m)
+            total = sum(tanlin.hom_dim_weight(ideal_m, a) for a in rep.weights)
             if total != rep.total:
                 raise InvariantError(
                     f"combinatorial {rep.total} vs linear-algebra {total}")

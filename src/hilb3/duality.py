@@ -4,8 +4,9 @@ For a finite quotient R = S/I with standard monomial basis m_1, ..., m_d,
 the dual module omega_R = Hom_k(R, k) carries the R-action
 (r.f)(m) = f(rm); in the dual basis the action of a variable is the
 transpose of its multiplication matrix.  The Gorenstein type is the
-dimension of the socle (0 : m), the simultaneous kernel of the three
-multiplication matrices acting on R.
+dimension of the socle (0 : m) at the one rational point where R is
+local: the simultaneous kernel of the three multiplication matrices,
+each shifted by that point's coordinate.
 
 The bicanonical module is Sym^2_R omega_R: the k-linear symmetric square
 of omega_R, dimension d(d+1)/2, modulo the relations
@@ -22,6 +23,10 @@ matrices, and their ranks are summed over the connected components of
 the row-column graph (``gfp.sparse_rank``).  For a monomial ideal every
 entry carries a torus weight, so the components are small; in generic
 coordinates there is one component and one dense elimination.
+
+Both entry points read the multiplication matrices from the ideal's
+cached QuotientData (poly3.quotient_data); those arrays are read-only,
+and every shifted or stacked matrix here is a new array.
 """
 from __future__ import annotations
 
@@ -30,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gfp, poly3
-from .errors import CharTwoError, InvariantError
+from .errors import CharTwoError, InputError, InvariantError
 from .poly3 import PolyIdeal
 
 
@@ -43,15 +48,38 @@ class BicanonicalReport:
     gorenstein_type: int
 
 
-def _socle_dim(qd: poly3.QuotientData) -> int:
-    if qd.colength == 0:
-        return 0
-    return qd.colength - gfp.rank(np.vstack(qd.mult_matrices), qd.ring.p)
-
-
 def gorenstein_type(I: PolyIdeal) -> int:
-    """dim soc(S/I); type 1 means Gorenstein."""
-    return _socle_dim(poly3.quotient_data(I))
+    """dim soc(S/I) for S/I local at one rational point; type 1 means Gorenstein.
+
+    At the point (l_x, l_y, l_z) the maximal ideal is (x - l_x, ...), so
+    the socle is the common kernel of the shifted matrices M_v - l_v.
+    These are nilpotent, so trace(M_v) = d l_v and l_v = trace(M_v)/d
+    (0 for a monomial ideal).  Each M_v - l_v must be nilpotent,
+    else InputError is raised: S/I is not local at one rational point,
+    or p divides d, so that the trace does not give l_v (inv_mod(d, p)
+    is then 0).
+    """
+    qd = poly3.quotient_data(I)
+    d, p = qd.colength, qd.ring.p
+    if d == 0:
+        return 0
+    shifted = []
+    for m in qd.mult_matrices:
+        coord = int(np.trace(m)) * gfp.inv_mod(d, p) % p
+        if coord:
+            m = (m - coord * np.eye(d, dtype=np.int64)) % p
+        if not _is_nilpotent(m, p):
+            raise InputError("S/I is not local at one rational point (or p divides d)")
+        shifted.append(m)
+    return d - gfp.rank(np.vstack(shifted), p)
+
+
+def _is_nilpotent(m: np.ndarray, p: int) -> bool:
+    """m^(2^k) == 0 for the least 2^k >= len(m), by repeated squaring."""
+    power, n = m, 1
+    while n < len(m) and power.any():
+        power, n = gfp.matmul(power, power, p), 2 * n
+    return not power.any()
 
 
 def _entries(mats, d: int) -> list[np.ndarray]:
@@ -119,8 +147,7 @@ def bicanonical_degree(I: PolyIdeal, verify: bool = False) -> BicanonicalReport:
     nsym = d * (d + 1) // 2
     rel_rank = _sym2_relation_rank(mats, d, p)
     if verify:
-        cache: dict = {}
-        all_mats = [poly3.evaluate_at_matrices(qd.ring.monomial(e), qd, cache)
+        all_mats = [poly3.evaluate_at_matrices(qd.ring.monomial(e), qd)
                     for e in qd.standard_monomials if sum(e) > 0]
         full_rank = _sym2_relation_rank(all_mats, d, p)
         if full_rank != rel_rank:
@@ -131,4 +158,4 @@ def bicanonical_degree(I: PolyIdeal, verify: bool = False) -> BicanonicalReport:
                              f"Sym^2 omega has degree {nsym - rel_rank}")
     return BicanonicalReport(colength=d, sym2_omega_deg=nsym - rel_rank,
                              homsym_dim=homsym_dim, hom_full_dim=hom_full_dim,
-                             gorenstein_type=_socle_dim(qd))
+                             gorenstein_type=gorenstein_type(I))

@@ -202,38 +202,6 @@ def add_monomial(ideal: MonomialIdeal3, f: ExponentVec) -> MonomialIdeal3:
                       for i, row in enumerate(ideal.heights))
 
 
-def is_strongly_stable(ideal: MonomialIdeal3) -> bool:
-    """True iff (x_i/x_j) m stays in I for every generator m, x_j | m, i < j.
-
-    The variable order is x > y > z.
-    """
-    for m in ideal.mingens:
-        for j in range(3):
-            if m[j] == 0:
-                continue
-            for i in range(j):
-                shifted = list(m)
-                shifted[j] -= 1
-                shifted[i] += 1
-                if tuple(shifted) not in ideal:
-                    return False
-    return True
-
-
-def hilbert_function(ideal: MonomialIdeal3) -> tuple[int, ...]:
-    """Counts of staircase monomials by total degree, trailing zeros trimmed.
-
-    Column (i, j) holds one monomial in each degree i + j, ..., i + j + h - 1.
-    """
-    hf: list[int] = []
-    for i, row in enumerate(ideal.heights):
-        for j, h in enumerate(row):
-            hf.extend([0] * (i + j + h - len(hf)))
-            for k in range(i + j, i + j + h):
-                hf[k] += 1
-    return tuple(hf)
-
-
 def macmahon_series(n: int) -> list[int]:
     """Coefficients of q^0..q^n of prod_{i>=1} (1-q^i)^(-i)."""
     if n < 0:

@@ -58,46 +58,40 @@ class SkewMatrix:
     def ring(self) -> PolyRing:
         return self.upper[0][1].ring
 
-    def delete(self, i: int) -> "SkewMatrix":
-        keep = [k for k in range(self.n) if k != i]
-        renum = {k: a for a, k in enumerate(keep)}
-        entries = tuple(((renum[a], renum[b]), f) for (a, b), f in self.upper
-                        if a != i and b != i)
-        return SkewMatrix(n=self.n - 1, upper=entries)
+
+def _pfaffian(a: SkewMatrix, indices: tuple[int, ...], cache: dict) -> Poly:
+    """Pf of the submatrix on the increasing indices, expanded along its
+    first row; cache maps index tuples to their Pfaffians."""
+    if not indices:
+        return a.ring.one()
+    if indices not in cache:
+        first, rest = indices[0], indices[1:]
+        acc = a.ring.zero()
+        for pos, j in enumerate(rest):  # position 2, 3, ... in 1-based terms
+            e = a.entry(first, j)
+            if e.is_zero:
+                continue
+            term = e * _pfaffian(a, tuple(k for k in rest if k != j), cache)
+            acc = acc + term if pos % 2 == 0 else acc - term
+        cache[indices] = acc
+    return cache[indices]
 
 
 def pfaffian(a: SkewMatrix) -> Poly:
     """Pf(A) for even-size A, by recursive expansion along the first row."""
     if a.n % 2 != 0:
         raise OddSizeError(f"Pfaffian needs even size, got {a.n}")
-    ring = a.ring
-
-    def pf(indices: tuple[int, ...]) -> Poly:
-        if not indices:
-            return ring.one()
-        if indices in cache:
-            return cache[indices]
-        first, rest = indices[0], indices[1:]
-        acc = ring.zero()
-        for pos, j in enumerate(rest):  # position 2, 3, ... in 1-based terms
-            e = a.entry(first, j)
-            if e.is_zero:
-                continue
-            sub = tuple(k for k in rest if k != j)
-            term = e * pf(sub)
-            acc = acc + term if pos % 2 == 0 else acc - term
-        cache[indices] = acc
-        return acc
-
-    cache: dict[tuple[int, ...], Poly] = {}
-    return pf(tuple(range(a.n)))
+    return _pfaffian(a, tuple(range(a.n)), {})
 
 
 def submax_pfaffians(a: SkewMatrix) -> tuple[Poly, ...]:
-    """(Pf(A)_1, Pf(A)_2, ...) for odd-size A."""
+    """(Pf(A)_1, Pf(A)_2, ...) for odd-size A, sharing one table of
+    sub-Pfaffians."""
     if a.n % 2 != 1:
         raise EvenSizeError(f"submaximal Pfaffians need odd size, got {a.n}")
-    return tuple(pfaffian(a.delete(i)) for i in range(a.n))
+    cache: dict[tuple[int, ...], Poly] = {}
+    return tuple(_pfaffian(a, tuple(k for k in range(a.n) if k != i), cache)
+                 for i in range(a.n))
 
 
 @dataclass
@@ -113,8 +107,10 @@ class BrokenIdealReport:
 def broken_ideal(mats: Sequence[SkewMatrix]) -> BrokenIdealReport:
     """Assemble the layered ideal and validate its advertised structure.
 
-    Raises EvenSizeError for an even layer and NotZeroDimensionalError
-    when some layer's Pfaffian ideal is not zero-dimensional.
+    Raises EvenSizeError for an even layer, NotZeroDimensionalError
+    when some layer's Pfaffian ideal is not zero-dimensional, and
+    InputError when some layer's quotient is not local at one rational
+    point, where its Gorenstein type is not defined.
     """
     if not mats:
         raise InputError("need at least one matrix")
@@ -123,7 +119,12 @@ def broken_ideal(mats: Sequence[SkewMatrix]) -> BrokenIdealReport:
     vectors = [submax_pfaffians(a) for a in mats]  # raises on even sizes
     layer_ideals = [poly3.ideal(ring, v) for v in vectors]
     layer_colengths = tuple(poly3.quotient_data(L).colength for L in layer_ideals)
-    layer_types = tuple(duality.gorenstein_type(L) for L in layer_ideals)
+    layer_types = []
+    for i, L in enumerate(layer_ideals):
+        try:
+            layer_types.append(duality.gorenstein_type(L))
+        except InputError as exc:
+            raise InputError(f"layer {i}: {exc}") from exc
     gens: list[Poly] = []
     prefix = ring.one()
     for i in range(k):
@@ -135,7 +136,7 @@ def broken_ideal(mats: Sequence[SkewMatrix]) -> BrokenIdealReport:
     return BrokenIdealReport(
         ideal=ideal,
         layer_colengths=layer_colengths,
-        layer_types=layer_types,
+        layer_types=tuple(layer_types),
         total_colength=total,
         colength_additive=(total == sum(layer_colengths)),
         layers_gorenstein=all(t == 1 for t in layer_types),

@@ -7,6 +7,11 @@ plus the three commuting multiplication matrices) for zero-dimensional
 ideals, and the colon (I : J) of a zero-dimensional I as a kernel on S/I.
 The one monomial order is degree reverse lexicographic with x > y > z.
 
+A PolyIdeal caches its reduced Groebner basis and its QuotientData, each
+built on first use; the QuotientData in turn caches the matrix of every
+standard monomial that evaluate_at_matrices has formed.  Every caller of
+the ideal shares these, so the cached matrices are read-only numpy arrays.
+
 Coefficients are integers in [0, p) for a fixed prime p carried by the
 ring.  Buchberger runs with the coprime and chain criteria and a normal
 (smallest-lcm-first) selection strategy; reduced bases are unique, so
@@ -389,8 +394,6 @@ def buchberger(gens: Sequence[Poly], track: bool = False):
 
     while heap:
         _, i, j = heapq.heappop(heap)
-        if (i, j) not in pending:
-            continue
         pending.discard((i, j))
         l = _lcm_exp(lts[i], lts[j])
         if l == tuple(a + b for a, b in zip(lts[i], lts[j])):
@@ -443,25 +446,12 @@ def reduce_basis(basis: Sequence[Poly], rows: Optional[Sequence[list[Poly]]] = N
                        for j in range(len(elems)))]
     basis = [g for g, _ in keep]
     rows = [row for _, row in keep]
-    # tail-reduce each against the others until stable
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(basis)):
-            others = basis[:i] + basis[i + 1:]
-            if not others:
-                continue
-            rem, quots = reduce_full(basis[i], others, track=track)
-            if rem.is_zero:
-                basis.pop(i)
-                rows.pop(i)
-                changed = True
-                break
-            row = sub_multiples(rows[i], quots, rows[:i] + rows[i + 1:]) if track else None
-            rem, row = _monic(rem, row)
-            if rem != basis[i]:
-                basis[i], rows[i] = rem, row
-                changed = True
+    # no leading term divides another, so reducing each element once by the
+    # others keeps every leading term and leaves every element reduced
+    for i in range(len(basis)):
+        basis[i], quots = reduce_full(basis[i], basis[:i] + basis[i + 1:], track=track)
+        if track:
+            rows[i] = sub_multiples(rows[i], quots, rows[:i] + rows[i + 1:])
     by_lt = sorted(range(len(basis)), key=lambda i: degrevlex_key(basis[i].leading()[0]))
     reduced = tuple(basis[i] for i in by_lt)
     return (reduced, [rows[i] for i in by_lt]) if track else reduced
@@ -473,11 +463,13 @@ def reduce_basis(basis: Sequence[Poly], rows: Optional[Sequence[list[Poly]]] = N
 
 @dataclass
 class PolyIdeal:
-    """A finitely generated ideal with its reduced Groebner basis cached."""
+    """A finitely generated ideal; its reduced Groebner basis (groebner)
+    and, once asked for, its quotient data (quotient_data) are cached."""
 
     ring: PolyRing
     gens: tuple[Poly, ...]
     _gb: Optional[tuple[Poly, ...]] = field(default=None, repr=False)
+    _qd: Optional[QuotientData] = field(default=None, repr=False)
 
     def __eq__(self, other):
         if not isinstance(other, PolyIdeal) or self.ring != other.ring:
@@ -555,7 +547,12 @@ class QuotientData:
     mult_matrices[v] is the matrix of multiplication by the v-th
     variable: column j holds the coordinates of NF(x_v * m_j).
     groebner_basis is the reduced basis of I, which evaluate_at_matrices
-    uses to replace f by f mod I.
+    uses to replace f by f mod I.  monomial_matrices caches the matrix of
+    each standard monomial that evaluate_at_matrices has built.
+
+    quotient_data caches one instance on the ideal, which every caller of
+    that ideal then shares, so each cached array (the multiplication
+    matrices and the monomial matrices) is read-only.
     """
 
     ring: PolyRing
@@ -564,6 +561,7 @@ class QuotientData:
     colength: int
     mult_matrices: tuple[np.ndarray, ...]
     groebner_basis: tuple[Poly, ...]
+    monomial_matrices: dict[Exponent, np.ndarray] = field(default_factory=dict, repr=False)
 
 
 def standard_monomials(gb: Sequence[Poly]) -> list[Exponent]:
@@ -596,6 +594,9 @@ def standard_monomials(gb: Sequence[Poly]) -> list[Exponent]:
 
 
 def quotient_data(I: PolyIdeal) -> QuotientData:
+    """The quotient data of a zero-dimensional I, cached on the ideal."""
+    if I._qd is not None:
+        return I._qd
     gb = groebner(I)
     basis = standard_monomials(gb)
     d = len(basis)
@@ -614,10 +615,12 @@ def quotient_data(I: PolyIdeal) -> QuotientData:
             nf, _ = reduce_full(ring.monomial(shifted), gb)
             for e, c in nf.terms.items():
                 mat[index[e], j] = c
+        mat.setflags(write=False)
         mats.append(mat)
-    return QuotientData(ring=ring, standard_monomials=tuple(basis),
-                        standard_set=frozenset(basis), colength=d,
-                        mult_matrices=tuple(mats), groebner_basis=gb)
+    I._qd = QuotientData(ring=ring, standard_monomials=tuple(basis),
+                         standard_set=frozenset(basis), colength=d,
+                         mult_matrices=tuple(mats), groebner_basis=gb)
+    return I._qd
 
 
 def quotient_hilbert_function(qd: QuotientData) -> tuple[int, ...]:
@@ -632,8 +635,7 @@ def quotient_hilbert_function(qd: QuotientData) -> tuple[int, ...]:
     return tuple(h)
 
 
-def evaluate_at_matrices(f: Poly, qd: QuotientData,
-                         cache: dict[Exponent, np.ndarray]) -> np.ndarray:
+def evaluate_at_matrices(f: Poly, qd: QuotientData) -> np.ndarray:
     """Matrix of multiplication by f on S/I, via the variable matrices.
 
     Multiplication by f on S/I depends only on f mod I (Cox, Little,
@@ -641,8 +643,11 @@ def evaluate_at_matrices(f: Poly, qd: QuotientData,
     term outside the staircase is first replaced by its normal form; an
     f whose terms are all standard monomials is used as it is.  Standard
     monomials are closed under division, so the monomial matrices built
-    from the variable matrices are all standard too: one cache holds at
-    most colength - 1 products and never a power that is zero on S/I.
+    from the variable matrices are all standard too: qd.monomial_matrices
+    holds at most colength of them (read-only, shared by every caller of
+    qd) and never a power that is zero on S/I.  A variable's entry is its
+    multiplication matrix itself, and each monomial of degree >= 2 costs
+    one product.  The returned matrix is a new, writable array.
     """
     from .gfp import matmul
 
@@ -650,9 +655,11 @@ def evaluate_at_matrices(f: Poly, qd: QuotientData,
     d = qd.colength
     if any(e not in qd.standard_set for e in f.terms):
         f, _ = reduce_full(f, qd.groebner_basis)
+    cache = qd.monomial_matrices
     origin = (0,) * qd.ring.nvars
     if origin not in cache:
         cache[origin] = np.eye(d, dtype=np.int64)
+        cache[origin].setflags(write=False)
 
     def mono_matrix(e: Exponent) -> np.ndarray:
         if e in cache:
@@ -660,7 +667,10 @@ def evaluate_at_matrices(f: Poly, qd: QuotientData,
         i = next(i for i in range(len(e)) if e[i] > 0)
         prev = list(e)
         prev[i] -= 1
-        m = matmul(qd.mult_matrices[i], mono_matrix(tuple(prev)), p)
+        prev = tuple(prev)
+        m = qd.mult_matrices[i] if prev == origin else \
+            matmul(qd.mult_matrices[i], mono_matrix(prev), p)
+        m.setflags(write=False)
         cache[e] = m
         return m
 
@@ -681,8 +691,7 @@ def colon(I: PolyIdeal, J) -> PolyIdeal:
     if not gens:  # (I : 0) = (1)
         return ideal(ring, (ring.one(),))
     qd = quotient_data(I)
-    cache: dict[Exponent, np.ndarray] = {}
-    stacked = np.vstack([evaluate_at_matrices(g, qd, cache) for g in gens])
+    stacked = np.vstack([evaluate_at_matrices(g, qd) for g in gens])
     lifts = [ring.poly(dict(zip(qd.standard_monomials, map(int, v))))
              for v in kernel_basis(stacked, ring.p)]
     return ideal(ring, I.gens + tuple(lifts))

@@ -34,7 +34,8 @@ class TangentReport:
 
     excess is total - 3d; it vanishes exactly at the smooth monomial
     points.  doubly_negative_weights lists the weights with at least one
-    bounded component in the signatures nnp, npn, pnn.
+    bounded component in the signatures nnp, npn, pnn.  weights holds the
+    sorted candidate weights the total was summed over.
     """
 
     colength: int
@@ -42,6 +43,7 @@ class TangentReport:
     total: int
     excess: int
     doubly_negative_weights: tuple[tuple[tuple[int, int, int], int], ...]
+    weights: tuple[tuple[int, int, int], ...]
 
 
 def bounded_components(ideal: MonomialIdeal3, a: tuple[int, int, int]) -> int:
@@ -95,7 +97,8 @@ def tangent_report(ideal: MonomialIdeal3) -> TangentReport:
     by_signature = {s: 0 for s in SIGNATURES}
     doubly_negative = []
     total = 0
-    for a in sorted(weight_candidates(ideal)):
+    weights = tuple(sorted(weight_candidates(ideal)))
+    for a in weights:
         n = bounded_components(ideal, a)
         if n == 0:
             continue
@@ -111,4 +114,5 @@ def tangent_report(ideal: MonomialIdeal3) -> TangentReport:
     d = ideal.colength
     return TangentReport(colength=d, by_signature=by_signature, total=total,
                          excess=total - 3 * d,
-                         doubly_negative_weights=tuple(doubly_negative))
+                         doubly_negative_weights=tuple(doubly_negative),
+                         weights=weights)

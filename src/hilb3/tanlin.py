@@ -24,6 +24,7 @@ from . import gfp, poly3
 from .errors import InvariantError
 from .mono3 import MonomialIdeal3
 from .poly3 import Poly, PolyIdeal, reduce_full, s_poly, sub_multiples
+from .tancomb import weight_candidates
 
 
 @dataclass
@@ -32,15 +33,6 @@ class SyzygySet:
 
     generators_used: tuple[Poly, ...]
     syzygies: tuple[tuple[Poly, ...], ...]
-
-    def validate(self) -> None:
-        ring = self.generators_used[0].ring
-        for s in self.syzygies:
-            acc = ring.zero()
-            for coeff, g in zip(s, self.generators_used):
-                acc = acc + coeff * g
-            if not acc.is_zero:
-                raise InvariantError("syzygy fails to annihilate the generators")
 
 
 def schreyer_syzygies(basis: Sequence[Poly]) -> SyzygySet:
@@ -109,14 +101,13 @@ def _hom_dim_from_syzygies(syz: SyzygySet, qd: poly3.QuotientData) -> int:
     r, d, p = len(gens), qd.colength, qd.ring.p
     if r == 0:
         return 0
-    cache: dict = {}
     blocks = []
     for s in syz.syzygies:
         row = np.zeros((d, r * d), dtype=np.int64)
         for j, coeff in enumerate(s):
             if coeff.is_zero:
                 continue
-            row[:, j * d:(j + 1) * d] = poly3.evaluate_at_matrices(coeff, qd, cache)
+            row[:, j * d:(j + 1) * d] = poly3.evaluate_at_matrices(coeff, qd)
         blocks.append(row)
     if not blocks:
         return r * d
@@ -185,6 +176,4 @@ def hom_dim_weight(ideal: MonomialIdeal3, a: tuple[int, int, int]) -> int:
 
 def mono_hom_dim(ideal: MonomialIdeal3) -> int:
     """Tangent dimension of a monomial ideal via the graded linear route."""
-    from .tancomb import weight_candidates
-
     return sum(hom_dim_weight(ideal, a) for a in weight_candidates(ideal))

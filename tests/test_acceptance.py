@@ -9,6 +9,7 @@ import pytest
 
 from hilb3 import (apolarity, duality, gfp, linkage, mono3, pfaffian, poly3,
                    smoothcls, tancomb, tanlin)
+from helpers import is_strongly_stable
 
 P = gfp.DEFAULT_PRIME
 P2 = gfp.SECOND_PRIME
@@ -249,7 +250,7 @@ def test_criterion_12_strongly_stable_classification(sweep_d10):
                         f"x^2, x*y, y^2, x*z^{a}, y*z^{b}, z^{c+1}"))
     n_stable = 0
     for ideal, triple, _, rep in sweep_d10:
-        if not mono3.is_strongly_stable(ideal):
+        if not is_strongly_stable(ideal):
             continue
         n_stable += 1
         is_minimal_singular = triple is not None and rep.total == 3 * ideal.colength + 6
@@ -258,6 +259,6 @@ def test_criterion_12_strongly_stable_classification(sweep_d10):
     rep = tancomb.tangent_report(borel)
     assert rep.colength == 9
     assert rep.total == 3 * 9 + 6
-    assert not mono3.is_strongly_stable(borel)
+    assert not is_strongly_stable(borel)
     ok("criterion 12 (strongly stable 3d+6 classification d<=10 + char-p-style instance)",
        f"{n_stable} strongly stable ideals checked")

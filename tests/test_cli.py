@@ -1,8 +1,11 @@
 import json
+import os
 
 import pytest
 
 from hilb3 import cli, duality, mono3, tanlin
+
+DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
 
 
 def run(capsys, *argv):
@@ -111,7 +114,7 @@ class TestTangent:
         assert data["result"]["route"] == "syzygy"
 
     def test_verify_route_disagreement_is_invariant_error(self, capsys, monkeypatch):
-        monkeypatch.setattr(tanlin, "mono_hom_dim", lambda ideal: -1)
+        monkeypatch.setattr(tanlin, "hom_dim_weight", lambda ideal, a: -1)
         code, data = run_json(capsys, "--verify", "tangent", "x,y,z")
         assert code == 1
         assert data["error"]["type"] == "InvariantError"
@@ -204,6 +207,18 @@ class TestFilesAndErrors:
         res = data["result"]
         assert res["total_colength"] == 2
         assert res["colength_additive"] and res["layers_gorenstein"]
+
+    @pytest.mark.parametrize("argv, builds", [
+        (["--verify", "tangent", "x^2 - y*z, x*z, x*y, y^2, z^2"], 1),
+        (["ann", "X^2 + Y*Z"], 1),
+        (["--verify", "bicanonical", "x^2+y*z, x*y^2, y^5, z-x"], 1),
+        (["pfaffian-ideal", "{data}/mats.json"], 3),  # two layers and their sum
+    ], ids=["tangent-verify", "ann", "bicanonical-verify", "pfaffian-ideal"])
+    def test_one_quotient_per_ideal(self, capsys, quotient_builds, argv, builds):
+        # link and verify-chain: tests/test_linkage.py::TestOneQuotientPerIdeal
+        code, _ = run_json(capsys, *(a.replace("{data}", DATA) for a in argv))
+        assert code == 0
+        assert len(quotient_builds) == builds
 
     def test_missing_file_is_failure(self, capsys):
         code, data = run_json(capsys, "verify-chain", "/nonexistent.json")

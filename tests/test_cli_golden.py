@@ -79,8 +79,13 @@ CASES = {
     "bicanonical-m5": ["bicanonical", maximal_ideal_power(5)],
     "bicanonical-m4-verify": ["--verify", "bicanonical", maximal_ideal_power(4)],
     "bicanonical-second-prime": [SP, "bicanonical", "x^2+y*z, x*y^2, y^5, z-x"],
+    "bicanonical-off-origin": ["bicanonical", "x-1, y, z"],
+    "bicanonical-off-origin-second-prime": [SP, "bicanonical", "x^2-2*x+1, y, z"],
+    "bicanonical-not-local": ["bicanonical", "x^2-x, y, z"],
     "pfaffian-ideal": ["pfaffian-ideal", "{data}/mats.json"],
     "pfaffian-ideal-csv": ["--format", "csv", "pfaffian-ideal", "{data}/mats.json"],
+    "pfaffian-ideal-off-origin": ["pfaffian-ideal", "{data}/mats_off_origin.json"],
+    "pfaffian-ideal-not-local": ["pfaffian-ideal", "{data}/mats_not_local.json"],
     "bad-ideal": ["classify", "x^2, nope"],
     "bad-ideal-text": ["--format", "text", "tangent", "x^^2"],
     "composite-prime": ["--prime", "91", "series", "1"],

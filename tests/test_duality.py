@@ -4,9 +4,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hilb3 import apolarity, duality, gfp, mono3, poly3, smoothcls
-from hilb3.errors import CharTwoError
+from hilb3.errors import CharTwoError, InputError
+from helpers import linear_image, random_change
 
 P = gfp.DEFAULT_PRIME
 R = poly3.PolyRing(P)
@@ -132,6 +135,25 @@ class TestGorensteinType:
             for ideal in mono3.enumerate_ideals(d):
                 got = duality.gorenstein_type(mono_poly_ideal(ideal))
                 assert got == len(mono3.socle(ideal))
+
+    @pytest.mark.parametrize("p", [gfp.DEFAULT_PRIME, gfp.SECOND_PRIME])
+    @settings(max_examples=40, deadline=None)
+    @given(ideal=st.sampled_from([I for d in range(1, 9) for I in mono3.enumerate_ideals(d)]),
+           seed=st.integers(0, 2**32))
+    def test_moved_ideal_keeps_the_monomial_socle_size(self, p, ideal, seed):
+        # a linear change of coordinates plus a translation moves the point
+        # off the origin; the type is read at the point
+        I = linear_image(ideal, poly3.PolyRing(p), *random_change(random.Random(seed), p))
+        assert duality.gorenstein_type(I) == len(mono3.socle(ideal))
+
+    @pytest.mark.parametrize("text, p", [
+        ("x^2 - x, y, z", gfp.DEFAULT_PRIME),  # two points
+        ("x^2 + 1, y, z", gfp.DEFAULT_PRIME),  # one point, not rational: p = 3 mod 4
+        ("x^3 - 1, y, z", 3),                  # (x - 1)^3, but p divides d = 3
+    ])
+    def test_not_local_at_one_rational_point(self, text, p):
+        with pytest.raises(InputError):
+            duality.gorenstein_type(poly3.parse_ideal(text, poly3.PolyRing(p)))
 
 
 class TestBicanonical:
@@ -272,8 +294,7 @@ class TestSparseRanksMatchDenseOracles:
                    for I in rng.sample(list(mono3.enumerate_ideals(6)), 3)]
         for I in ideals:
             qd = poly3.quotient_data(I)
-            cache: dict = {}
-            mats = [poly3.evaluate_at_matrices(ring.monomial(e), qd, cache)
+            mats = [poly3.evaluate_at_matrices(ring.monomial(e), qd)
                     for e in qd.standard_monomials if sum(e) > 0]
             d = qd.colength
             assert duality._sym2_relation_rank(mats, d, p) == oracle_sym2_relation_rank(mats, d, p)

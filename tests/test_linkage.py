@@ -75,6 +75,19 @@ class TestChains:
         assert report.excesses == [(6, 6)]
 
 
+class TestOneQuotientPerIdeal:
+    def test_link(self, quotient_builds):
+        src, alpha, _ = linkage.family_tripod_to_tripod22(R, 3, 5, 4)
+        linkage.link(src, alpha)
+        assert len(quotient_builds) == 3  # source, alpha and target
+
+    def test_chain_step(self, quotient_builds):
+        # the excess at both ends reads the quotients the link built
+        src, alpha, _ = linkage.family_j1_to_tripod(R, 2, 4)
+        linkage.verify_link_chain([(src, alpha)])
+        assert len(quotient_builds) == 3
+
+
 class TestParity:
     def test_gggl_obstructed(self):
         rep = linkage.parity_report(

@@ -52,6 +52,15 @@ def generic_skew(n, rng):
         zip([(i, j) for i in range(n) for j in range(i + 1, n)], entries)))
 
 
+def delete_row_and_column(a, i):
+    """A with row and column i removed and the rest renumbered: the
+    reference for the index tuples submax_pfaffians expands over."""
+    keep = [k for k in range(a.n) if k != i]
+    renum = {k: m for m, k in enumerate(keep)}
+    return pfaffian.SkewMatrix(n=a.n - 1, upper=tuple(
+        ((renum[u], renum[v]), f) for (u, v), f in a.upper if i not in (u, v)))
+
+
 class TestPfaffian:
     def test_two_by_two(self):
         assert pfaffian.pfaffian(skew(2, "x + y")) == pp("x + y")
@@ -88,6 +97,14 @@ class TestSubmaxPfaffians:
         vec = pfaffian.submax_pfaffians(a)
         assert vec == (pp("x"), pp("y"), pp("z"))
         assert poly3.quotient_data(pfaffian_ideal(a)).colength == 1
+
+    def test_matches_pfaffians_of_deleted_matrices(self):
+        rng = random.Random(59)
+        mats = [generic_skew(n, rng) for n in (3, 5, 7)]
+        mats.append(skew(5, "x", "0", "y^2", "z", "x*y", "0", "1", "z^2", "x - y", "0"))
+        for a in mats:
+            want = tuple(pfaffian.pfaffian(delete_row_and_column(a, i)) for i in range(a.n))
+            assert pfaffian.submax_pfaffians(a) == want
 
     def test_even_size_rejected(self):
         with pytest.raises(EvenSizeError):

@@ -211,6 +211,27 @@ def zero_dim_ideals(draw, ring=R):
     return I
 
 
+class TestReduceBasis:
+    @settings(max_examples=40, deadline=None)
+    @given(st.one_of(st.sampled_from(TRACKED_INPUTS).map(pi), zero_dim_ideals()))
+    def test_one_interreduction_pass(self, I):
+        calls = []
+        original = poly3.reduce_full
+        basis, rows = poly3.buchberger(I.gens, track=True)
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(poly3, "reduce_full",
+                      lambda f, b, track=False: calls.append(f) or original(f, b, track))
+            reduced, rows = poly3.reduce_basis(basis, rows=rows)
+        assert len(calls) == len(reduced)  # one reduction per element
+        lts = [g.leading() for g in reduced]
+        assert all(c == 1 for _, c in lts)
+        for i, g in enumerate(reduced):
+            for j, (lt, _) in enumerate(lts):
+                assert i == j or not any(poly3._divides(lt, e) for e in g.terms)
+        for g, row in zip(reduced, rows):
+            assert combine(row, I.gens) == g
+
+
 class TestIntersect:
     def test_principal(self):
         assert poly3.intersect(pi("x"), pi("y")) == pi("x*y")
@@ -402,8 +423,7 @@ class TestQuotientData:
     def test_evaluate_is_multiplication_by_normal_form(self, inputs):
         I, f, member = inputs
         qd = poly3.quotient_data(I)
-        cache = {}
-        got = poly3.evaluate_at_matrices(f, qd, cache)
+        got = poly3.evaluate_at_matrices(f, qd)
         assert (got == oracle_evaluate(f, qd)).all()
         # column 0 is f times the standard monomial 1
         index = {m: i for i, m in enumerate(qd.standard_monomials)}
@@ -411,7 +431,29 @@ class TestQuotientData:
         for e, c in poly3.normal_form(f, I).terms.items():
             want[index[e]] = c
         assert (got[:, 0] == want).all()
-        assert not poly3.evaluate_at_matrices(member, qd, cache).any()
+        assert not poly3.evaluate_at_matrices(member, qd).any()
+
+    def test_cached_on_the_ideal(self, quotient_builds):
+        I = pi("x^2 - y, y^2 - z, z^2")
+        qd = poly3.quotient_data(I)
+        assert poly3.quotient_data(I) is qd
+        assert len(quotient_builds) == 1
+
+    def test_cached_arrays_are_read_only(self, monkeypatch):
+        qd = poly3.quotient_data(pi("x^2 - y, y^2 - z, z^2"))
+        f = pp("x*y + 2*z")
+        want = oracle_evaluate(f, qd)
+        products = []
+        original = gfp.matmul
+        monkeypatch.setattr(gfp, "matmul", lambda a, b, p: products.append(p) or original(a, b, p))
+        got = poly3.evaluate_at_matrices(f, qd)
+        got[0, 0] = 5  # the caller's own array
+        assert (poly3.evaluate_at_matrices(f, qd) == want).all()
+        assert len(products) == 1  # M_x M_y; y and z are M_y and M_z, and the second call reuses all
+        assert set(qd.monomial_matrices) == {(0, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1)}
+        for m in qd.mult_matrices + tuple(qd.monomial_matrices.values()):
+            with pytest.raises(ValueError):
+                m[0, 0] = 1
 
     def test_first_standard_monomial_is_one(self):
         qd = poly3.quotient_data(pi("x^2 - y, y^2 - z, z^2"))
