@@ -12,8 +12,9 @@ If D is the largest total degree of the f_i, every monomial of degree
 D + 1 annihilates them all, so the annihilator is generated in degrees
 at most D + 1; a single kernel computation over all monomials of degree
 <= D + 1 therefore finds a full generating set (homogeneity of the f_i
-is not needed).  Dual polynomials use uppercase variables in the same
-text grammar as the polynomial ring.
+is not needed).  That contraction matrix, read one f_i per row, spans
+the inverse system, whose dimension checks the colength.  Dual
+polynomials use uppercase variables in the text grammar of the ring.
 """
 from __future__ import annotations
 
@@ -52,32 +53,11 @@ def _monomials_up_to(degree: int) -> list[tuple[int, int, int]]:
     return sorted(mons, key=poly3.degrevlex_key)
 
 
-def contraction_closure_dim(fs: Sequence[Poly], p: int) -> int:
-    """dim_k of the S-submodule of P generated by the f_i under contraction.
-
-    Equals the colength of Ann(f_1, ..., f_r).
-    """
-    top = max(f.degree() for f in fs)
-    dual_mons = _monomials_up_to(top)
-    col = {m: i for i, m in enumerate(dual_mons)}
-    rows = []
-    for m in _monomials_up_to(top):
-        for f in fs:
-            g = contract_monomial(m, f)
-            if g.is_zero:
-                continue
-            row = np.zeros(len(dual_mons), dtype=np.int64)
-            for e, c in g.terms.items():
-                row[col[e]] = c
-            rows.append(row)
-    return gfp.rank(np.vstack(rows), p)
-
-
 def annihilator(fs: Sequence[Poly], ring: PolyRing) -> PolyIdeal:
     """Ann(f_1, ..., f_r) as an ideal of the (lowercase) polynomial ring.
 
     Kernel of the contraction map on monomials of degree <= D + 1; the
-    result is post-verified against the contraction-closure dimension.
+    colength is post-verified against the rank of its contractions x^m o f_i.
     """
     fs = [f for f in fs]
     if not fs or any(f.is_zero for f in fs):
@@ -102,7 +82,7 @@ def annihilator(fs: Sequence[Poly], ring: PolyRing) -> PolyIdeal:
         terms = {acting[i]: int(c) for i, c in enumerate(vec) if c}
         gens.append(ring.poly(terms))
     ann = poly3.ideal(ring, gens)
-    expected = contraction_closure_dim(fs, p)
+    expected = gfp.rank(mat.reshape(-1, len(dual_mons)), p)
     got = poly3.quotient_data(ann).colength
     if got != expected:
         raise InvariantError(f"annihilator colength {got} != closure dim {expected}")

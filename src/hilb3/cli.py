@@ -39,9 +39,12 @@ def _parse_mono(text: str):
 
 def _mono_or_none(text: str):
     """The monomial ideal described by the text, if every generator is a
-    monomial (comma list with ^ and implicit *, or exponent JSON), else None."""
+    monomial (comma list with ^ and implicit *), else None.  Text starting
+    with '[' can only be exponent JSON, so its errors propagate."""
+    if text.lstrip().startswith("["):
+        return mono3.parse_exponent_json(text)
     try:
-        return _parse_mono(text)
+        return mono3.parse_monomial_ideal(text)
     except Hilb3Error:
         return None
 
@@ -140,7 +143,7 @@ def _cmd_link(args, ring) -> tuple[dict, int]:
     alpha_polys = poly3.parse_ideal(args.alpha, ring).gens
     if len(alpha_polys) != 3:
         raise InputError("--alpha must list exactly three polynomials")
-    step = linkage.link(I, linkage.regular_sequence(alpha_polys))
+    step = linkage.link(I, alpha_polys)
     return {
         "colengths": {"source": step.colengths[0], "alpha": step.colengths[1],
                       "target": step.colengths[2]},

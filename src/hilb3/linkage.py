@@ -1,12 +1,13 @@
 """Links of zero-dimensional ideals by length-3 regular sequences.
 
-For a regular sequence alpha contained in I, the link is (alpha : I).
-Valid links satisfy the double-link identity I = (alpha : (alpha : I))
-and colength additivity d_source + d_target = d_alpha, and they preserve
-the tangent excess dim T - 3d; a chain verifier asserts all three.  A
-parity report flags ideals with dim T != d (mod 2), which cannot lie in
-the linkage class of any homogeneous ideal (in particular are not
-licci).
+For three polynomials alpha in I that cut out a finite scheme (hence a
+regular sequence), the link is (alpha : I).  Valid links satisfy the
+double-link identity I = (alpha : (alpha : I)) and colength additivity
+d_source + d_target = d_alpha, and they preserve the tangent excess
+dim T - 3d; a chain of n links asserts all three with n + 1 tangent
+computations.  A parity report flags ideals with dim T != d (mod 2),
+which cannot lie in the linkage class of any homogeneous ideal (in
+particular are not licci).
 
 A small catalog provides the explicit link families connecting the
 singular tangent-minimal monomial ideals (tripods I^tri(a,b,c) and the
@@ -26,40 +27,24 @@ from .errors import (ExcessMismatchError, InputError, InvariantError,
 from .poly3 import Poly, PolyIdeal, PolyRing
 
 
-@dataclass(frozen=True)
-class RegularSequence:
-    """Three polynomials cutting out a finite scheme (hence regular)."""
-
-    alpha: tuple[Poly, Poly, Poly]
-
-    def as_ideal(self) -> PolyIdeal:
-        return poly3.ideal(self.alpha[0].ring, self.alpha)
-
-
 @dataclass
 class LinkStep:
-    source: PolyIdeal
-    alpha: RegularSequence
     target: PolyIdeal
     colengths: tuple[int, int, int]  # (d_source, d_alpha, d_target)
 
 
-def regular_sequence(polys: Sequence[Poly]) -> RegularSequence:
-    if len(polys) != 3:
-        raise InputError("a linking sequence must have exactly three entries")
-    return RegularSequence(alpha=tuple(polys))
-
-
-def link(I: PolyIdeal, alpha: RegularSequence) -> LinkStep:
-    """The link (alpha : I), validated.
+def link(I: PolyIdeal, alpha: Sequence[Poly]) -> LinkStep:
+    """The link (alpha : I) by three polynomials, validated.
 
     Checks alpha is contained in I and cuts out a finite scheme, then
     verifies colength additivity and the double-link identity.
     """
-    for f in alpha.alpha:
+    if len(alpha) != 3:
+        raise InputError("a linking sequence must have exactly three entries")
+    for f in alpha:
         if not poly3.contains(I, f):
             raise NotContainedError(f"{poly3.poly_str(f)} does not lie in the ideal")
-    A = alpha.as_ideal()
+    A = poly3.ideal(I.ring, alpha)
     try:
         d_alpha = poly3.quotient_data(A).colength
     except NotZeroDimensionalError as exc:
@@ -72,8 +57,7 @@ def link(I: PolyIdeal, alpha: RegularSequence) -> LinkStep:
         raise InvariantError(f"colength additivity fails: {d_source} + {d_target} != {d_alpha}")
     if not poly3.equal_ideals(poly3.colon(A, target), I):
         raise InvariantError("double-link identity fails")
-    return LinkStep(source=I, alpha=alpha, target=target,
-                    colengths=(d_source, d_alpha, d_target))
+    return LinkStep(target=target, colengths=(d_source, d_alpha, d_target))
 
 
 @dataclass
@@ -87,32 +71,32 @@ class ChainReport:
         return self.excesses[0][0] if self.excesses else None
 
 
-def verify_link_chain(chain: Sequence[tuple[PolyIdeal, RegularSequence]]) -> ChainReport:
+def verify_link_chain(chain: Sequence[tuple[PolyIdeal, Sequence[Poly]]]) -> ChainReport:
     """Validate every step and assert the tangent excess is constant.
 
-    Consecutive steps must satisfy target_i = source_{i+1}.  The tangent
-    excess dim T - 3d is computed at both ends of every step; a mismatch
-    is a hard failure.  The canonical-module degree dim (alpha:I)/(alpha)
-    is recorded per step (it equals the source colength).
+    Consecutive steps must satisfy target_i = source_{i+1}, so the tangent
+    excess dim T - 3d is computed at the first source and at each target
+    only; a change along a step is a hard failure.  The canonical-module
+    degree dim (alpha:I)/(alpha) is recorded per step (it equals the
+    source colength).
     """
     steps: list[LinkStep] = []
-    excesses: list[tuple[int, int]] = []
-    degrees: list[int] = []
-    prev_target: PolyIdeal | None = None
+    tangents: list[tuple[int, int, int]] = []  # (d, dim T, excess) per ideal
     for I, alpha in chain:
-        if prev_target is not None and not poly3.equal_ideals(prev_target, I):
+        if steps and not poly3.equal_ideals(steps[-1].target, I):
             raise InputError("chain steps do not compose: target != next source")
         step = link(I, alpha)
-        d_src, t_src, e_src = tanlin.tangent_excess(step.source)
-        d_tgt, t_tgt, e_tgt = tanlin.tangent_excess(step.target)
+        if not tangents:
+            tangents.append(tanlin.tangent_excess(I))
+        tangents.append(tanlin.tangent_excess(step.target))
+        (d_src, t_src, e_src), (d_tgt, t_tgt, e_tgt) = tangents[-2:]
         if e_src != e_tgt:
             raise ExcessMismatchError(
                 f"excess {e_src} at source vs {e_tgt} at target "
                 f"(d={d_src}->{d_tgt}, T={t_src}->{t_tgt})")
         steps.append(step)
-        excesses.append((e_src, e_tgt))
-        degrees.append(step.colengths[1] - step.colengths[2])
-        prev_target = step.target
+    excesses = [(src[2], tgt[2]) for src, tgt in zip(tangents, tangents[1:])]
+    degrees = [s.colengths[1] - s.colengths[2] for s in steps]
     return ChainReport(steps=steps, excesses=excesses, canonical_degrees=degrees)
 
 
@@ -158,37 +142,32 @@ def maximal_square(ring: PolyRing) -> PolyIdeal:
 
 def family_tripod22_to_m2(ring: PolyRing, c: int):
     """(xz, xy+yz, x^2+y^2+z^c) links I^tri(2,2,c) to m^2."""
-    alpha = regular_sequence(
-        poly3.parse_ideal(f"x*z, x*y + y*z, x^2 + y^2 + z^{c}", ring).gens)
+    alpha = poly3.parse_ideal(f"x*z, x*y + y*z, x^2 + y^2 + z^{c}", ring).gens
     return tripod(ring, 2, 2, c), alpha, maximal_square(ring)
 
 
 def family_tripod_to_tripod22(ring: PolyRing, a: int, b: int, c: int):
     """(xy, xz+yz, x^a+y^b+z^c) links I^tri(a,b,c) to I^tri(2,2,c)."""
-    alpha = regular_sequence(
-        poly3.parse_ideal(f"x*y, x*z + y*z, x^{a} + y^{b} + z^{c}", ring).gens)
+    alpha = poly3.parse_ideal(f"x*y, x*z + y*z, x^{a} + y^{b} + z^{c}", ring).gens
     return tripod(ring, a, b, c), alpha, tripod(ring, 2, 2, c)
 
 
 def family_j1_to_tripod(ring: PolyRing, b: int, c: int):
     """(xz, y^2, z^(c+1)+x^2) links J(1,b,c) to I^tri(2,2,c-b+2)."""
-    alpha = regular_sequence(
-        poly3.parse_ideal(f"x*z, y^2, z^{c + 1} + x^2", ring).gens)
+    alpha = poly3.parse_ideal(f"x*z, y^2, z^{c + 1} + x^2", ring).gens
     return j_ideal(ring, 1, b, c), alpha, tripod(ring, 2, 2, c - b + 2)
 
 
 def family_jabb_to_j1(ring: PolyRing, a: int, b: int):
     """(x^2, y^2, x^2+z^(b+1)) links J(a,b,b) to J(1, b-a+1, b)."""
-    alpha = regular_sequence(
-        poly3.parse_ideal(f"x^2, y^2, x^2 + z^{b + 1}", ring).gens)
+    alpha = poly3.parse_ideal(f"x^2, y^2, x^2 + z^{b + 1}", ring).gens
     return j_ideal(ring, a, b, b), alpha, j_ideal(ring, 1, b - a + 1, b)
 
 
 def borel_p3_instance(ring: PolyRing):
     """(xy, xz+y^3, x^2+z^3) links (x^2,xy,xz,y^3,(yz)^2,z^3) to I^tri(2,2,3)."""
     src = poly3.parse_ideal("x^2, x*y, x*z, y^3, y^2*z^2, z^3", ring)
-    alpha = regular_sequence(
-        poly3.parse_ideal("x*y, x*z + y^3, x^2 + z^3", ring).gens)
+    alpha = poly3.parse_ideal("x*y, x*z + y^3, x^2 + z^3", ring).gens
     return src, alpha, tripod(ring, 2, 2, 3)
 
 
@@ -196,7 +175,7 @@ def borel_p3_instance(ring: PolyRing):
 # JSON chain input: [{"ideal": "...", "alpha": ["...", "...", "..."]}]
 # ---------------------------------------------------------------------------
 
-def parse_chain_json(text: str, ring: PolyRing) -> list[tuple[PolyIdeal, RegularSequence]]:
+def parse_chain_json(text: str, ring: PolyRing) -> list[tuple[PolyIdeal, tuple[Poly, ...]]]:
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -211,6 +190,5 @@ def parse_chain_json(text: str, ring: PolyRing) -> list[tuple[PolyIdeal, Regular
         if not isinstance(alpha, list) or len(alpha) != 3:
             raise InputError("'alpha' must list exactly three polynomials")
         I = poly3.parse_ideal(str(entry["ideal"]), ring)
-        seq = regular_sequence(tuple(poly3.parse_poly(str(s), ring) for s in alpha))
-        chain.append((I, seq))
+        chain.append((I, tuple(poly3.parse_poly(str(s), ring) for s in alpha)))
     return chain

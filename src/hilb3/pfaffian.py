@@ -39,6 +39,8 @@ class SkewMatrix:
     @classmethod
     def from_upper_rows(cls, n: int, entries: Sequence[Poly]) -> "SkewMatrix":
         """Row-major upper triangle: (0,1), (0,2), ..., (0,n-1), (1,2), ..."""
+        if n < 2:
+            raise InputError(f"a skew matrix needs size n >= 2, got {n}")
         want = n * (n - 1) // 2
         if len(entries) != want:
             raise InputError(f"expected {want} upper entries for size {n}, got {len(entries)}")
@@ -153,9 +155,14 @@ def parse_skew_json(text: str, ring: PolyRing) -> list[SkewMatrix]:
             or not isinstance(data["matrices"], list) or not data["matrices"]:
         raise InputError("expected an object with a nonempty 'matrices' list")
     mats = []
-    for m in data["matrices"]:
+    for i, m in enumerate(data["matrices"]):
         if not isinstance(m, dict) or "n" not in m or "upper" not in m:
             raise InputError("each matrix needs 'n' and 'upper'")
-        entries = [poly3.parse_poly(str(s), ring) for s in m["upper"]]
-        mats.append(SkewMatrix.from_upper_rows(int(m["n"]), entries))
+        n, upper = m["n"], m["upper"]
+        if isinstance(n, bool) or not isinstance(n, int):
+            raise InputError(f"matrix {i}: 'n' must be an integer, got {json.dumps(n)}")
+        if not isinstance(upper, list):
+            raise InputError(f"matrix {i}: 'upper' must be a list of polynomials")
+        entries = [poly3.parse_poly(str(s), ring) for s in upper]
+        mats.append(SkewMatrix.from_upper_rows(n, entries))
     return mats

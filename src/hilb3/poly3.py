@@ -518,20 +518,21 @@ def equal_ideals(I: PolyIdeal, J: PolyIdeal) -> bool:
 # ---------------------------------------------------------------------------
 
 def intersect(I: PolyIdeal, J: PolyIdeal) -> PolyIdeal:
-    """I cap J, for any two ideals of the ring.
+    """I cap J for any two ideals of the ring, as its reduced Groebner basis.
 
     Every syzygy s of (f_1..f_r, -g_1..-g_s) gives sum_i s_i f_i, which
     lies in both ideals; these sums over a generating set of the syzygy
     module generate I cap J (Greuel-Pfister, A Singular Introduction to
-    Commutative Algebra, 1.8.7).
+    Commutative Algebra, 1.8.7), but compound in degree when chained.
     """
     from .tanlin import generator_syzygies  # tanlin imports this module
 
     ring = I.ring
     gens = I.gens + tuple(-g for g in J.gens)
     syz = generator_syzygies(PolyIdeal(ring=ring, gens=gens))
-    return ideal(ring, (sum((a * f for a, f in zip(s, I.gens)), ring.zero())
-                        for s in syz.syzygies))
+    gb = groebner(ideal(ring, (sum((a * f for a, f in zip(s, I.gens)), ring.zero())
+                               for s in syz.syzygies)))
+    return PolyIdeal(ring=ring, gens=gb, _gb=gb)
 
 
 # ---------------------------------------------------------------------------

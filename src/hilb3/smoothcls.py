@@ -43,7 +43,7 @@ class SingularizingTriple:
         ok = (a[0] > b[0] and a[0] > c[0] and b[1] > a[1] and b[1] > c[1]
               and c[2] > a[2] and c[2] > b[2])
         if not ok:
-            raise ValueError(f"not a singularizing triple: {a}, {b}, {c}")
+            raise InvariantError(f"not a singularizing triple: {a}, {b}, {c}")
 
     def monomials(self) -> tuple[str, str, str]:
         return (monomial_str(self.a), monomial_str(self.b), monomial_str(self.c))

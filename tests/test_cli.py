@@ -229,6 +229,27 @@ class TestFilesAndErrors:
         assert code == 2
         assert "error" in data
 
+    @pytest.mark.parametrize("argv, matrix, code", [
+        (["pfaffian-ideal"], {"n": 1, "upper": []}, 2),
+        (["pfaffian-ideal"], {"n": True, "upper": []}, 2),
+        (["pfaffian-ideal"], {"n": "x", "upper": ["z", "y", "x"]}, 2),
+        (["pfaffian-ideal"], {"n": 3.5, "upper": ["z", "y", "x"]}, 2),
+        (["pfaffian-ideal"], {"n": 3, "upper": "xyz"}, 2),
+        (["tangent", "[[1,0,0],[0,1,0],[0,0,-1]]"], None, 2),
+        (["tangent", "[[0,0,0]]"], None, 1),
+    ], ids=["size-one", "bool-size", "string-size", "float-size", "string-upper",
+            "negative-exponent", "unit-exponent"])
+    def test_malformed_input_is_a_json_error(self, capsys, tmp_path, argv, matrix, code):
+        # no traceback: exit 2 for bad input, 1 for the unit ideal
+        if matrix is not None:
+            f = tmp_path / "mats.json"
+            f.write_text(json.dumps({"matrices": [matrix]}))
+            argv = argv + [str(f)]
+        got, data = run_json(capsys, *argv)
+        assert got == code
+        assert set(data["error"]) == {"type", "message"}
+        assert "result" not in data
+
     def test_unknown_subcommand_exits_2(self, capsys):
         code = cli.main(["frobnicate"])
         assert code == 2

@@ -45,6 +45,8 @@ CASES = {
     "tangent-binomial-verify": ["--verify", "tangent", BINOMIAL],
     "tangent-syzygy-second-prime": [SP, "tangent", "x^2 + y*z, x*y^2, y^5, z - x"],
     "tangent-not-zero-dim": ["tangent", "x*y, x^2 + y"],
+    "tangent-json-negative-exponent": ["tangent", "[[1,0,0],[0,1,0],[0,0,-1]]"],
+    "tangent-json-unit": ["tangent", "[[0,0,0]]"],
     "classify-singular": ["classify", "x^2,x*y,x*z,y^2,y*z,z^3"],
     "classify-smooth": ["classify", "x^2,x*y,x*z,y^2,z^2"],
     "classify-text": ["--format", "text", "classify", "x^3,x*y,y^2,z"],
@@ -86,6 +88,8 @@ CASES = {
     "pfaffian-ideal-csv": ["--format", "csv", "pfaffian-ideal", "{data}/mats.json"],
     "pfaffian-ideal-off-origin": ["pfaffian-ideal", "{data}/mats_off_origin.json"],
     "pfaffian-ideal-not-local": ["pfaffian-ideal", "{data}/mats_not_local.json"],
+    "pfaffian-ideal-size-one": ["pfaffian-ideal", "{data}/mats_size_one.json"],
+    "pfaffian-ideal-string-size": ["pfaffian-ideal", "{data}/mats_string_size.json"],
     "bad-ideal": ["classify", "x^2, nope"],
     "bad-ideal-text": ["--format", "text", "tangent", "x^^2"],
     "composite-prime": ["--prime", "91", "series", "1"],

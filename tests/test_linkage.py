@@ -1,6 +1,6 @@
 import pytest
 
-from hilb3 import gfp, linkage, poly3
+from hilb3 import gfp, linkage, poly3, tanlin
 from hilb3.errors import ExcessMismatchError, InputError, NotContainedError
 
 P = gfp.DEFAULT_PRIME
@@ -12,7 +12,7 @@ def pi(text):
 
 
 def seq(text):
-    return linkage.regular_sequence(pi(text).gens)
+    return pi(text).gens
 
 
 class TestLink:
@@ -61,6 +61,21 @@ class TestChains:
         assert [e for pair in report.excesses for e in pair] == [6, 6, 6, 6]
         assert report.canonical_degrees == [
             step.colengths[0] for step in report.steps]
+
+    def test_one_tangent_computation_per_ideal(self, monkeypatch):
+        # J(2,3,3) -> J(1,2,3) -> I^tri(2,2,3) -> m^2: four ideals, so four
+        # syzygy computations; each interior ideal is not recomputed as the
+        # next source
+        calls = []
+        original = tanlin.syzygies
+        monkeypatch.setattr(tanlin, "syzygies", lambda I: calls.append(I) or original(I))
+        steps = [linkage.family_jabb_to_j1(R, 2, 3),
+                 linkage.family_j1_to_tripod(R, 2, 3),
+                 linkage.family_tripod22_to_m2(R, 3)]
+        report = linkage.verify_link_chain([(src, alpha) for src, alpha, _ in steps])
+        assert len(calls) == 4
+        assert report.excesses == [(6, 6)] * 3
+        assert poly3.equal_ideals(report.steps[-1].target, linkage.maximal_square(R))
 
     def test_non_composing_chain_rejected(self):
         s1, a1, _ = linkage.family_tripod22_to_m2(R, 3)

@@ -262,6 +262,8 @@ class TestIntersect:
         # membership in both gives meet <= I cap J; the colength identity
         # d(I cap J) + d(I + J) = d(I) + d(J) then forces equality
         meet = poly3.intersect(I, J)
+        # generated by its own reduced basis
+        assert meet.gens == poly3.groebner(poly3.ideal(R, meet.gens))
         for g in meet.gens:
             assert poly3.contains(I, g) and poly3.contains(J, g)
 
@@ -286,9 +288,6 @@ def oracle_colon(I, J):
         meet = poly3.intersect(I, poly3.ideal(R, (f,)))
         step = poly3.ideal(R, (divide_exact(g, f) for g in meet.gens))
         result = step if result is None else poly3.intersect(result, step)
-        # the raw syzygy sums grow in degree with every intersection; their
-        # reduced basis generates the same ideal and keeps the next one small
-        result = poly3.ideal(R, poly3.groebner(result))
     return result
 
 

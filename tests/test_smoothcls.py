@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -5,7 +6,7 @@ import textwrap
 
 import pytest
 
-from hilb3 import mono3, smoothcls, tancomb
+from hilb3 import cli, mono3, smoothcls, tancomb
 from hilb3.errors import HasTripleError, InvariantError
 
 I1 = mono3.parse_monomial_ideal("x^2, x*y, x*z, y^2, y*z, z^3")
@@ -53,6 +54,16 @@ class TestFindTriple:
         for d in range(1, 9):
             for ideal in mono3.enumerate_ideals(d):
                 assert (smoothcls.find_triple(ideal) is not None) == exhaustive(ideal)
+
+    def test_bad_witness_is_an_engine_fault(self, monkeypatch, capsys):
+        # a triple that breaks the extremality conditions is the engine's
+        # fault: exit 1 with a JSON error, not an uncaught exception
+        with pytest.raises(InvariantError):
+            smoothcls.SingularizingTriple(a=ev("x"), b=ev("x"), c=ev("z"))
+        monkeypatch.setattr(smoothcls, "_witness_triple", lambda stuck:
+                            smoothcls.SingularizingTriple(*stuck[:1] * 3))
+        assert cli.main(["triple", "x^2, x*y, x*z, y^2, y*z, z^3"]) == 1
+        assert json.loads(capsys.readouterr().out)["error"]["type"] == "InvariantError"
 
 
 def peel_steps(ideal):
