@@ -7,6 +7,11 @@ over F_p (default p = 2^31 - 1); characteristic-zero claims are only
 certified numerically, so --second-prime reruns field-dependent
 computations over a second prime and fails loudly on any disagreement.
 
+Ideals are read with poly3's grammar.  Exponent JSON or a list of monic
+monomials is a monomial ideal: tangent's monomial route and the only
+input of classify, triple and chain; tangent takes any other ideal by
+syzygies.
+
 Exit codes: 0 success, 1 validation failure (e.g. a broken chain),
 2 input error.
 """
@@ -30,23 +35,22 @@ FIELD_DEPENDENT = {"tangent", "link", "verify-chain", "parity", "ann",
                    "bicanonical", "pfaffian-ideal"}
 
 
-def _parse_mono(text: str):
-    """Monomial-ideal input: the text grammar or the JSON exponent form."""
+def _read_ideal(text: str, ring: poly3.PolyRing):
+    """The ideal the text names.  Exponent JSON, or a list whose generators
+    are all monic monomials, gives a MonomialIdeal3; any other list stays
+    the PolyIdeal parsed over the ring."""
     if text.lstrip().startswith("["):
         return mono3.parse_exponent_json(text)
-    return mono3.parse_monomial_ideal(text)
+    I = poly3.parse_ideal(text, ring)
+    if mono3.first_non_monomial(I.gens) is None:
+        return mono3.from_monomials(I.gens)
+    return I
 
 
-def _mono_or_none(text: str):
-    """The monomial ideal described by the text, if every generator is a
-    monomial (comma list with ^ and implicit *), else None.  Text starting
-    with '[' can only be exponent JSON, so its errors propagate."""
-    if text.lstrip().startswith("["):
-        return mono3.parse_exponent_json(text)
-    try:
-        return mono3.parse_monomial_ideal(text)
-    except Hilb3Error:
-        return None
+def _read_monomial(text: str, ring: poly3.PolyRing) -> mono3.MonomialIdeal3:
+    """A monomial ideal; from_monomials rejects any other, naming a generator."""
+    ideal = _read_ideal(text, ring)
+    return ideal if isinstance(ideal, mono3.MonomialIdeal3) else mono3.from_monomials(ideal.gens)
 
 
 def _ev_str(v) -> list[int]:
@@ -71,11 +75,11 @@ def _chain_payload(chain: smoothcls.BGChainCert) -> dict:
 # ---------------------------------------------------------------------------
 
 def _cmd_tangent(args, ring) -> tuple[dict, int]:
-    ideal_m = _mono_or_none(args.ideal)
-    if ideal_m is not None:
-        rep = tancomb.tangent_report(ideal_m)
+    ideal = _read_ideal(args.ideal, ring)
+    if isinstance(ideal, mono3.MonomialIdeal3):
+        rep = tancomb.tangent_report(ideal)
         if args.verify:
-            total = sum(tanlin.hom_dim_weight(ideal_m, a) for a in rep.weights)
+            total = sum(tanlin.hom_dim_weight(ideal, a) for a in rep.weights)
             if total != rep.total:
                 raise InvariantError(
                     f"combinatorial {rep.total} vs linear-algebra {total}")
@@ -89,10 +93,9 @@ def _cmd_tangent(args, ring) -> tuple[dict, int]:
                 {"weight": _ev_str(a), "dim": n}
                 for a, n in rep.doubly_negative_weights],
         }, 0
-    I = poly3.parse_ideal(args.ideal, ring)
-    d, t, excess = tanlin.tangent_excess(I)
+    d, t, excess = tanlin.tangent_excess(ideal)
     if args.verify:
-        alt = tanlin.hom_dim(I, use_given_generators=True)
+        alt = tanlin.hom_dim(ideal)
         if alt != t:
             raise InvariantError(
                 f"Groebner-basis route {t} vs given-generators route {alt}")
@@ -100,7 +103,7 @@ def _cmd_tangent(args, ring) -> tuple[dict, int]:
 
 
 def _cmd_classify(args, ring) -> tuple[dict, int]:
-    ideal_m = _parse_mono(args.ideal)
+    ideal_m = _read_monomial(args.ideal, ring)
     res = smoothcls.classify(ideal_m)
     if res.verdict == "singular":
         return {"verdict": "singular",
@@ -110,7 +113,7 @@ def _cmd_classify(args, ring) -> tuple[dict, int]:
 
 
 def _cmd_triple(args, ring) -> tuple[dict, int]:
-    ideal_m = _parse_mono(args.ideal)
+    ideal_m = _read_monomial(args.ideal, ring)
     t = smoothcls.find_triple(ideal_m)
     if t is None:
         return {"triple": None}, 0
@@ -119,7 +122,7 @@ def _cmd_triple(args, ring) -> tuple[dict, int]:
 
 
 def _cmd_chain(args, ring) -> tuple[dict, int]:
-    ideal_m = _parse_mono(args.ideal)
+    ideal_m = _read_monomial(args.ideal, ring)
     return _chain_payload(smoothcls.noflip_chain(ideal_m)), 0
 
 
@@ -140,7 +143,8 @@ def _cmd_series(args, ring) -> tuple[dict, int]:
 
 def _cmd_link(args, ring) -> tuple[dict, int]:
     I = poly3.parse_ideal(args.ideal, ring)
-    alpha_polys = poly3.parse_ideal(args.alpha, ring).gens
+    # each entry is kept, a zero one too, as in a verify-chain file
+    alpha_polys = [poly3.parse_poly(s, ring) for s in args.alpha.split(",") if s.strip()]
     if len(alpha_polys) != 3:
         raise InputError("--alpha must list exactly three polynomials")
     step = linkage.link(I, alpha_polys)

@@ -49,10 +49,6 @@ class SmallCharacteristicError(Hilb3Error):
     """Field characteristic too small for the degrees in play (contraction)."""
 
 
-class OddSizeError(Hilb3Error):
-    """Pfaffian of an odd-size matrix requested."""
-
-
 class EvenSizeError(Hilb3Error):
     """Submaximal Pfaffians of an even-size matrix requested."""
 

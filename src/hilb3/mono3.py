@@ -13,17 +13,21 @@ weight: the staircase graph and the pairwise generator lcms.
 
 MacMahon's product formula  prod_{i>=1} (1 - q^i)^{-i}  generates the
 counts of plane partitions and serves as an enumeration oracle.
+
+Text is read with poly3's polynomial grammar; a list of monic monomials
+is a monomial ideal.  The JSON form lists exponent triples.
 """
 from __future__ import annotations
 
 import itertools
 import json
-import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
+from . import poly3
 from .errors import InputError, NotZeroDimensionalError, UnitIdealError
+from .gfp import DEFAULT_PRIME
 
 ExponentVec = tuple[int, int, int]
 
@@ -262,36 +266,26 @@ def enumerate_ideals(d: int) -> Iterator[MonomialIdeal3]:
 # text / JSON input formats
 # ---------------------------------------------------------------------------
 
-_MONO_TOKEN = re.compile(r"\s*(?:([xyz])(?:\s*\^\s*(\d+))?|(\*)|(1))\s*")
+_RING = poly3.PolyRing(DEFAULT_PRIME)
 
 
-def parse_monomial(text: str) -> ExponentVec:
-    """Parse a single monomial like "x^2", "x*y", "xy" or "1"."""
-    exps = [0, 0, 0]
-    pos = 0
-    seen = False
-    while pos < len(text):
-        m = _MONO_TOKEN.match(text, pos)
-        if not m or m.end() == pos:
-            raise InputError(f"bad monomial {text!r} at position {pos}")
-        var, power, _star, one = m.group(1), m.group(2), m.group(3), m.group(4)
-        if var:
-            exps[VAR_NAMES.index(var)] += int(power) if power else 1
-            seen = True
-        elif one:
-            seen = True
-        pos = m.end()
-    if not seen:
-        raise InputError(f"empty monomial in {text!r}")
-    return tuple(exps)
+def first_non_monomial(gens: Iterable[poly3.Poly]) -> poly3.Poly | None:
+    """The first polynomial that is not a monic monomial, or None."""
+    return next((g for g in gens if len(g.terms) != 1 or 1 not in g.terms.values()), None)
+
+
+def from_monomials(gens: Sequence[poly3.Poly]) -> MonomialIdeal3:
+    """The ideal of monic monomials in x, y, z (see from_generators);
+    InputError names the first generator that is not one."""
+    bad = first_non_monomial(gens)
+    if bad is not None:
+        raise InputError(f"{poly3.poly_str(bad)!r} is not a monic monomial")
+    return from_generators(e for g in gens for e in g.terms)
 
 
 def parse_monomial_ideal(text: str) -> MonomialIdeal3:
-    """Parse "x^2, x*y, x*z, y^2, y*z, z^3" into an ideal."""
-    parts = [p for p in text.split(",") if p.strip()]
-    if not parts:
-        raise InputError("no generators given")
-    return from_generators(parse_monomial(p) for p in parts)
+    """Parse "x^2, x*y, x*z, y^2, y*z, z^3" with poly3's grammar."""
+    return from_monomials(poly3.parse_ideal(text, _RING).gens)
 
 
 def parse_exponent_json(text: str) -> MonomialIdeal3:
@@ -302,6 +296,6 @@ def parse_exponent_json(text: str) -> MonomialIdeal3:
         raise InputError(f"bad JSON: {exc}") from exc
     if (not isinstance(data, list) or not data
             or not all(isinstance(g, list) and len(g) == 3
-                       and all(isinstance(e, int) and e >= 0 for e in g) for g in data)):
+                       and all(type(e) is int and e >= 0 for e in g) for g in data)):
         raise InputError("expected a nonempty list of 3 nonnegative integers each")
     return from_generators(tuple(g) for g in data)

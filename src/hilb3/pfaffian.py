@@ -25,7 +25,7 @@ from functools import cached_property
 from typing import Sequence
 
 from . import duality, poly3
-from .errors import EvenSizeError, InputError, OddSizeError
+from .errors import EvenSizeError, InputError
 from .poly3 import Poly, PolyIdeal, PolyRing
 
 
@@ -77,13 +77,6 @@ def _pfaffian(a: SkewMatrix, indices: tuple[int, ...], cache: dict) -> Poly:
             acc = acc + term if pos % 2 == 0 else acc - term
         cache[indices] = acc
     return cache[indices]
-
-
-def pfaffian(a: SkewMatrix) -> Poly:
-    """Pf(A) for even-size A, by recursive expansion along the first row."""
-    if a.n % 2 != 0:
-        raise OddSizeError(f"Pfaffian needs even size, got {a.n}")
-    return _pfaffian(a, tuple(range(a.n)), {})
 
 
 def submax_pfaffians(a: SkewMatrix) -> tuple[Poly, ...]:

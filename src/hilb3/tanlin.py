@@ -115,16 +115,14 @@ def _hom_dim_from_syzygies(syz: SyzygySet, qd: poly3.QuotientData) -> int:
     return r * d - gfp.rank(mat, p)
 
 
-def hom_dim(I: PolyIdeal, use_given_generators: bool = False) -> int:
-    """dim_k Hom_S(I, S/I) = dim of the tangent space at [S/I].
+def hom_dim(I: PolyIdeal) -> int:
+    """dim_k Hom_S(I, S/I) from the syzygies of the given generators I.gens.
 
-    Raises NotZeroDimensionalError unless S/I is finite.  With
-    use_given_generators the computation runs on I.gens instead of the
-    Groebner basis; the result is the same.
+    Raises NotZeroDimensionalError unless S/I is finite.  tangent_excess
+    computes the same dimension from the Groebner basis.
     """
     qd = poly3.quotient_data(I)
-    syz = generator_syzygies(I) if use_given_generators else syzygies(I)
-    return _hom_dim_from_syzygies(syz, qd)
+    return _hom_dim_from_syzygies(generator_syzygies(I), qd)
 
 
 def tangent_excess(I: PolyIdeal) -> tuple[int, int, int]:

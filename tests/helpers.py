@@ -3,7 +3,15 @@
 pyproject.toml puts tests/ on the pytest path, so test modules import
 this one as `helpers` under any import mode.
 """
-from hilb3 import poly3
+from hilb3 import gfp, poly3
+
+RING = poly3.PolyRing(gfp.DEFAULT_PRIME)
+
+
+def ev(text):
+    """The exponent vector of one monomial, such as "z^2" or "x*y"."""
+    (e,) = poly3.parse_poly(text, RING).terms
+    return e
 
 
 def is_strongly_stable(ideal):

@@ -73,6 +73,12 @@ class TestClassify:
         assert code == 0
         assert data["result"]["triple"] == ["x", "y", "z^2"]
 
+    @pytest.mark.parametrize("command", ["classify", "triple", "chain"])
+    def test_non_monomial_is_input_error(self, capsys, command):
+        code, data = run_json(capsys, command, "x^2, x + y, y^2, z")
+        assert code == 2
+        assert data["error"]["message"] == "'x + y' is not a monic monomial"
+
 
 class TestSeries:
     def test_zero(self, capsys):
@@ -102,6 +108,16 @@ class TestTangent:
         assert data["result"]["route"] == "syzygy"
         assert data["result"]["total"] == 45
 
+    @pytest.mark.parametrize("argv", [
+        ["tangent", "0, x, y, z"],
+        ["tangent", "1*x, y y, z, y"],
+        ["--prime", "101", "tangent", "102*x, y, z"],  # 102 = 1 in F_101
+    ])
+    def test_monic_spellings_take_the_monomial_route(self, capsys, argv):
+        code, data = run_json(capsys, *argv)
+        assert code == 0
+        assert (data["result"]["route"], data["result"]["total"]) == ("monomial", 3)
+
     def test_verify_flag(self, capsys):
         code, data = run_json(capsys, "--verify", "tangent", "x,y,z")
         assert code == 0
@@ -121,7 +137,7 @@ class TestTangent:
 
     def test_verify_generator_route_disagreement_is_invariant_error(self, capsys,
                                                                     monkeypatch):
-        monkeypatch.setattr(tanlin, "hom_dim", lambda I, use_given_generators=False: -1)
+        monkeypatch.setattr(tanlin, "hom_dim", lambda I: -1)
         code, data = run_json(capsys, "--verify", "tangent",
                               "x^2 - y*z, x*z, x*y, y^2, z^2")
         assert code == 1
@@ -153,6 +169,15 @@ class TestLink:
         code, data = run_json(capsys, "link", "x^2,y,z", "--alpha", "x,y,z")
         assert code == 1
         assert data["error"]["type"] == "NotContainedError"
+
+    def test_zero_alpha_is_not_regular(self, capsys, tmp_path):
+        # --alpha keeps a zero entry, as a verify-chain step does
+        code, data = run_json(capsys, "link", "x,y,z", "--alpha", "0, y, z")
+        assert (code, data["error"]["type"]) == (1, "NotRegularError")
+        f = tmp_path / "chain.json"
+        f.write_text(json.dumps([{"ideal": "x,y,z", "alpha": ["0", "y", "z"]}]))
+        code, data = run_json(capsys, "verify-chain", str(f))
+        assert (code, data["error"]["type"]) == (1, "NotRegularError")
 
 
 class TestParityAnnBicanonical:
@@ -237,8 +262,14 @@ class TestFilesAndErrors:
         (["pfaffian-ideal"], {"n": 3, "upper": "xyz"}, 2),
         (["tangent", "[[1,0,0],[0,1,0],[0,0,-1]]"], None, 2),
         (["tangent", "[[0,0,0]]"], None, 1),
+        (["tangent", "[[true,0,0],[0,true,0],[0,0,1]]"], None, 2),
+        (["tangent", "x*, y, z"], None, 2),
+        (["classify", "*x, y, z"], None, 2),
+        (["triple", "x**y, y, z, x^2"], None, 2),
+        (["tangent", "1, x"], None, 1),
     ], ids=["size-one", "bool-size", "string-size", "float-size", "string-upper",
-            "negative-exponent", "unit-exponent"])
+            "negative-exponent", "unit-exponent", "bool-exponent", "trailing-star",
+            "leading-star", "double-star", "unit-text"])
     def test_malformed_input_is_a_json_error(self, capsys, tmp_path, argv, matrix, code):
         # no traceback: exit 2 for bad input, 1 for the unit ideal
         if matrix is not None:

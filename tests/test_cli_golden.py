@@ -47,6 +47,9 @@ CASES = {
     "tangent-not-zero-dim": ["tangent", "x*y, x^2 + y"],
     "tangent-json-negative-exponent": ["tangent", "[[1,0,0],[0,1,0],[0,0,-1]]"],
     "tangent-json-unit": ["tangent", "[[0,0,0]]"],
+    "tangent-unit-text": ["tangent", "1, x"],
+    "tangent-malformed-monomial": ["tangent", "x*, y, z"],
+    "classify-malformed-monomial": ["classify", "x**y, y, z, x^2"],
     "classify-singular": ["classify", "x^2,x*y,x*z,y^2,y*z,z^3"],
     "classify-smooth": ["classify", "x^2,x*y,x*z,y^2,z^2"],
     "classify-text": ["--format", "text", "classify", "x^3,x*y,y^2,z"],
@@ -67,6 +70,7 @@ CASES = {
     "link-prime-disagreement": [SP, "link", "x^2, x*y, y^2, z", "--alpha", GENERIC_ALPHA],
     "link-not-contained": ["link", "x^2,y,z", "--alpha", "x,y,z"],
     "link-two-alphas": ["link", "x^2,y,z", "--alpha", "x^2, y"],
+    "link-zero-alpha": ["link", "x,y,z", "--alpha", "0, y, z"],
     "verify-chain": ["verify-chain", "{data}/chain.json"],
     "verify-chain-text": ["--format", "text", "verify-chain", "{data}/chain.json"],
     "verify-chain-bad-json": ["verify-chain", "{data}/mats.json"],

@@ -8,17 +8,13 @@ from hypothesis import strategies as st
 
 from hilb3 import mono3
 from hilb3.errors import InputError, NotZeroDimensionalError, UnitIdealError
-from helpers import is_strongly_stable
+from helpers import ev, is_strongly_stable
 
 I1 = mono3.parse_monomial_ideal("x^2, x*y, x*z, y^2, y*z, z^3")
 I2 = mono3.parse_monomial_ideal("x^2, x*y, x*z, y^2, z^2")
 
 
 UNIT_VECS = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-
-
-def ev(s):
-    return mono3.parse_monomial(s)
 
 
 def ev_add(a, b):
@@ -325,21 +321,32 @@ class TestSeries:
 
 class TestParsing:
     def test_round_trip(self):
-        assert mono3.parse_monomial("x^2") == (2, 0, 0)
-        assert mono3.parse_monomial("x*y") == (1, 1, 0)
-        assert mono3.parse_monomial("xy") == (1, 1, 0)
-        assert mono3.parse_monomial("1") == (0, 0, 0)
+        # the text of the minimal generators reads back as the same ideal
+        for d in range(1, 8):
+            for ideal in mono3.enumerate_ideals(d):
+                text = ", ".join(mono3.monomial_str(g) for g in ideal.mingens)
+                assert mono3.parse_monomial_ideal(text) == ideal, text
         assert mono3.monomial_str((1, 0, 2)) == "x*z^2"
         assert mono3.monomial_str((0, 0, 0)) == "1"
 
+    def test_spellings(self):
+        # implicit '*', a coefficient 1, repeated and zero generators
+        want = mono3.from_generators([(2, 0, 0), (1, 1, 0), (0, 2, 0), (0, 0, 1)])
+        assert mono3.parse_monomial_ideal("xy, x^2, y y, 1*z, 0, z, x - x") == want
+
     def test_rejects_garbage(self):
-        for bad in ["w", "x^-1", "x +", "", "x^2,"]:
+        for bad in ["w", "x^-1", "x +", "", " , ", "x*, y, z", "*x, y, z",
+                    "x**y, y, z, x^2", "2*x, y, z"]:
             with pytest.raises(InputError):
-                mono3.parse_monomial(bad)
+                mono3.parse_monomial_ideal(bad)
+        with pytest.raises(InputError, match="'x \\+ y' is not a monic monomial"):
+            mono3.parse_monomial_ideal("x^2, x + y, y^2, z")
+        with pytest.raises(UnitIdealError):
+            mono3.parse_monomial_ideal("1, x")
 
     def test_json_form(self):
         ideal = mono3.parse_exponent_json("[[2,0,0],[1,1,0],[1,0,1],[0,2,0],[0,1,1],[0,0,3]]")
         assert ideal == I1
-        for bad in ["{}", "[]", "[[1,2]]", "[[1,2,-1]]", "not json"]:
+        for bad in ["{}", "[]", "[[1,2]]", "[[1,2,-1]]", "not json", "[[true,0,0]]"]:
             with pytest.raises(InputError):
                 mono3.parse_exponent_json(bad)

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from hilb3 import duality, gfp, pfaffian, poly3, tanlin
-from hilb3.errors import EvenSizeError, InputError, OddSizeError
+from hilb3.errors import EvenSizeError, InputError
 
 P = gfp.DEFAULT_PRIME
 R = poly3.PolyRing(P)
@@ -20,6 +20,25 @@ def skew(n, *entries):
 def pfaffian_ideal(a):
     """The ideal of all submaximal Pfaffians of an odd-size matrix."""
     return poly3.ideal(a.ring, pfaffian.submax_pfaffians(a))
+
+
+def pf(a):
+    """Pf(A) for even-size A by expansion along the first row: the
+    reference for submax_pfaffians."""
+
+    def expand(idx):
+        if not idx:
+            return R.one()
+        acc = R.zero()
+        for pos, j in enumerate(idx[1:]):
+            e = a.entry(idx[0], j)
+            if e.is_zero:
+                continue
+            term = e * expand(tuple(k for k in idx[1:] if k != j))
+            acc = acc + term if pos % 2 == 0 else acc - term
+        return acc
+
+    return expand(tuple(range(a.n)))
 
 
 def determinant(a):
@@ -62,29 +81,26 @@ def delete_row_and_column(a, i):
 
 
 class TestPfaffian:
+    # the reference pf itself, against hand values and Pf(A)^2 = det(A)
     def test_two_by_two(self):
-        assert pfaffian.pfaffian(skew(2, "x + y")) == pp("x + y")
+        assert pf(skew(2, "x + y")) == pp("x + y")
 
     def test_four_by_four_generic(self):
         # upper entries a,b,c,d,e,f -> af - be + cd (with distinct monomials)
         a = skew(4, "x", "y", "z", "x^2", "y^2", "z^2")
         want = pp("x*z^2 - y*y^2 + z*x^2")
-        assert pfaffian.pfaffian(a) == want
+        assert pf(a) == want
 
     def test_zero_matrix(self):
         zero = pfaffian.SkewMatrix.from_upper_rows(4, [R.zero()] * 6)
-        assert pfaffian.pfaffian(zero).is_zero
-
-    def test_odd_size_rejected(self):
-        with pytest.raises(OddSizeError):
-            pfaffian.pfaffian(skew(3, "x", "y", "z"))
+        assert pf(zero).is_zero
 
     def test_square_is_determinant(self):
         rng = random.Random(41)
         for n in (2, 4, 6):
             a = generic_skew(n, rng)
-            pf = pfaffian.pfaffian(a)
-            assert pf * pf == determinant(a)
+            f = pf(a)
+            assert f * f == determinant(a)
 
 
 class TestSubmaxPfaffians:
@@ -103,7 +119,7 @@ class TestSubmaxPfaffians:
         mats = [generic_skew(n, rng) for n in (3, 5, 7)]
         mats.append(skew(5, "x", "0", "y^2", "z", "x*y", "0", "1", "z^2", "x - y", "0"))
         for a in mats:
-            want = tuple(pfaffian.pfaffian(delete_row_and_column(a, i)) for i in range(a.n))
+            want = tuple(pf(delete_row_and_column(a, i)) for i in range(a.n))
             assert pfaffian.submax_pfaffians(a) == want
 
     def test_even_size_rejected(self):

@@ -8,14 +8,11 @@ import pytest
 
 from hilb3 import cli, mono3, smoothcls, tancomb
 from hilb3.errors import HasTripleError, InvariantError
+from helpers import ev
 
 I1 = mono3.parse_monomial_ideal("x^2, x*y, x*z, y^2, y*z, z^3")
 I2 = mono3.parse_monomial_ideal("x^2, x*y, x*z, y^2, z^2")
 M2 = mono3.parse_monomial_ideal("x^2,y^2,z^2,x*y,x*z,y*z")
-
-
-def ev(s):
-    return mono3.parse_monomial(s)
 
 
 class TestFindTriple:
