@@ -25,7 +25,7 @@ import numpy as np
 
 from . import gfp, poly3
 from .errors import InvariantError, SmallCharacteristicError, ZeroInputError
-from .poly3 import Poly, PolyIdeal, PolyRing
+from .poly3 import Poly, PolyIdeal, PolyRing, exp_divides, exp_sub
 
 DUAL_NAMES = ("X", "Y", "Z")
 
@@ -42,8 +42,8 @@ def contract_monomial(m: tuple[int, int, int], f: Poly) -> Poly:
     """x^m o f: exponent subtraction, terms going negative vanish."""
     terms = {}
     for e, c in f.terms.items():
-        if all(ei >= mi for ei, mi in zip(e, m)):
-            terms[tuple(ei - mi for ei, mi in zip(e, m))] = c
+        if exp_divides(m, e):
+            terms[exp_sub(e, m)] = c
     return Poly(f.ring, terms)
 
 

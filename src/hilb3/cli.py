@@ -18,13 +18,14 @@ Exit codes: 0 success, 1 validation failure (e.g. a broken chain),
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
 from . import (apolarity, duality, gfp, linkage, mono3, pfaffian, poly3,
                smoothcls, tancomb, tanlin)
 from .errors import (Hilb3Error, InputError, InvariantError,
-                     PrimeDisagreementError)
+                     PrimeDisagreementError, UnitIdealError)
 
 CHAR_NOTE = ("exact arithmetic over F_p; characteristic-zero statements are "
              "certified only by agreement across two large primes "
@@ -94,6 +95,8 @@ def _cmd_tangent(args, ring) -> tuple[dict, int]:
                 for a, n in rep.doubly_negative_weights],
         }, 0
     d, t, excess = tanlin.tangent_excess(ideal)
+    if d == 0:
+        raise UnitIdealError("the ideal is the whole ring")
     if args.verify:
         alt = tanlin.hom_dim(ideal)
         if alt != t:
@@ -355,8 +358,10 @@ def build_parser() -> argparse.ArgumentParser:
 _parser = None  # built by the first main() call, then reused
 
 
+@functools.cache
 def _ring(prime: int) -> poly3.PolyRing:
-    """F_p for an odd prime p below 2^31; anything else is an input error."""
+    """F_p for an odd prime p below 2^31; anything else is an input error.
+    A valid prime is tested once per process."""
     if not gfp.is_prime(prime) or prime <= 2:
         raise InputError(f"{prime} is not an odd prime")
     return poly3.PolyRing(prime)

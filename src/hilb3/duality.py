@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gfp, poly3
-from .errors import CharTwoError, InputError, InvariantError
+from .errors import CharTwoError, InputError, InvariantError, UnitIdealError
 from .poly3 import PolyIdeal
 
 
@@ -136,13 +136,15 @@ def bicanonical_degree(I: PolyIdeal, verify: bool = False) -> BicanonicalReport:
 
     With verify the Sym^2 relations are regenerated with r running over
     every standard monomial of positive degree instead of just the three
-    variables; the ranks must agree.
+    variables; the ranks must agree.  The unit ideal raises UnitIdealError.
     """
     qd = poly3.quotient_data(I)
     p = qd.ring.p
     if p == 2:
         raise CharTwoError("bicanonical computations need characteristic != 2")
     d = qd.colength
+    if d == 0:
+        raise UnitIdealError("the ideal is the whole ring")
     mats = qd.mult_matrices
     nsym = d * (d + 1) // 2
     rel_rank = _sym2_relation_rank(mats, d, p)

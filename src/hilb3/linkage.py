@@ -22,8 +22,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from . import poly3, tanlin
-from .errors import (ExcessMismatchError, InputError, InvariantError,
-                     NotContainedError, NotRegularError, NotZeroDimensionalError)
+from .errors import (ExcessMismatchError, InputError, InvariantError, NotContainedError,
+                     NotRegularError, NotZeroDimensionalError, UnitIdealError)
 from .poly3 import Poly, PolyIdeal, PolyRing
 
 
@@ -36,8 +36,9 @@ class LinkStep:
 def link(I: PolyIdeal, alpha: Sequence[Poly]) -> LinkStep:
     """The link (alpha : I) by three polynomials, validated.
 
-    Checks alpha is contained in I and cuts out a finite scheme, then
-    verifies colength additivity and the double-link identity.
+    Checks alpha is contained in I and cuts out a finite scheme and that I
+    is not the unit ideal (UnitIdealError), then verifies colength
+    additivity and the double-link identity.  The target may be (1).
     """
     if len(alpha) != 3:
         raise InputError("a linking sequence must have exactly three entries")
@@ -50,6 +51,8 @@ def link(I: PolyIdeal, alpha: Sequence[Poly]) -> LinkStep:
     except NotZeroDimensionalError as exc:
         raise NotRegularError(f"the sequence does not cut out a finite scheme: {exc}") from exc
     d_source = poly3.quotient_data(I).colength
+    if d_source == 0:  # the link of (1) is (alpha), but (1) is not a point
+        raise UnitIdealError("the source ideal is the whole ring")
     target = poly3.colon(A, I)
     d_target = poly3.quotient_data(target).colength
     # both are theorems for valid links; a failure means a broken engine
@@ -111,6 +114,8 @@ class ParityReport:
 def parity_report(I: PolyIdeal) -> ParityReport:
     """Flag dim T != d (mod 2): no homogeneous linkage class, not licci."""
     d, t, _ = tanlin.tangent_excess(I)
+    if d == 0:
+        raise UnitIdealError("the ideal is the whole ring")
     obstructed = (t - d) % 2 != 0
     if obstructed:
         verdict = ("dim T and the colength differ mod 2: the ideal is not in "

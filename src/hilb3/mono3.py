@@ -14,8 +14,10 @@ weight: the staircase graph and the pairwise generator lcms.
 MacMahon's product formula  prod_{i>=1} (1 - q^i)^{-i}  generates the
 counts of plane partitions and serves as an enumeration oracle.
 
-Text is read with poly3's polynomial grammar; a list of monic monomials
-is a monomial ideal.  The JSON form lists exponent triples.
+Exponent triples, and the helpers on them (ORIGIN, exp_lcm,
+monomial_str), are poly3's.  Text is read with poly3's polynomial
+grammar; a list of monic monomials is a monomial ideal.  The JSON form
+lists exponent triples.
 """
 from __future__ import annotations
 
@@ -28,28 +30,9 @@ from typing import Iterable, Iterator, Sequence
 from . import poly3
 from .errors import InputError, NotZeroDimensionalError, UnitIdealError
 from .gfp import DEFAULT_PRIME
+from .poly3 import ORIGIN, Exponent as ExponentVec, exp_lcm, monomial_str
 
-ExponentVec = tuple[int, int, int]
-
-ORIGIN: ExponentVec = (0, 0, 0)
-VAR_NAMES = ("x", "y", "z")
 _INF = float("inf")
-
-
-def ev_sub(a: ExponentVec, b: ExponentVec) -> tuple[int, int, int]:
-    """Componentwise difference; may be negative (a signed triple)."""
-    return (a[0] - b[0], a[1] - b[1], a[2] - b[2])
-
-
-def monomial_str(a: ExponentVec) -> str:
-    """Render (1,0,2) as "x*z^2"; the zero vector renders as "1"."""
-    parts = []
-    for name, e in zip(VAR_NAMES, a):
-        if e == 1:
-            parts.append(name)
-        elif e > 1:
-            parts.append(f"{name}^{e}")
-    return "*".join(parts) if parts else "1"
 
 
 def _at(heights, i: int, j: int):
@@ -115,9 +98,7 @@ class MonomialIdeal3:
     def generator_lcms(self) -> tuple[tuple[int, int, ExponentVec], ...]:
         """(i, j, lcm(g_i, g_j)) for every pair i < j of minimal generators."""
         g = self.mingens
-        return tuple((i, j, (max(g[i][0], g[j][0]), max(g[i][1], g[j][1]),
-                             max(g[i][2], g[j][2])))
-                     for j in range(len(g)) for i in range(j))
+        return tuple((i, j, exp_lcm(g[i], g[j])) for j in range(len(g)) for i in range(j))
 
     @property
     def colength(self) -> int:
@@ -158,7 +139,7 @@ def from_generators(gens: Iterable[ExponentVec]) -> MonomialIdeal3:
         raise InputError(f"negative exponent in {gens}")
     if ORIGIN in gens:
         raise UnitIdealError("1 is a generator")
-    missing = [VAR_NAMES[i] for i in range(3) if not any(g[i] == sum(g) for g in gens)]
+    missing = [poly3.VAR_NAMES[i] for i in range(3) if not any(g[i] == sum(g) for g in gens)]
     if missing:
         raise NotZeroDimensionalError(
             f"no pure power of {', '.join(missing)} among the generators")

@@ -12,10 +12,12 @@ built on first use; the QuotientData in turn caches the matrix of every
 standard monomial that evaluate_at_matrices has formed.  Every caller of
 the ideal shares these, so the cached matrices are read-only numpy arrays.
 
-Coefficients are integers in [0, p) for a fixed prime p carried by the
-ring.  Buchberger runs with the coprime and chain criteria and a normal
-(smallest-lcm-first) selection strategy; reduced bases are unique, so
-ideal equality is Groebner-basis equality.
+Every ring has three variables, so an exponent is a triple (a, b, c);
+ORIGIN, exp_divides, exp_sub, exp_lcm and monomial_str are the package's
+one set of helpers on it.  Coefficients are integers in [0, p) for a
+fixed prime p carried by the ring.  Buchberger runs with the coprime and
+chain criteria and a normal (smallest-lcm-first) selection strategy;
+reduced bases are unique, so ideal equality is Groebner-basis equality.
 """
 from __future__ import annotations
 
@@ -29,12 +31,42 @@ import numpy as np
 from .errors import InputError, NotZeroDimensionalError
 from .gfp import inv_mod, kernel_basis, require_exact
 
-Exponent = tuple[int, ...]
+Exponent = tuple[int, int, int]
+
+ORIGIN: Exponent = (0, 0, 0)
+VAR_NAMES = ("x", "y", "z")
+_VARIABLES: tuple[Exponent, ...] = ((1, 0, 0), (0, 1, 0), (0, 0, 1))  # x, y, z
 
 
-def degrevlex_key(e: Exponent):
+def degrevlex_key(e: Exponent) -> tuple[int, int, int, int]:
     """Sort key of the monomial order: larger key = larger monomial."""
-    return (sum(e), tuple(-e[i] for i in range(len(e) - 1, -1, -1)))
+    a, b, c = e
+    return (a + b + c, -c, -b, -a)
+
+
+def exp_divides(a: Exponent, b: Exponent) -> bool:
+    """True iff x^a divides x^b."""
+    return a[0] <= b[0] and a[1] <= b[1] and a[2] <= b[2]
+
+
+def exp_sub(a: Exponent, b: Exponent) -> Exponent:
+    """Componentwise difference; may be negative (a signed triple)."""
+    return (a[0] - b[0], a[1] - b[1], a[2] - b[2])
+
+
+def exp_lcm(a: Exponent, b: Exponent) -> Exponent:
+    return (max(a[0], b[0]), max(a[1], b[1]), max(a[2], b[2]))
+
+
+def monomial_str(e: Exponent, names: Sequence[str] = VAR_NAMES) -> str:
+    """Render (1, 0, 2) as "x*z^2"; ORIGIN renders as "1"."""
+    parts = []
+    for name, k in zip(names, e):
+        if k == 1:
+            parts.append(name)
+        elif k > 1:
+            parts.append(f"{name}^{k}")
+    return "*".join(parts) if parts else "1"
 
 
 # ---------------------------------------------------------------------------
@@ -42,13 +74,12 @@ def degrevlex_key(e: Exponent):
 # ---------------------------------------------------------------------------
 
 class PolyRing:
-    """F_p[names]; equality is by prime and variable names."""
+    """F_p[names] for three variable names; equality is by prime and names."""
 
-    def __init__(self, p: int, names: Sequence[str] = ("x", "y", "z")):
+    def __init__(self, p: int, names: Sequence[str] = VAR_NAMES):
         require_exact(p)
         self.p = int(p)
         self.names = tuple(names)
-        self.nvars = len(self.names)
 
     def __eq__(self, other):
         return isinstance(other, PolyRing) and (self.p, self.names) == (other.p, other.names)
@@ -72,15 +103,7 @@ class PolyRing:
         return Poly(self, {})
 
     def one(self) -> "Poly":
-        return Poly(self, {(0,) * self.nvars: 1})
-
-    def constant(self, c: int) -> "Poly":
-        return self.poly({(0,) * self.nvars: c})
-
-    def var(self, i: int) -> "Poly":
-        e = [0] * self.nvars
-        e[i] = 1
-        return Poly(self, {tuple(e): 1})
+        return Poly(self, {ORIGIN: 1})
 
     def monomial(self, e: Exponent, c: int = 1) -> "Poly":
         return self.poly({tuple(e): c})
@@ -132,7 +155,7 @@ class Poly:
             small, big = big, small
         for e1, c1 in small.items():
             for e2, c2 in big.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
+                e = (e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2])
                 v = (out.get(e, 0) + c1 * c2) % p
                 if v:
                     out[e] = v
@@ -150,7 +173,7 @@ class Poly:
     def mul_monomial(self, e: Exponent, c: int = 1) -> "Poly":
         p = self.ring.p
         c %= p
-        return Poly(self.ring, {tuple(a + b for a, b in zip(e, te)): tc * c % p
+        return Poly(self.ring, {(e[0] + te[0], e[1] + te[1], e[2] + te[2]): tc * c % p
                                 for te, tc in self.terms.items()})
 
     def leading(self) -> tuple[Exponent, int]:
@@ -162,7 +185,7 @@ class Poly:
         return self.scale(inv_mod(c, self.ring.p)) if c != 1 else self
 
     def degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=-1)
+        return max((a + b + c for a, b, c in self.terms), default=-1)
 
     def __repr__(self):
         return f"Poly({poly_str(self)})"
@@ -180,14 +203,8 @@ def poly_str(f: Poly) -> str:
         sign = "+"
         if c > p // 2:  # print balanced representatives for readability
             sign, c = "-", p - c
-        factors = []
-        for n, k in zip(names, e):
-            if k == 1:
-                factors.append(n)
-            elif k > 1:
-                factors.append(f"{n}^{k}")
-        body = "*".join(factors)
-        if not body:
+        body = monomial_str(e, names)
+        if e == ORIGIN:
             body = str(c)
         elif c != 1:
             body = f"{c}*{body}"
@@ -212,15 +229,15 @@ def parse_poly(text: str, ring: PolyRing) -> Poly:
     terms: dict[Exponent, int] = {}
     sign = 1
     cur_coeff: Optional[int] = None
-    cur_exp: Optional[list[int]] = None
+    cur_exp = [0, 0, 0]
     prev = "start"  # start | sign | star | factor
 
     def flush():
         nonlocal sign, cur_coeff, cur_exp
         c = sign * (1 if cur_coeff is None else cur_coeff)
-        e = tuple(cur_exp) if cur_exp is not None else (0,) * ring.nvars
+        e = tuple(cur_exp)
         terms[e] = (terms.get(e, 0) + c) % ring.p
-        sign, cur_coeff, cur_exp = 1, None, None
+        sign, cur_coeff, cur_exp = 1, None, [0, 0, 0]
 
     while pos < n:
         m = _TOKEN.match(text, pos)
@@ -252,8 +269,6 @@ def parse_poly(text: str, ring: PolyRing) -> Poly:
             letters = [var] if var in names else list(var)
             if any(ch not in names for ch in letters):
                 raise InputError(f"unknown variable {var!r} in {text!r}")
-            if cur_exp is None:
-                cur_exp = [0] * ring.nvars
             power = 1  # a trailing ^k applies to the last letter of the run
             m2 = _TOKEN.match(text, pos)
             if m2 and m2.group(3):  # caret
@@ -279,18 +294,6 @@ def parse_poly(text: str, ring: PolyRing) -> Poly:
 # division, S-polynomials, Buchberger
 # ---------------------------------------------------------------------------
 
-def _divides(a: Exponent, b: Exponent) -> bool:
-    return all(x <= y for x, y in zip(a, b))
-
-
-def _quotient_exp(a: Exponent, b: Exponent) -> Exponent:
-    return tuple(x - y for x, y in zip(a, b))
-
-
-def _lcm_exp(a: Exponent, b: Exponent) -> Exponent:
-    return tuple(max(x, y) for x, y in zip(a, b))
-
-
 def reduce_full(f: Poly, basis: Sequence[Poly], track: bool = False):
     """Full division of f by the (monic) basis.
 
@@ -309,14 +312,15 @@ def reduce_full(f: Poly, basis: Sequence[Poly], track: bool = False):
         e = max(work, key=degrevlex_key)
         c = work.pop(e)
         for i, lt in enumerate(lts):
-            if _divides(lt, e):
-                q = _quotient_exp(e, lt)
+            if exp_divides(lt, e):
+                q = exp_sub(e, lt)
                 if track:
                     quotients[i][q] = (quotients[i].get(q, 0) + c) % p
+                qa, qb, qc = q
                 for te, tc in basis[i].terms.items():
                     if te == lt:
                         continue
-                    we = tuple(a + b for a, b in zip(q, te))
+                    we = (qa + te[0], qb + te[1], qc + te[2])
                     v = (work.get(we, 0) - c * tc) % p
                     if v:
                         work[we] = v
@@ -335,8 +339,8 @@ def s_poly(f: Poly, g: Poly) -> tuple[Poly, Exponent, Exponent]:
     """S-polynomial m_f f - m_g g of two monic polynomials, with m_f, m_g."""
     lf = f.leading()[0]
     lg = g.leading()[0]
-    l = _lcm_exp(lf, lg)
-    mf, mg = _quotient_exp(l, lf), _quotient_exp(l, lg)
+    l = exp_lcm(lf, lg)
+    mf, mg = exp_sub(l, lf), exp_sub(l, lg)
     return f.mul_monomial(mf) - g.mul_monomial(mg), mf, mg
 
 
@@ -384,7 +388,7 @@ def buchberger(gens: Sequence[Poly], track: bool = False):
     heap: list = []
 
     def push(i: int, j: int):
-        l = _lcm_exp(lts[i], lts[j])
+        l = exp_lcm(lts[i], lts[j])
         heapq.heappush(heap, (degrevlex_key(l), i, j))
         pending.add((i, j))
 
@@ -395,14 +399,15 @@ def buchberger(gens: Sequence[Poly], track: bool = False):
     while heap:
         _, i, j = heapq.heappop(heap)
         pending.discard((i, j))
-        l = _lcm_exp(lts[i], lts[j])
-        if l == tuple(a + b for a, b in zip(lts[i], lts[j])):
+        li, lj = lts[i], lts[j]
+        l = exp_lcm(li, lj)
+        if l == (li[0] + lj[0], li[1] + lj[1], li[2] + lj[2]):
             continue  # coprime leading terms
         skip = False
         for k in range(len(basis)):
             if k in (i, j):
                 continue
-            if _divides(lts[k], l) \
+            if exp_divides(lts[k], l) \
                     and (min(i, k), max(i, k)) not in pending \
                     and (min(j, k), max(j, k)) not in pending:
                 skip = True
@@ -442,7 +447,7 @@ def reduce_basis(basis: Sequence[Poly], rows: Optional[Sequence[list[Poly]]] = N
     # minimalize: drop any element whose leading term another one divides
     lts = [g.leading()[0] for g, _ in elems]
     keep = [elems[i] for i, lt in enumerate(lts)
-            if not any(j != i and _divides(lts[j], lt) and (lts[j] != lt or j < i)
+            if not any(j != i and exp_divides(lts[j], lt) and (lts[j] != lt or j < i)
                        for j in range(len(elems)))]
     basis = [g for g, _ in keep]
     rows = [row for _, row in keep]
@@ -569,25 +574,19 @@ def standard_monomials(gb: Sequence[Poly]) -> list[Exponent]:
     """Monomials not divisible by any leading term; raises if infinite."""
     if not gb:
         raise NotZeroDimensionalError("the zero ideal is not zero-dimensional")
-    ring = gb[0].ring
-    n = ring.nvars
     lts = [g.leading()[0] for g in gb]
-    for i in range(n):
-        if not any(all(lt[j] == 0 for j in range(n) if j != i) for lt in lts):
+    for i in range(3):
+        if not any(lt[i] == sum(lt) for lt in lts):
             raise NotZeroDimensionalError(
-                f"no pure power of {ring.names[i]} among the leading terms")
+                f"no pure power of {gb[0].ring.names[i]} among the leading terms")
     found: set[Exponent] = set()
-    origin = (0,) * n
-    if not any(_divides(lt, origin) for lt in lts):
-        found.add(origin)
-    frontier = [origin] if found else []
+    if ORIGIN not in lts:
+        found.add(ORIGIN)
+    frontier = [ORIGIN] if found else []
     while frontier:
-        m = frontier.pop()
-        for i in range(n):
-            w = list(m)
-            w[i] += 1
-            w = tuple(w)
-            if w in found or any(_divides(lt, w) for lt in lts):
+        a, b, c = frontier.pop()
+        for w in ((a + 1, b, c), (a, b + 1, c), (a, b, c + 1)):
+            if w in found or any(exp_divides(lt, w) for lt in lts):
                 continue
             found.add(w)
             frontier.append(w)
@@ -604,12 +603,10 @@ def quotient_data(I: PolyIdeal) -> QuotientData:
     index = {m: i for i, m in enumerate(basis)}
     ring = I.ring
     mats = []
-    for v in range(ring.nvars):
+    for v in _VARIABLES:
         mat = np.zeros((d, d), dtype=np.int64)
-        for j, m in enumerate(basis):
-            shifted = list(m)
-            shifted[v] += 1
-            shifted = tuple(shifted)
+        for j, (a, b, c) in enumerate(basis):
+            shifted = (a + v[0], b + v[1], c + v[2])
             if shifted in index:
                 mat[index[shifted], j] = 1
                 continue
@@ -657,19 +654,16 @@ def evaluate_at_matrices(f: Poly, qd: QuotientData) -> np.ndarray:
     if any(e not in qd.standard_set for e in f.terms):
         f, _ = reduce_full(f, qd.groebner_basis)
     cache = qd.monomial_matrices
-    origin = (0,) * qd.ring.nvars
-    if origin not in cache:
-        cache[origin] = np.eye(d, dtype=np.int64)
-        cache[origin].setflags(write=False)
+    if ORIGIN not in cache:
+        cache[ORIGIN] = np.eye(d, dtype=np.int64)
+        cache[ORIGIN].setflags(write=False)
 
     def mono_matrix(e: Exponent) -> np.ndarray:
         if e in cache:
             return cache[e]
-        i = next(i for i in range(len(e)) if e[i] > 0)
-        prev = list(e)
-        prev[i] -= 1
-        prev = tuple(prev)
-        m = qd.mult_matrices[i] if prev == origin else \
+        i = 0 if e[0] else 1 if e[1] else 2
+        prev = exp_sub(e, _VARIABLES[i])
+        m = qd.mult_matrices[i] if prev == ORIGIN else \
             matmul(qd.mult_matrices[i], mono_matrix(prev), p)
         m.setflags(write=False)
         cache[e] = m

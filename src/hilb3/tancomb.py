@@ -17,7 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InvariantError
-from .mono3 import MonomialIdeal3, ev_sub
+from .mono3 import MonomialIdeal3
+from .poly3 import exp_sub
 
 SIGNATURES = ("ppn", "pnp", "npp", "nnp", "npn", "pnn")
 DOUBLY_NEGATIVE = ("nnp", "npn", "pnn")
@@ -89,7 +90,7 @@ def weight_candidates(ideal: MonomialIdeal3) -> set[tuple[int, int, int]]:
     multiple of the staircase monomial g + a, so a = m - g for some
     staircase m.  The zero weight never occurs (g is in I, m is not).
     """
-    return {ev_sub(m, g) for m in ideal.staircase for g in ideal.mingens}
+    return {exp_sub(m, g) for m in ideal.staircase for g in ideal.mingens}
 
 
 def tangent_report(ideal: MonomialIdeal3) -> TangentReport:

@@ -30,10 +30,23 @@ def is_strongly_stable(ideal):
     return True
 
 
+IDENTITY = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+
+
+def linear_forms(ring, a, t):
+    """The three polynomials sum_j a[i][j] x_j + t[i]."""
+    return [ring.poly({IDENTITY[0]: a[i][0], IDENTITY[1]: a[i][1], IDENTITY[2]: a[i][2],
+                       (0, 0, 0): t[i]}) for i in range(3)]
+
+
+def shifts_to(ring, point):
+    """x - a, y - b, z - c for the point (a, b, c)."""
+    return linear_forms(ring, IDENTITY, [-c for c in point])
+
+
 def linear_image(ideal, ring, a, t):
     """The monomial ideal after the change of coordinates x_i -> sum_j a[i][j] x_j + t[i]."""
-    forms = [sum((ring.var(j).scale(a[i][j]) for j in range(3)), ring.constant(t[i]))
-             for i in range(3)]
+    forms = linear_forms(ring, a, t)
     gens = []
     for g in ideal.mingens:
         f = ring.one()

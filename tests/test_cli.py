@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from hilb3 import cli, duality, mono3, tanlin
+from hilb3 import cli, duality, gfp, mono3, tanlin
 
 DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
 
@@ -280,6 +280,38 @@ class TestFilesAndErrors:
         assert got == code
         assert set(data["error"]) == {"type", "message"}
         assert "result" not in data
+
+    @pytest.mark.parametrize("argv, builds", [
+        (["tangent", "x + 1, x"], 1),
+        (["tangent", "x - 1, y, z, x"], 1),
+        (["--verify", "tangent", "x + 1, x"], 1),
+        (["parity", "1, x"], 1),
+        (["bicanonical", "x + 1, x"], 1),
+        (["link", "x + 1, x", "--alpha", "x, y, z"], 2),  # alpha, then the source
+        (["verify-chain", "{data}/chain_unit_source.json"], 2),
+    ])
+    def test_unit_ideal_is_not_a_point(self, capsys, quotient_builds, argv, builds):
+        # the colength each command computes anyway rejects (1), with no extra basis
+        code, data = run_json(capsys, *(a.replace("{data}", DATA) for a in argv))
+        assert code == 1
+        assert data["error"]["type"] == "UnitIdealError"
+        assert len(quotient_builds) == builds
+
+    def test_unit_link_target_is_valid(self, capsys):
+        code, data = run_json(capsys, "link", "x, y, z", "--alpha", "x, y, z")
+        assert code == 0
+        assert data["result"]["target"] == ["1"]
+        assert data["result"]["colengths"] == {"source": 1, "alpha": 1, "target": 0}
+
+    def test_each_prime_is_tested_once(self, capsys, monkeypatch):
+        calls = []
+        original = gfp.is_prime
+        monkeypatch.setattr(gfp, "is_prime", lambda n: calls.append(n) or original(n))
+        cli._ring.cache_clear()
+        for _ in range(2):
+            code, _ = run_json(capsys, "--second-prime", "2147483629", "tangent", "x, y, z")
+            assert code == 0
+        assert sorted(calls) == [2147483629, 2147483647]
 
     def test_unknown_subcommand_exits_2(self, capsys):
         code = cli.main(["frobnicate"])

@@ -48,6 +48,7 @@ CASES = {
     "tangent-json-negative-exponent": ["tangent", "[[1,0,0],[0,1,0],[0,0,-1]]"],
     "tangent-json-unit": ["tangent", "[[0,0,0]]"],
     "tangent-unit-text": ["tangent", "1, x"],
+    "tangent-unit-syzygy": ["tangent", "x + 1, x"],
     "tangent-malformed-monomial": ["tangent", "x*, y, z"],
     "classify-malformed-monomial": ["classify", "x**y, y, z, x^2"],
     "classify-singular": ["classify", "x^2,x*y,x*z,y^2,y*z,z^3"],
@@ -71,12 +72,16 @@ CASES = {
     "link-not-contained": ["link", "x^2,y,z", "--alpha", "x,y,z"],
     "link-two-alphas": ["link", "x^2,y,z", "--alpha", "x^2, y"],
     "link-zero-alpha": ["link", "x,y,z", "--alpha", "0, y, z"],
+    "link-unit-source": ["link", "x + 1, x", "--alpha", "x, y, z"],
+    "link-unit-target": ["link", "x, y, z", "--alpha", "x, y, z"],
     "verify-chain": ["verify-chain", "{data}/chain.json"],
     "verify-chain-text": ["--format", "text", "verify-chain", "{data}/chain.json"],
     "verify-chain-bad-json": ["verify-chain", "{data}/mats.json"],
     "verify-chain-missing": ["verify-chain", "/nonexistent.json"],
+    "verify-chain-unit-source": ["verify-chain", "{data}/chain_unit_source.json"],
     "parity": ["parity", BINOMIAL],
     "parity-second-prime": [SP, "parity", "x^2, x*y, x*z, y^2, y*z, z^2"],
+    "parity-unit": ["parity", "1, x"],
     "ann": ["ann", "X^2 + Y*Z"],
     "ann-csv": ["--format", "csv", "ann", "X^3 - Y^3, X*Y^2 + X*Z^2"],
     "ann-empty": ["ann", " , "],
@@ -88,6 +93,7 @@ CASES = {
     "bicanonical-off-origin": ["bicanonical", "x-1, y, z"],
     "bicanonical-off-origin-second-prime": [SP, "bicanonical", "x^2-2*x+1, y, z"],
     "bicanonical-not-local": ["bicanonical", "x^2-x, y, z"],
+    "bicanonical-unit": ["bicanonical", "x + 1, x"],
     "pfaffian-ideal": ["pfaffian-ideal", "{data}/mats.json"],
     "pfaffian-ideal-csv": ["--format", "csv", "pfaffian-ideal", "{data}/mats.json"],
     "pfaffian-ideal-off-origin": ["pfaffian-ideal", "{data}/mats_off_origin.json"],

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from hilb3 import apolarity, duality, gfp, mono3, poly3, smoothcls
 from hilb3.errors import CharTwoError, InputError
-from helpers import linear_image, random_change
+from helpers import linear_image, random_change, shifts_to
 
 P = gfp.DEFAULT_PRIME
 R = poly3.PolyRing(P)
@@ -54,7 +54,7 @@ def maximal_ideal_power(k, ring=R):
 
 def moved_mono_ideal(ideal, point, ring):
     """The monomial ideal moved to the point: x, y, z -> x - a, y - b, z - c."""
-    shifts = [ring.var(v) - ring.constant(c) for v, c in enumerate(point)]
+    shifts = shifts_to(ring, point)
     gens = []
     for e in ideal.mingens:
         f = ring.one()

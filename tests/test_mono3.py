@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hilb3 import mono3
+from hilb3 import mono3, poly3
 from hilb3.errors import InputError, NotZeroDimensionalError, UnitIdealError
 from helpers import ev, is_strongly_stable
 
@@ -86,7 +86,7 @@ def hilbert_function(ideal):
 
 
 def oracle_colon(staircase, f):
-    return frozenset(mono3.ev_sub(v, f) for v in staircase if ev_leq(f, v))
+    return frozenset(poly3.exp_sub(v, f) for v in staircase if ev_leq(f, v))
 
 
 def oracle_add(staircase, f):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from hilb3 import gfp, mono3, poly3, tancomb, tanlin
 from hilb3.errors import InputError, NotZeroDimensionalError
+from helpers import shifts_to
 
 P = gfp.DEFAULT_PRIME
 R = poly3.PolyRing(P)
@@ -61,6 +62,35 @@ class TestOrders:
         mons = [(2, 0, 0), (1, 1, 0), (0, 2, 0), (1, 0, 1), (0, 1, 1), (0, 0, 2)]
         ranked = sorted(mons, key=poly3.degrevlex_key, reverse=True)
         assert ranked == mons  # x^2 > xy > y^2 > xz > yz > z^2
+
+
+TRIPLES = st.tuples(*[st.integers(0, 6)] * 3)
+
+
+def any_arity_degrevlex_key(e):
+    """The key for any number of variables, kept as the oracle of degrevlex_key."""
+    return (sum(e), tuple(-e[i] for i in range(len(e) - 1, -1, -1)))
+
+
+class TestExponentTriples:
+    @settings(max_examples=300, deadline=None)
+    @given(TRIPLES, TRIPLES)
+    def test_degrevlex_key_orders_like_the_any_arity_key(self, a, b):
+        new, old = poly3.degrevlex_key, any_arity_degrevlex_key
+        assert (new(a) < new(b)) == (old(a) < old(b))
+        assert (new(a) == new(b)) == (a == b) == (old(a) == old(b))
+
+    @settings(max_examples=300, deadline=None)
+    @given(TRIPLES, TRIPLES)
+    def test_helpers_are_componentwise(self, a, b):
+        assert poly3.exp_divides(a, b) == all(x <= y for x, y in zip(a, b))
+        assert poly3.exp_sub(a, b) == tuple(x - y for x, y in zip(a, b))
+        assert poly3.exp_lcm(a, b) == tuple(max(x, y) for x, y in zip(a, b))
+
+    def test_monomial_str(self):
+        assert poly3.monomial_str(poly3.ORIGIN) == "1"
+        assert poly3.monomial_str((2, 0, 1), ("X", "Y", "Z")) == "X^2*Z"
+        assert poly3.poly_str(pp("3*x*z^2 - y + 5")) == "3*x*z^2 - y + 5"
 
 
 class TestGroebner:
@@ -134,7 +164,7 @@ class TestTrackedGroebner:
     def test_rows_scale_with_non_monic_input(self):
         basis, rows = poly3.buchberger([pp("3*x"), R.zero()], track=True)
         assert basis == [pp("x")]
-        assert rows == [[R.constant(gfp.inv_mod(3, P)), R.zero()]]
+        assert rows == [[R.monomial((0, 0, 0), gfp.inv_mod(3, P)), R.zero()]]
 
     def test_empty_input(self):
         assert poly3.buchberger([]) == []
@@ -166,12 +196,12 @@ class TestNormalForm:
 def moved(I, point):
     """The ideal moved to the point: x, y, z -> x - a, y - b, z - c in every generator."""
     ring = I.ring
-    shifts = [ring.var(v) - ring.constant(c) for v, c in enumerate(point)]
+    shifts = shifts_to(ring, point)
     gens = []
     for g in I.gens:
         f = ring.zero()
         for e, c in g.terms.items():
-            term = ring.constant(c)
+            term = ring.monomial((0, 0, 0), c)
             for shift, k in zip(shifts, e):
                 for _ in range(k):
                     term = term * shift
@@ -227,7 +257,7 @@ class TestReduceBasis:
         assert all(c == 1 for _, c in lts)
         for i, g in enumerate(reduced):
             for j, (lt, _) in enumerate(lts):
-                assert i == j or not any(poly3._divides(lt, e) for e in g.terms)
+                assert i == j or not any(poly3.exp_divides(lt, e) for e in g.terms)
         for g, row in zip(reduced, rows):
             assert combine(row, I.gens) == g
 

@@ -25,3 +25,28 @@ def _imports(path, module):
 def test_one_text_grammar():
     # every text input is read by poly3's tokenizer; no other module uses re
     assert [p.name for p in sorted(SRC.glob("*.py")) if _imports(p, "re")] == ["poly3.py"]
+
+
+def _top_level_names(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return names
+
+
+EXPONENT_HELPERS = {"Exponent", "ORIGIN", "VAR_NAMES", "degrevlex_key", "exp_divides",
+                    "exp_sub", "exp_lcm", "monomial_str"}
+
+
+def test_one_exponent_vocabulary():
+    # exponents are triples, and poly3 alone defines the helpers on them
+    names = EXPONENT_HELPERS | {"ExponentVec", "ev_sub"}  # the old mono3 copies too
+    defined = {p.name: _top_level_names(p) & names for p in sorted(SRC.glob("*.py"))}
+    assert {name: found for name, found in defined.items() if found} == \
+        {"poly3.py": EXPONENT_HELPERS}
+    assert [p.name for p in sorted(SRC.glob("*.py")) if "nvars" in p.read_text()] == []

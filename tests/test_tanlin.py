@@ -198,22 +198,26 @@ class TestGradedRoute:
             for ideal in mono3.enumerate_ideals(d):
                 g = ideal.mingens
                 assert ideal.generator_lcms == tuple(
-                    (i, j, poly3._lcm_exp(g[i], g[j]))
+                    (i, j, tuple(map(max, g[i], g[j])))
                     for j in range(len(g)) for i in range(j))
 
     def test_mono_hom_dim_forms_no_lcm_per_weight(self, monkeypatch):
+        # one lcm per generator pair, built once per ideal, none per weight
         calls = [0]
-        original = poly3._lcm_exp
+        original = poly3.exp_lcm
 
         def counting(a, b):
             calls[0] += 1
             return original(a, b)
 
-        monkeypatch.setattr(poly3, "_lcm_exp", counting)
-        monkeypatch.setattr(tanlin, "_lcm_exp", counting, raising=False)
+        monkeypatch.setattr(mono3, "exp_lcm", counting)
+        monkeypatch.setattr(tanlin, "exp_lcm", counting, raising=False)
         ideal = mono3.parse_monomial_ideal("x^3, y^3, z^3, y*z^2, x^2*z, x*y^2")
+        pairs = len(ideal.mingens) * (len(ideal.mingens) - 1) // 2
         assert tanlin.mono_hom_dim(ideal) == 48
-        assert calls == [0]
+        assert calls == [pairs]
+        assert tanlin.mono_hom_dim(ideal) == 48
+        assert calls == [pairs]
         assert "generator_lcms" in vars(ideal)
         assert "staircase_graph" not in vars(ideal)
 
