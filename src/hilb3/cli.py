@@ -80,10 +80,12 @@ def _cmd_tangent(args, ring) -> tuple[dict, int]:
     if isinstance(ideal, mono3.MonomialIdeal3):
         rep = tancomb.tangent_report(ideal)
         if args.verify:
-            total = sum(tanlin.hom_dim_weight(ideal, a) for a in rep.weights)
-            if total != rep.total:
-                raise InvariantError(
-                    f"combinatorial {rep.total} vs linear-algebra {total}")
+            dims = tanlin.mono_hom_dims(ideal)
+            if dims != rep.dims:
+                a = min(a for a in dims.keys() | rep.dims.keys()
+                        if dims.get(a) != rep.dims.get(a))
+                raise InvariantError(f"at weight {a}: combinatorial {rep.dims.get(a, 0)}"
+                                     f" vs linear-algebra {dims.get(a, 0)}")
         return {
             "route": "monomial",
             "colength": rep.colength,

@@ -4,7 +4,9 @@ The degree-a graded piece of Hom_S(I, S/I) has dimension equal to the
 number of bounded connected components of (I+a) \\ I inside Z^3, where
 adjacency is by unit steps and a component is bounded exactly when it
 stays inside N^3.  Summing over all weights a that can support a nonzero
-graded homomorphism gives the tangent dimension of [S/I].
+graded homomorphism gives the tangent dimension of [S/I].  The search
+runs on the ideal's cached staircase graph; a cell v is in I+a when
+v >= a componentwise and v - a is outside the staircase, tested inline.
 
 Weights are bucketed by signature: each coordinate is classed p
 ("positive or zero") or n ("negative"); the constant classes ppp and nnn
@@ -35,8 +37,8 @@ class TangentReport:
 
     excess is total - 3d; it vanishes exactly at the smooth monomial
     points.  doubly_negative_weights lists the weights with at least one
-    bounded component in the signatures nnp, npn, pnn.  weights holds the
-    sorted candidate weights the total was summed over.
+    bounded component in the signatures nnp, npn, pnn.  dims maps each
+    weight with a bounded component to their number, in sorted order.
     """
 
     colength: int
@@ -44,7 +46,7 @@ class TangentReport:
     total: int
     excess: int
     doubly_negative_weights: tuple[tuple[tuple[int, int, int], int], ...]
-    weights: tuple[tuple[int, int, int], ...]
+    dims: dict[tuple[int, int, int], int]
 
 
 def bounded_components(ideal: MonomialIdeal3, a: tuple[int, int, int]) -> int:
@@ -54,16 +56,15 @@ def bounded_components(ideal: MonomialIdeal3, a: tuple[int, int, int]) -> int:
     the (finite) staircase, along the ideal's cached staircase graph; a
     component is unbounded when a neighbour with a negative entry lies in
     I+a (it is outside N^3, hence outside I).  Only the membership of each
-    cell in I+a depends on a.
+    cell v in I+a depends on a, and it is decided inline: v >= a
+    componentwise and v - a outside the staircase.
     """
     cells, adjacent, outside = ideal.staircase_graph
-    in_ideal = ideal.__contains__
-
-    def in_shifted_ideal(v: tuple[int, int, int]) -> bool:
-        return in_ideal((v[0] - a[0], v[1] - a[1], v[2] - a[2]))
-
+    stair = ideal.staircase
+    a0, a1, a2 = a
     # todo[n]: cells[n] lies in (I+a) \ I and no search has reached it yet
-    todo = [in_shifted_ideal(v) for v in cells]
+    todo = [x >= a0 and y >= a1 and z >= a2 and (x - a0, y - a1, z - a2) not in stair
+            for x, y, z in cells]
     count = 0
     for s, seed in enumerate(todo):
         if not seed:
@@ -73,8 +74,11 @@ def bounded_components(ideal: MonomialIdeal3, a: tuple[int, int, int]) -> int:
         bounded = True
         while stack:
             n = stack.pop()
-            if bounded and any(map(in_shifted_ideal, outside[n])):
-                bounded = False
+            if bounded:
+                for x, y, z in outside[n]:
+                    if x >= a0 and y >= a1 and z >= a2 and (x - a0, y - a1, z - a2) not in stair:
+                        bounded = False
+                        break
             for m in adjacent[n]:
                 if todo[m]:
                     todo[m] = False
@@ -94,12 +98,15 @@ def weight_candidates(ideal: MonomialIdeal3) -> set[tuple[int, int, int]]:
 
 
 def tangent_report(ideal: MonomialIdeal3) -> TangentReport:
-    """Sum bounded component counts over all candidate weights."""
+    """Sum bounded component counts over all candidate weights.
+
+    Raises InvariantError on an odd excess: at a monomial point
+    dim T = d (mod 2) (Maulik-Nekrasov-Okounkov-Pandharipande 2006).
+    """
     by_signature = {s: 0 for s in SIGNATURES}
     doubly_negative = []
-    total = 0
-    weights = tuple(sorted(weight_candidates(ideal)))
-    for a in weights:
+    dims = {}
+    for a in sorted(weight_candidates(ideal)):
         n = bounded_components(ideal, a)
         if n == 0:
             continue
@@ -109,11 +116,13 @@ def tangent_report(ideal: MonomialIdeal3) -> TangentReport:
         if sig not in by_signature:
             raise InvariantError(f"unexpected nonzero weight {a} ({sig})")
         by_signature[sig] += n
-        total += n
+        dims[a] = n
         if sig in DOUBLY_NEGATIVE:
             doubly_negative.append((a, n))
     d = ideal.colength
+    total = sum(dims.values())
+    if (total - d) % 2:
+        raise InvariantError(f"dim T = {total} and colength {d} differ in parity")
     return TangentReport(colength=d, by_signature=by_signature, total=total,
                          excess=total - 3 * d,
-                         doubly_negative_weights=tuple(doubly_negative),
-                         weights=weights)
+                         doubly_negative_weights=tuple(doubly_negative), dims=dims)

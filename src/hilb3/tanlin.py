@@ -12,6 +12,13 @@ Syzygies come from the recorded S-pair reductions of a Groebner basis;
 these generate the whole syzygy module.  Hom_S(I, -) does not depend on
 the chosen generating set, which the second code path (syzygies lifted
 to the originally given generators) makes checkable.
+
+For a monomial ideal the same Hom splits by weight into union-find
+counts over the minimal generators (hom_dim_weight).  mono_hom_dims
+computes every weight in one transposed pass: staircase x generators
+gives each weight its unknowns, staircase x generator lcms its
+conditions.  It is the graded cross-check of tancomb's bounded
+components and shares no code with them.
 """
 from __future__ import annotations
 
@@ -24,7 +31,6 @@ from . import gfp, poly3
 from .errors import InvariantError
 from .mono3 import MonomialIdeal3
 from .poly3 import Poly, PolyIdeal, reduce_full, s_poly, sub_multiples
-from .tancomb import weight_candidates
 
 
 @dataclass
@@ -136,24 +142,14 @@ def tangent_excess(I: PolyIdeal) -> tuple[int, int, int]:
 # graded (per-weight) dimensions for monomial ideals
 # ---------------------------------------------------------------------------
 
-def hom_dim_weight(ideal: MonomialIdeal3, a: tuple[int, int, int]) -> int:
-    """dim of the degree-a graded piece of Hom_S(I, S/I), for monomial I.
+def _graded_dim(alive: list[int], conditions: list[tuple[int, int]]) -> int:
+    """Classes of the unknowns c_j, j in alive, under the conditions.
 
-    A graded hom of weight a is determined by scalars c_j at the
-    generators g_j with g_j + a in the staircase; each pairwise syzygy
-    whose lcm stays outside I after the shift forces c_i = c_j, or
-    c_i = 0 when g_j + a lies in I.  The dimension is therefore the number
-    of classes of unknowns under c_i = c_j that hold no forced zero, over
-    any field.  The pairwise lcms are the ideal's cached generator_lcms,
-    so only their shifts depend on a.  This route is independent of the
-    bounded-component count.
+    A condition (i, j) forces c_i = c_j when both are unknowns; when only
+    one of them is, it forces that one, and so its class, to 0.  The
+    answer is the number of classes holding no such forced zero.
     """
-    gens = ideal.mingens
-    stair = ideal.staircase
-    parent = {j: j for j, g in enumerate(gens)
-              if (g[0] + a[0], g[1] + a[1], g[2] + a[2]) in stair}
-    if not parent:
-        return 0
+    parent = {j: j for j in alive}
 
     def find(j: int) -> int:
         while parent[j] != j:
@@ -162,9 +158,7 @@ def hom_dim_weight(ideal: MonomialIdeal3, a: tuple[int, int, int]) -> int:
         return j
 
     killed = []
-    for i, j, l in ideal.generator_lcms:
-        if (l[0] + a[0], l[1] + a[1], l[2] + a[2]) not in stair:
-            continue  # both sides die in S/I, no condition
+    for i, j in conditions:
         if i in parent and j in parent:
             parent[find(i)] = find(j)
         elif i in parent or j in parent:
@@ -172,6 +166,56 @@ def hom_dim_weight(ideal: MonomialIdeal3, a: tuple[int, int, int]) -> int:
     return len({find(j) for j in parent} - {find(k) for k in killed})
 
 
+def hom_dim_weight(ideal: MonomialIdeal3, a: tuple[int, int, int]) -> int:
+    """dim of the degree-a graded piece of Hom_S(I, S/I), for monomial I.
+
+    A graded hom of weight a is determined by scalars c_j at the
+    generators g_j with g_j + a in the staircase; each pairwise syzygy
+    whose lcm stays outside I after the shift forces c_i = c_j, or
+    c_i = 0 when g_j + a lies in I.  The dimension is therefore the number
+    of classes of unknowns under c_i = c_j that hold no forced zero, over
+    any field.  This builds the one bucket of weight a that mono_hom_dims
+    builds for every weight at once, and counts it with the same
+    union-find.  The pairwise lcms are the ideal's cached generator_lcms.
+    This route is independent of the bounded-component count.
+    """
+    stair = ideal.staircase
+    a0, a1, a2 = a
+    alive = [j for j, (x, y, z) in enumerate(ideal.mingens) if (x + a0, y + a1, z + a2) in stair]
+    conditions = [(i, j) for i, j, (x, y, z) in ideal.generator_lcms
+                  if (x + a0, y + a1, z + a2) in stair]
+    return _graded_dim(alive, conditions)
+
+
+def mono_hom_dims(ideal: MonomialIdeal3) -> dict[tuple[int, int, int], int]:
+    """{weight a: dim of the degree-a piece of Hom_S(I, S/I)}, nonzero ones only.
+
+    One transposed pass over the ideal instead of a pass per weight: each
+    staircase monomial m puts generator j in the bucket of weight m - g_j
+    (the unknowns of hom_dim_weight), then puts the condition (i, j) in
+    the bucket of m - lcm(g_i, g_j) when that weight has a bucket.  So the
+    route finds its own weights, reading neither tancomb's candidates nor
+    its staircase graph.  Each bucket is counted by hom_dim_weight's
+    union-find.
+    """
+    gens, pairs = ideal.mingens, ideal.generator_lcms
+    buckets: dict[tuple[int, int, int], tuple[list[int], list[tuple[int, int]]]] = {}
+    for x, y, z in ideal.staircase:
+        for j, (u, v, w) in enumerate(gens):
+            a = (x - u, y - v, z - w)
+            if a in buckets:
+                buckets[a][0].append(j)
+            else:
+                buckets[a] = ([j], [])
+    for x, y, z in ideal.staircase:
+        for i, j, (u, v, w) in pairs:
+            bucket = buckets.get((x - u, y - v, z - w))
+            if bucket is not None:
+                bucket[1].append((i, j))
+    return {a: n for a, bucket in buckets.items() if (n := _graded_dim(*bucket))}
+
+
 def mono_hom_dim(ideal: MonomialIdeal3) -> int:
-    """Tangent dimension of a monomial ideal via the graded linear route."""
-    return sum(hom_dim_weight(ideal, a) for a in weight_candidates(ideal))
+    """Tangent dimension of a monomial ideal via the graded linear route:
+    the sum of mono_hom_dims."""
+    return sum(mono_hom_dims(ideal).values())

@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from hilb3 import cli, duality, gfp, mono3, tanlin
+from hilb3 import cli, duality, gfp, mono3, tancomb, tanlin
 
 DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
 
@@ -130,10 +130,46 @@ class TestTangent:
         assert data["result"]["route"] == "syzygy"
 
     def test_verify_route_disagreement_is_invariant_error(self, capsys, monkeypatch):
-        monkeypatch.setattr(tanlin, "hom_dim_weight", lambda ideal, a: -1)
+        monkeypatch.setattr(tanlin, "mono_hom_dims", lambda ideal: {(-1, 0, 0): -1})
         code, data = run_json(capsys, "--verify", "tangent", "x,y,z")
         assert code == 1
         assert data["error"]["type"] == "InvariantError"
+
+    def test_verify_compares_weight_by_weight(self, capsys, monkeypatch):
+        # one unit moves from weight (0, -1, 0) to (-1, 0, 0); the totals agree
+        original = tancomb.bounded_components
+        moved = {(-1, 0, 0): 1, (0, -1, 0): -1}
+        monkeypatch.setattr(tancomb, "bounded_components",
+                            lambda ideal, a: original(ideal, a) + moved.get(a, 0))
+        code, data = run_json(capsys, "--verify", "tangent", "x,y,z")
+        assert code == 1
+        assert data["error"]["type"] == "InvariantError"
+        assert data["error"]["message"] == \
+            "at weight (-1, 0, 0): combinatorial 2 vs linear-algebra 1"
+
+    def test_odd_excess_is_invariant_error(self, capsys, monkeypatch):
+        # dim T = d (mod 2) at a monomial point; one extra unit breaks it
+        original = tancomb.bounded_components
+        monkeypatch.setattr(tancomb, "bounded_components",
+                            lambda ideal, a: original(ideal, a) + (a == (-1, -1, 1)))
+        code, data = run_json(capsys, "tangent", "x^2,x*y,x*z,y^2,y*z,z^2")
+        assert code == 1
+        assert data["error"]["type"] == "InvariantError"
+
+    def test_verify_runs_one_graded_pass(self, capsys, monkeypatch):
+        calls = {"hom_dim_weight": 0, "mono_hom_dims": 0}
+        for name in calls:
+            original = getattr(tanlin, name)
+
+            def counting(*args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(tanlin, name, counting)
+        code, data = run_json(capsys, "--verify", "tangent",
+                              "x^3, y^3, z^3, y*z^2, x^2*z, x*y^2")
+        assert (code, data["result"]["total"]) == (0, 48)
+        assert calls == {"hom_dim_weight": 0, "mono_hom_dims": 1}
 
     def test_verify_generator_route_disagreement_is_invariant_error(self, capsys,
                                                                     monkeypatch):

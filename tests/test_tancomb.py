@@ -78,6 +78,22 @@ class TestBoundedComponents:
                     oracle_bounded_components(ideal, a), (ideal, a)
 
 
+    def test_membership_is_inline(self, monkeypatch):
+        # I+a membership is decided in the search, never by __contains__
+        calls = [0]
+        original = mono3.MonomialIdeal3.__contains__
+
+        def counting(ideal, v):
+            calls[0] += 1
+            return original(ideal, v)
+
+        monkeypatch.setattr(mono3.MonomialIdeal3, "__contains__", counting)
+        assert tancomb.bounded_components(M2, (-1, -1, 1)) == 1
+        ideal = tripod(2, 3, 4)
+        assert tancomb.tangent_report(ideal).total == 3 * ideal.colength + 6
+        assert calls == [0]
+
+
 class TestStaircaseGraph:
     def test_tangent_report_builds_the_graph_once_per_ideal(self):
         ideal = tripod(2, 3, 4)

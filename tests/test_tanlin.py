@@ -193,6 +193,17 @@ class TestGradedRoute:
                     assert tanlin.hom_dim_weight(ideal, a) == \
                         oracle_hom_dim_weight(ideal, a), (ideal, a)
 
+    def test_all_weights_match_oracle(self):
+        # every candidate weight of every ideal of colength <= 8, one pass each
+        for d in range(1, 9):
+            for ideal in mono3.enumerate_ideals(d):
+                dims = tanlin.mono_hom_dims(ideal)
+                cands = tancomb.weight_candidates(ideal)
+                assert dims.keys() <= cands, ideal
+                assert 0 not in dims.values(), ideal
+                for a in cands:
+                    assert dims.get(a, 0) == oracle_hom_dim_weight(ideal, a), (ideal, a)
+
     def test_generator_lcms(self):
         for d in range(1, 7):
             for ideal in mono3.enumerate_ideals(d):
