@@ -8,8 +8,8 @@ locally: the minimal generators are the corners (i, j, h(i, j)) where h
 drops against both lower neighbours, the socle of S/I is the cells
 (i, j, h(i, j) - 1) where h drops in both directions, and the staircase
 (the exponent vectors outside I) is expanded only on demand, and so are
-the per-ideal tables the two monomial tangent routes read at every
-weight: the staircase graph and the pairwise generator lcms.
+the per-ideal tables the two monomial tangent routes read: the staircase
+graph and the pairwise generator lcms.
 
 MacMahon's product formula  prod_{i>=1} (1 - q^i)^{-i}  generates the
 counts of plane partitions and serves as an enumeration oracle.
