@@ -77,7 +77,6 @@ class TestBoundedComponents:
                 assert tancomb.bounded_components(ideal, a) == \
                     oracle_bounded_components(ideal, a), (ideal, a)
 
-
     def test_membership_is_inline(self, monkeypatch):
         # I+a membership is decided in the search, never by __contains__
         calls = [0]
