@@ -7,7 +7,8 @@ Subpackages by theme:
 - tancomb:   tangent spaces of monomial points via bounded components
 - smoothcls: singularizing triples, no-flip chains, smooth census
 - poly3:     degrevlex Groebner bases, intersection by syzygies, colon as a kernel on S/I
-- tanlin:    tangent dimension of arbitrary finite algebras via syzygies
+- tanlin:    tangent dimension of arbitrary finite algebras via syzygies,
+             cross-checked by the border-basis scheme's tangent space
 - linkage:   links by length-3 regular sequences, chain verification
 - apolarity: contraction action and annihilator ideals (inverse systems)
 - duality:   dual module, Gorenstein type, bicanonical degree

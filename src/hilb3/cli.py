@@ -6,6 +6,8 @@ is byte-identical across runs for identical inputs.  All arithmetic runs
 over F_p (default p = 2^31 - 1); characteristic-zero claims are only
 certified numerically, so --second-prime reruns field-dependent
 computations over a second prime and fails loudly on any disagreement.
+Printed coefficients are residues; the two runs are compared after
+reading each residue as a fraction (rational reconstruction).
 
 Ideals are read with poly3's grammar.  Exponent JSON or a list of monic
 monomials is a monomial ideal: tangent's monomial route and the only
@@ -52,6 +54,36 @@ def _read_monomial(text: str, ring: poly3.PolyRing) -> mono3.MonomialIdeal3:
     """A monomial ideal; from_monomials rejects any other, naming a generator."""
     ideal = _read_ideal(text, ring)
     return ideal if isinstance(ideal, mono3.MonomialIdeal3) else mono3.from_monomials(ideal.gens)
+
+
+def _rational(value, ring: poly3.PolyRing):
+    """The payload with each polynomial string's coefficients read as fractions.
+
+    Printed coefficients are residues mod p.  The fraction a/b with
+    |a|, |b| <= sqrt(p/2) that a residue stands for is the same at every
+    prime where it exists, so comparing fractions, not residues, certifies
+    a rational answer over two primes.  Integers (colengths, dimensions)
+    are exact already, and strings that are no polynomial stay as they
+    are.  A residue with no such fraction raises PrimeDisagreementError.
+    """
+    if isinstance(value, dict):
+        return {k: _rational(v, ring) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_rational(v, ring) for v in value]
+    if not isinstance(value, str):
+        return value
+    try:
+        f = poly3.parse_poly(value, ring)
+    except InputError:
+        return value  # a route name or a verdict
+    out = {}
+    for e, c in f.terms.items():
+        out[e] = gfp.rational_reconstruction(c, ring.p)
+        if out[e] is None:
+            raise PrimeDisagreementError(
+                f"{c} mod {ring.p} is no fraction a/b with |a|, |b| <= sqrt(p/2), "
+                "so the results cannot be compared across primes")
+    return out
 
 
 def _ev_str(v) -> list[int]:
@@ -103,7 +135,7 @@ def _cmd_tangent(args, ring) -> tuple[dict, int]:
         alt = tanlin.hom_dim(ideal)
         if alt != t:
             raise InvariantError(
-                f"Groebner-basis route {t} vs given-generators route {alt}")
+                f"Groebner-basis route {t} vs border-basis route {alt}")
     return {"route": "syzygy", "colength": d, "total": t, "excess": excess}, 0
 
 
@@ -387,7 +419,8 @@ def main(argv=None) -> int:
         payload, status = HANDLERS[args.command](args, ring)
         if args.second_prime is not None:
             checked = args.command in FIELD_DEPENDENT
-            if checked and HANDLERS[args.command](args, ring2)[0] != payload:
+            if checked and _rational(payload, ring) \
+                    != _rational(HANDLERS[args.command](args, ring2)[0], ring2):
                 raise PrimeDisagreementError(
                     f"results differ between p={args.prime} and "
                     f"p={args.second_prime}")

@@ -12,9 +12,14 @@ through the same dense elimination.
 
 The default prime is 2^31 - 1.  Characteristic-zero statements are only
 certified numerically by agreement over two large primes, so a second
-prime (2^31 - 19) is provided for cross-checks.
+prime (2^31 - 19) is provided for cross-checks; rational_reconstruction
+reads a residue as the small fraction it stands for, so answers with
+rational coefficients can be compared across the two primes.
 """
 from __future__ import annotations
+
+import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -60,6 +65,23 @@ def inv_mod(a: int, p: int) -> int:
     return pow(int(a) % p, p - 2, p)
 
 
+def rational_reconstruction(c: int, p: int) -> Fraction | None:
+    """The fraction a/b congruent to c mod p with |a|, |b| <= sqrt(p/2), or None.
+
+    At most one such fraction exists, so a rational answer reads the same
+    at every prime where it is found; the extended Euclidean algorithm on
+    (p, c) stops at it (Wang, Guy and Davenport, SIGSAM Bull. 16(2), 1982).
+    """
+    bound = math.isqrt(p // 2)
+    r0, r1, s0, s1 = p, int(c) % p, 0, 1  # r_i = s_i c (mod p) throughout
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1, s0, s1 = r1, r0 - q * r1, s1, s0 - q * s1
+    if abs(s1) > bound or math.gcd(r1, s1) != 1:
+        return None
+    return Fraction(r1, s1)
+
+
 def zeros(nrows: int, ncols: int) -> np.ndarray:
     return np.zeros((nrows, ncols), dtype=np.int64)
 
@@ -102,11 +124,12 @@ def rref(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
         i = r + int(nz[0])
         if i != r:
             a[[r, i]] = a[[i, r]]
-        a[r] = a[r] * inv_mod(int(a[r, c]), p) % p
+        # row r is zero left of c, so only columns c.. change
+        a[r, c:] = a[r, c:] * inv_mod(int(a[r, c]), p) % p
         rest = np.nonzero(a[:, c])[0]
         rest = rest[rest != r]
         if rest.size:
-            a[rest] = (a[rest] - np.outer(a[rest, c], a[r])) % p
+            a[rest, c:] = (a[rest, c:] - np.outer(a[rest, c], a[r, c:])) % p
         pivots.append(c)
         r += 1
     return a, pivots

@@ -110,13 +110,18 @@ class PolyRing:
 
 
 class Poly:
-    """Immutable sparse polynomial: exponent tuple -> coefficient in (0, p)."""
+    """Immutable sparse polynomial: exponent tuple -> coefficient in (0, p).
 
-    __slots__ = ("ring", "terms")
+    terms must not change after construction: leading() caches its
+    answer on first use.
+    """
+
+    __slots__ = ("ring", "terms", "_leading")
 
     def __init__(self, ring: PolyRing, terms: dict[Exponent, int]):
         self.ring = ring
         self.terms = terms
+        self._leading = None
 
     @property
     def is_zero(self) -> bool:
@@ -177,8 +182,10 @@ class Poly:
                                 for te, tc in self.terms.items()})
 
     def leading(self) -> tuple[Exponent, int]:
-        e = max(self.terms, key=degrevlex_key)
-        return e, self.terms[e]
+        if self._leading is None:
+            e = max(self.terms, key=degrevlex_key)
+            self._leading = e, self.terms[e]
+        return self._leading
 
     def monic(self) -> "Poly":
         _, c = self.leading()

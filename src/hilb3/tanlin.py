@@ -6,12 +6,17 @@ every syzygy of the generators: sum_j s_j h_j = 0 in S/I.  Expressing
 each h_j in the standard monomial basis and each syzygy coefficient as a
 multiplication matrix turns Hom into the kernel of a block matrix over
 F_p, whose dimension equals the tangent dimension of the point [S/I] of
-the Hilbert scheme.
+the Hilbert scheme.  Syzygies come from the recorded S-pair reductions
+of a Groebner basis; these generate the whole syzygy module.
 
-Syzygies come from the recorded S-pair reductions of a Groebner basis;
-these generate the whole syzygy module.  Hom_S(I, -) does not depend on
-the chosen generating set, which the second code path (syzygies lifted
-to the originally given generators) makes checkable.
+hom_dim is the cross-check and shares no syzygy code with this route: it
+reads the same dimension as the tangent space of the border-basis
+scheme, an open subscheme of Hilb^d cut out by the commutators of the
+multiplication matrices (Mourrain 1999; Kreuzer-Robbiano 2008).  Its
+unknowns are the border polynomials' coefficients, its equations the
+commutators linearised at the point, and its rank comes from
+gfp.sparse_rank.  generator_syzygies, the syzygies of the given
+generators, serves poly3.intersect.
 
 For a monomial ideal the same Hom splits by weight into union-find
 counts over the minimal generators (hom_dim_weight).  mono_hom_dims
@@ -30,7 +35,7 @@ import numpy as np
 from . import gfp, poly3
 from .errors import InvariantError
 from .mono3 import MonomialIdeal3
-from .poly3 import Poly, PolyIdeal, reduce_full, s_poly, sub_multiples
+from .poly3 import Exponent, Poly, PolyIdeal, reduce_full, s_poly, sub_multiples
 
 
 @dataclass
@@ -121,14 +126,64 @@ def _hom_dim_from_syzygies(syz: SyzygySet, qd: poly3.QuotientData) -> int:
     return r * d - gfp.rank(mat, p)
 
 
-def hom_dim(I: PolyIdeal) -> int:
-    """dim_k Hom_S(I, S/I) from the syzygies of the given generators I.gens.
+def _linear_commutator(unknown: np.ndarray, fixed: np.ndarray):
+    """COO entries (rows, cols, vals) of the linear map dM -> dM F - F dM.
 
-    Raises NotZeroDimensionalError unless S/I is finite.  tangent_excess
-    computes the same dimension from the Groebner basis.
+    F = fixed is d x d.  Column j of dM is the unknown vector numbered
+    unknown[j], whose entry k is column unknown[j] * d + k, or zero when
+    unknown[j] < 0.  Entry (r, c) of the commutator is row r * d + c.
+    """
+    d = len(unknown)
+    js = np.flatnonzero(unknown >= 0)
+    # dM F: entry (r, c) gets dM[r, j] F[j, c]
+    a, c = np.nonzero(fixed[js])
+    j, r = js[a], np.arange(d)[:, None]
+    left = (r * d + c, unknown[j] * d + r, np.broadcast_to(fixed[j, c], (d, len(j))))
+    # - F dM: entry (r, c) gets - F[r, k] dM[k, c], for the unknown columns c
+    r, k = np.nonzero(fixed)
+    c = js[:, None]
+    right = (r * d + c, unknown[c] * d + k, np.broadcast_to(-fixed[r, k], (len(js), len(r))))
+    return tuple(np.concatenate((x.ravel(), y.ravel())) for x, y in zip(left, right))
+
+
+def hom_dim(I: PolyIdeal) -> int:
+    """dim_k Hom_S(I, S/I) as the tangent space of the border-basis scheme.
+
+    Let B be the standard monomials of I (d of them) and M_x, M_y, M_z
+    the multiplication matrices.  The ideals with standard basis B form
+    an open subscheme of Hilb^d, the border-basis scheme, cut out by the
+    commutators of the generic multiplication matrices (Mourrain,
+    AAECC-13, LNCS 1719, 1999; Kreuzer and Robbiano, Collect. Math.
+    59(3), 2008), so its tangent space at [S/I] is Hom_S(I, S/I).  There
+    is one unknown vector in F_p^d per border term t = x_v m not in B: it
+    is column m of dM_v wherever x_v m = t, and every other column of
+    dM_v is zero.  The equations are the three commutators linearised at
+    the point, [dM_u, M_v] + [M_u, dM_v] = 0, and dim T = d |border| -
+    rank.  This reads only quotient_data and gfp.sparse_rank, and shares
+    no syzygy code with tangent_excess, which it cross-checks.
+
+    Raises NotZeroDimensionalError unless S/I is finite.
     """
     qd = poly3.quotient_data(I)
-    return _hom_dim_from_syzygies(generator_syzygies(I), qd)
+    d, mats = qd.colength, qd.mult_matrices
+    border: dict[Exponent, int] = {}
+    unknown = np.full((3, d), -1, dtype=np.int64)
+    for u in range(3):
+        for j, (x, y, z) in enumerate(qd.standard_monomials):
+            t = (x + (u == 0), y + (u == 1), z + (u == 2))
+            if t not in qd.standard_set:
+                unknown[u, j] = border.setdefault(t, len(border))
+    rows, cols, vals = [], [], []
+    for n, (u, v) in enumerate(((0, 1), (0, 2), (1, 2))):
+        # [dM_u, M_v] + [M_u, dM_v] = [dM_u, M_v] - [dM_v, M_u]
+        for w, f, sign in ((u, v, 1), (v, u, -1)):
+            r, c, x = _linear_commutator(unknown[w], mats[f])
+            rows.append(r + n * d * d)
+            cols.append(c)
+            vals.append(sign * x)
+    rank = gfp.sparse_rank(np.concatenate(rows), np.concatenate(cols), np.concatenate(vals),
+                           (3 * d * d, d * len(border)), qd.ring.p)
+    return d * len(border) - rank
 
 
 def tangent_excess(I: PolyIdeal) -> tuple[int, int, int]:

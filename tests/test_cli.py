@@ -171,13 +171,13 @@ class TestTangent:
         assert (code, data["result"]["total"]) == (0, 48)
         assert calls == {"hom_dim_weight": 0, "mono_hom_dims": 1}
 
-    def test_verify_generator_route_disagreement_is_invariant_error(self, capsys,
-                                                                    monkeypatch):
+    def test_verify_border_route_disagreement_is_invariant_error(self, capsys, monkeypatch):
         monkeypatch.setattr(tanlin, "hom_dim", lambda I: -1)
         code, data = run_json(capsys, "--verify", "tangent",
                               "x^2 - y*z, x*z, x*y, y^2, z^2")
         assert code == 1
         assert data["error"]["type"] == "InvariantError"
+        assert data["error"]["message"] == "Groebner-basis route 15 vs border-basis route -1"
 
 
 class TestChainAndTriple:
@@ -397,6 +397,30 @@ class TestDeterminismAndSecondPrime:
                               "parity", "x^2, x*y, x*z, y^2, y*z, z^2")
         assert code == 0
         assert data["second_prime_checked"] is True
+
+    def test_second_prime_compares_fractions(self, capsys):
+        # the target's coefficients 10/3, 1/5 and -5 print as different
+        # residues over the two primes
+        code, data = run_json(capsys, "--second-prime", "2147483629", "link",
+                              "x^3,y^3,z^3,x*y*z", "--alpha",
+                              "2*x^3 + 3*y^3, 3*y^3 - 2*z^3, z^3 + 5*x*y*z")
+        assert code == 0
+        assert data["second_prime_checked"] is True
+        assert data["result"]["target"][:2] == ["y^2 - 715827879*x*z", "x*y + 858993459*z^2"]
+
+    def test_second_prime_disagreement_at_one_prime(self, capsys, monkeypatch):
+        # -5 becomes -6 over the second prime only
+        original = cli._gb_strings
+        monkeypatch.setattr(cli, "_gb_strings", lambda I: [
+            s.replace("- 5*y*z", "- 6*y*z") if I.ring.p == gfp.SECOND_PRIME else s
+            for s in original(I)])
+        code, data = run_json(capsys, "--second-prime", "2147483629", "link",
+                              "x^3,y^3,z^3,x*y*z", "--alpha",
+                              "2*x^3 + 3*y^3, 3*y^3 - 2*z^3, z^3 + 5*x*y*z")
+        assert code == 1
+        assert data["error"] == {"type": "PrimeDisagreementError",
+                                 "message": "results differ between p=2147483647 "
+                                            "and p=2147483629"}
 
     def test_second_prime_skipped_for_combinatorial(self, capsys):
         code, data = run_json(capsys, "--second-prime", "2147483629",

@@ -25,6 +25,8 @@ SP = "--second-prime=2147483629"
 GENERIC_ALPHA = ("x^2 + 2*x*y + 3*y^2 + 5*x*z + 7*y*z + 11*z^2, "
                  "2*x^2 + x*y + y^2 + 3*x*z + y*z + 4*z^2, "
                  "x^2 + x*y + 5*y^2 + x*z + 2*y*z + 3*z^2")
+# a large coefficient gives the target coefficients no small fraction
+LARGE_ALPHA = "100003*" + GENERIC_ALPHA
 
 
 def maximal_ideal_power(k):
@@ -68,7 +70,8 @@ CASES = {
                     "--alpha", "x*y, x*z + y*z, x^3 + y^5 + z^4"],
     "link-second-prime": [SP, "link", "x^2, x*y, y^2, x*z, y*z^2, z^4",
                           "--alpha", "x*z, y^2, z^4 + x^2"],
-    "link-prime-disagreement": [SP, "link", "x^2, x*y, y^2, z", "--alpha", GENERIC_ALPHA],
+    "link-generic-second-prime": [SP, "link", "x^2, x*y, y^2, z", "--alpha", GENERIC_ALPHA],
+    "link-no-rational-reconstruction": [SP, "link", "x^2, x*y, y^2, z", "--alpha", LARGE_ALPHA],
     "link-not-contained": ["link", "x^2,y,z", "--alpha", "x,y,z"],
     "link-two-alphas": ["link", "x^2,y,z", "--alpha", "x^2, y"],
     "link-zero-alpha": ["link", "x,y,z", "--alpha", "0, y, z"],

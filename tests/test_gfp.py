@@ -1,3 +1,6 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -186,3 +189,79 @@ def test_kernel_basis_matches_oracle(p):
         assert got.shape == want.shape == (m - gfp.rank(a, p), m)
         assert got.dtype == np.int64
         assert (got == want).all()
+
+
+def oracle_rref(a, p):
+    """rref updating every column at each pivot: the full-width loop."""
+    a = np.mod(np.array(a, dtype=np.int64, copy=True), p)
+    nrows, ncols = a.shape
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        nz = np.nonzero(a[r:, c])[0]
+        if nz.size == 0:
+            continue
+        i = r + int(nz[0])
+        if i != r:
+            a[[r, i]] = a[[i, r]]
+        a[r] = a[r] * gfp.inv_mod(int(a[r, c]), p) % p
+        rest = np.nonzero(a[:, c])[0]
+        rest = rest[rest != r]
+        if rest.size:
+            a[rest] = (a[rest] - np.outer(a[rest, c], a[r])) % p
+        pivots.append(c)
+        r += 1
+    return a, pivots
+
+
+def rref_inputs(p, rng):
+    """Tall, wide, rank-deficient (also with zero columns) and zero matrices."""
+    out = [gfp.zeros(0, 3), gfp.zeros(3, 0), gfp.zeros(4, 5)]
+    for n, m in ((20, 6), (6, 20), (12, 12), (1, 9), (9, 1)):
+        out.append(rng.integers(0, p, size=(n, m), dtype=np.int64))
+        k = int(rng.integers(1, min(n, m) + 1))
+        low = gfp.matmul(rng.integers(0, p, size=(n, k), dtype=np.int64),
+                         rng.integers(0, p, size=(k, m), dtype=np.int64), p)
+        low[:, rng.integers(0, m, size=2)] = 0
+        out.append(low)
+    return out
+
+
+@pytest.mark.parametrize("p", [P, P2, 3])
+def test_rref_matches_full_width_oracle(p):
+    rng = np.random.default_rng(p + 5)
+    for _ in range(8):
+        for a in rref_inputs(p, rng):
+            got, got_pivots = gfp.rref(a, p)
+            want, want_pivots = oracle_rref(a, p)
+            assert got_pivots == want_pivots
+            assert got.shape == want.shape and (got == want).all()
+
+
+@pytest.mark.parametrize("p", [101, 103, 3, 5])
+def test_rational_reconstruction_matches_search(p):
+    # every residue against the one fraction a/b with |a|, |b| <= sqrt(p/2)
+    bound = math.isqrt(p // 2)
+    found = {}
+    for b in range(1, bound + 1):
+        for a in range(-bound, bound + 1):
+            if math.gcd(a, b) == 1:
+                q = Fraction(a, b)
+                assert found.setdefault(a * gfp.inv_mod(b, p) % p, q) == q  # unique
+    for c in range(p):
+        assert gfp.rational_reconstruction(c, p) == found.get(c)
+
+
+@pytest.mark.parametrize("p", [P, P2])
+def test_rational_reconstruction_of_small_fractions(p):
+    rng = np.random.default_rng(p)
+    bound = math.isqrt(p // 2)
+    nums = rng.integers(-bound, bound + 1, size=200)
+    dens = rng.integers(1, bound + 1, size=200)
+    for a, b in zip(nums, dens):
+        q = Fraction(int(a), int(b))
+        c = q.numerator * gfp.inv_mod(q.denominator, p) % p
+        assert gfp.rational_reconstruction(c, p) == q
+    assert gfp.rational_reconstruction(189949131, P) is None

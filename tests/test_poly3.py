@@ -57,6 +57,29 @@ class TestParsing:
             assert poly3.parse_poly(poly3.poly_str(f), R) == f
 
 
+def fresh_leading(f):
+    e = max(f.terms, key=poly3.degrevlex_key)
+    return e, f.terms[e]
+
+
+class TestLeadingTerm:
+    def test_cached_leading_term_is_the_maximum(self):
+        f, g = pp("3*x^2*y - y*z^3 + 5"), pp("x*y - 2*z^2 + x")
+        f.leading(), g.leading()  # a cache copied into a result would go stale
+        built = [f + g, f + pp("y*z^3"), f - g, -f, f * g, f.scale(7), f.mul_monomial((1, 0, 2), 3),
+                 f.monic(), R.poly({(0, 2, 1): 4, (1, 0, 0): 2}), R.monomial((2, 0, 1)),
+                 R.one(), pp("z^4 - x*y*z")]
+        rem, quots = poly3.reduce_full(f * g + pp("y^5 + x"), [g.monic(), pp("z^3 - x")],
+                                       track=True)
+        built += [rem] + quots
+        for h in built:
+            if h.is_zero:
+                continue
+            first = h.leading()
+            assert first == fresh_leading(h)
+            assert h.leading() is first  # cached, not recomputed
+
+
 class TestOrders:
     def test_degrevlex_degree_two(self):
         mons = [(2, 0, 0), (1, 1, 0), (0, 2, 0), (1, 0, 1), (0, 1, 1), (0, 0, 2)]

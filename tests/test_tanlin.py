@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from hilb3 import gfp, linkage, mono3, poly3, tancomb, tanlin
 from hilb3.errors import NotZeroDimensionalError
-from helpers import invertible, linear_image, random_change
+from helpers import IDENTITY, invertible, linear_image, random_change
 
 P = gfp.DEFAULT_PRIME
 P2 = gfp.SECOND_PRIME
@@ -247,6 +247,44 @@ class TestCoordinateChange:
         d, t, excess = tanlin.tangent_excess(I)
         rep = tancomb.tangent_report(ideal)
         assert (d, t, excess) == (ideal.colength, rep.total, rep.excess)
+
+
+class TestBorderRoute:
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from((P, P2)), st.sampled_from(UP_TO_TEN), coordinate_changes())
+    def test_matches_syzygy_and_combinatorial_routes(self, p, ideal, change):
+        I = linear_image(ideal, poly3.PolyRing(p), *change)
+        want = tancomb.tangent_report(ideal).total
+        assert tanlin.hom_dim(I) == tanlin.tangent_excess(I)[1] == want
+
+    @pytest.mark.parametrize("p", [P, P2])
+    @pytest.mark.parametrize("first, a, second, b", [
+        ("x^2, y, z", (0, 0, 0), "x, y, z", (1, 2, 3)),
+        ("x^2, x*y, y^2, z", (1, 0, 0), "x^2, x*y, x*z, y^2, y*z, z^2", (0, -1, 2)),
+        ("x^3, y^3, z^3, y*z^2, x^2*z, x*y^2", (2, 1, 0), "x, y, z^2", (0, 0, 0)),
+    ])
+    def test_two_points_add_up(self, p, first, a, second, b):
+        # S/I is not local: the scheme is the disjoint union of the two
+        # points, so dim T is the sum of theirs
+        ring = poly3.PolyRing(p)
+        A, B = mono3.parse_monomial_ideal(first), mono3.parse_monomial_ideal(second)
+        I = poly3.intersect(linear_image(A, ring, IDENTITY, [-c for c in a]),
+                            linear_image(B, ring, IDENTITY, [-c for c in b]))
+        want = tancomb.tangent_report(A).total + tancomb.tangent_report(B).total
+        assert tanlin.hom_dim(I) == tanlin.tangent_excess(I)[1] == want
+
+    def test_two_reduced_points(self):
+        assert tanlin.hom_dim(pi("x^2 - x, y, z")) == 6
+
+    def test_unknowns_are_border_terms(self, monkeypatch):
+        # m^2: 4 standard monomials, 6 border terms of degree 2, each reached
+        # from up to three (variable, monomial) pairs but one unknown vector
+        shapes = []
+        original = gfp.sparse_rank
+        monkeypatch.setattr(gfp, "sparse_rank", lambda r, c, v, shape, p:
+                            shapes.append(shape) or original(r, c, v, shape, p))
+        assert tanlin.hom_dim(pi("x^2, x*y, x*z, y^2, y*z, z^2")) == 18
+        assert shapes == [(3 * 4 * 4, 4 * 6)]
 
 
 class TestMatrixTraffic:
