@@ -19,7 +19,6 @@ rational coefficients can be compared across the two primes.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 import numpy as np
 
@@ -65,8 +64,9 @@ def inv_mod(a: int, p: int) -> int:
     return pow(int(a) % p, p - 2, p)
 
 
-def rational_reconstruction(c: int, p: int) -> Fraction | None:
-    """The fraction a/b congruent to c mod p with |a|, |b| <= sqrt(p/2), or None.
+def rational_reconstruction(c: int, p: int) -> tuple[int, int] | None:
+    """The fraction a/b congruent to c mod p with |a|, |b| <= sqrt(p/2), as
+    (a, b) in lowest terms with b > 0, or None when there is none.
 
     At most one such fraction exists, so a rational answer reads the same
     at every prime where it is found; the extended Euclidean algorithm on
@@ -79,7 +79,7 @@ def rational_reconstruction(c: int, p: int) -> Fraction | None:
         r0, r1, s0, s1 = r1, r0 - q * r1, s1, s0 - q * s1
     if abs(s1) > bound or math.gcd(r1, s1) != 1:
         return None
-    return Fraction(r1, s1)
+    return (r1, s1) if s1 > 0 else (-r1, -s1)
 
 
 def zeros(nrows: int, ncols: int) -> np.ndarray:
