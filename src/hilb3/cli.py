@@ -6,8 +6,9 @@ is byte-identical across runs for identical inputs.  All arithmetic runs
 over F_p (default p = 2^31 - 1); characteristic-zero claims are only
 certified numerically, so --second-prime reruns field-dependent
 computations over a second prime and fails loudly on any disagreement.
-Printed coefficients are residues; the two runs are compared after
-reading each residue as a fraction (rational reconstruction).
+Printed coefficients are residues; a coefficient that prints differently
+at the two primes is compared as the fraction it stands for (rational
+reconstruction).
 
 Ideals are read with poly3's grammar.  Exponent JSON or a list of monic
 monomials is a monomial ideal: tangent's monomial route and the only
@@ -56,34 +57,47 @@ def _read_monomial(text: str, ring: poly3.PolyRing) -> mono3.MonomialIdeal3:
     return ideal if isinstance(ideal, mono3.MonomialIdeal3) else mono3.from_monomials(ideal.gens)
 
 
-def _rational(value, ring: poly3.PolyRing):
-    """The payload with each polynomial string's coefficients read as fractions.
+def _same_answer(a, b, ring: poly3.PolyRing, ring2: poly3.PolyRing) -> bool:
+    """Whether payload a (over ring) and payload b (over ring2) agree.
 
-    Printed coefficients are residues mod p.  The fraction a/b with
-    |a|, |b| <= sqrt(p/2) that a residue stands for is the same at every
-    prime where it exists, so comparing fractions, not residues, certifies
-    a rational answer over two primes.  Integers (colengths, dimensions)
-    are exact already, and strings that are no polynomial stay as they
-    are.  A residue with no such fraction raises PrimeDisagreementError.
+    Equal payloads agree.  Otherwise two polynomial strings agree when they
+    have the same terms and each coefficient either prints alike (balanced
+    residues: an integer below p/2) or reads at both primes as the same
+    fraction a/b with |a|, |b| <= sqrt(p/2); that fraction is the same at
+    every prime where it exists.  A coefficient that prints differently and
+    has no such fraction raises PrimeDisagreementError naming it.
     """
-    if isinstance(value, dict):
-        return {k: _rational(v, ring) for k, v in value.items()}
-    if isinstance(value, list):
-        return [_rational(v, ring) for v in value]
-    if not isinstance(value, str):
-        return value
+    if a == b:
+        return True
+    if isinstance(a, dict) and isinstance(b, dict):
+        return a.keys() == b.keys() and all(
+            _same_answer(a[k], b[k], ring, ring2) for k in a)
+    if isinstance(a, list) and isinstance(b, list):
+        return len(a) == len(b) and all(
+            _same_answer(x, y, ring, ring2) for x, y in zip(a, b))
+    if not (isinstance(a, str) and isinstance(b, str)):
+        return False
     try:
-        f = poly3.parse_poly(value, ring)
+        f, g = poly3.parse_poly(a, ring), poly3.parse_poly(b, ring2)
     except InputError:
-        return value  # a route name or a verdict
-    out = {}
+        return False  # a route name or a verdict
+    if f.terms.keys() != g.terms.keys():
+        return False
     for e, c in f.terms.items():
-        out[e] = gfp.rational_reconstruction(c, ring.p)
-        if out[e] is None:
-            raise PrimeDisagreementError(
-                f"{c} mod {ring.p} is no fraction a/b with |a|, |b| <= sqrt(p/2), "
-                "so the results cannot be compared across primes")
-    return out
+        c2 = g.terms[e]
+        if (c if c <= ring.p // 2 else c - ring.p) \
+                == (c2 if c2 <= ring2.p // 2 else c2 - ring2.p):
+            continue
+        fractions = []
+        for r, p in ((c, ring.p), (c2, ring2.p)):
+            fractions.append(gfp.rational_reconstruction(r, p))
+            if fractions[-1] is None:
+                raise PrimeDisagreementError(
+                    f"{r} mod {p} is no fraction a/b with |a|, |b| <= sqrt(p/2), "
+                    "so the results cannot be compared across primes")
+        if fractions[0] != fractions[1]:
+            return False
+    return True
 
 
 def _ev_str(v) -> list[int]:
@@ -419,8 +433,8 @@ def main(argv=None) -> int:
         payload, status = HANDLERS[args.command](args, ring)
         if args.second_prime is not None:
             checked = args.command in FIELD_DEPENDENT
-            if checked and _rational(payload, ring) \
-                    != _rational(HANDLERS[args.command](args, ring2)[0], ring2):
+            if checked and not _same_answer(
+                    payload, HANDLERS[args.command](args, ring2)[0], ring, ring2):
                 raise PrimeDisagreementError(
                     f"results differ between p={args.prime} and "
                     f"p={args.second_prime}")

@@ -4,6 +4,7 @@ import os
 import pytest
 
 from hilb3 import cli, duality, gfp, mono3, tancomb, tanlin
+from hilb3.errors import PrimeDisagreementError
 
 DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
 
@@ -407,6 +408,31 @@ class TestDeterminismAndSecondPrime:
         assert code == 0
         assert data["second_prime_checked"] is True
         assert data["result"]["target"][:2] == ["y^2 - 715827879*x*z", "x*y + 858993459*z^2"]
+
+    def test_second_prime_keeps_large_integer_coefficients(self, capsys):
+        # 40000 > sqrt(p/2) has no small fraction, but prints alike at both primes
+        code, data = run_json(capsys, "--second-prime", "2147483629",
+                              "ann", "X^2 + 40000*Y^2 + Z^2")
+        assert code == 0
+        assert data["second_prime_checked"] is True
+        assert "y^2 - 40000*z^2" in data["result"]["generators"]
+
+    def test_same_answer_per_coefficient(self):
+        r, r2 = cli._ring(gfp.DEFAULT_PRIME), cli._ring(gfp.SECOND_PRIME)
+
+        def third(p, k=1):  # k/3 as a printed residue mod p
+            return k * gfp.inv_mod(3, p) % p
+
+        # a large integer and a fraction in one polynomial
+        mixed = "x - 40000*y + {}*z"
+        assert cli._same_answer([mixed.format(third(r.p))], [mixed.format(third(r2.p))], r, r2)
+        assert not cli._same_answer(mixed.format(third(r.p)),
+                                    mixed.format(third(r2.p, 2)), r, r2)
+        assert not cli._same_answer("x + y", "x + z", r, r2)
+        assert not cli._same_answer("syzygy", "monomial", r, r2)
+        assert not cli._same_answer({"total": 3}, {"total": 4}, r, r2)
+        with pytest.raises(PrimeDisagreementError, match="40000 mod 2147483647 is no"):
+            cli._same_answer("40000*x", "40001*x", r, r2)
 
     def test_second_prime_disagreement_at_one_prime(self, capsys, monkeypatch):
         # -5 becomes -6 over the second prime only

@@ -25,7 +25,8 @@ SP = "--second-prime=2147483629"
 GENERIC_ALPHA = ("x^2 + 2*x*y + 3*y^2 + 5*x*z + 7*y*z + 11*z^2, "
                  "2*x^2 + x*y + y^2 + 3*x*z + y*z + 4*z^2, "
                  "x^2 + x*y + 5*y^2 + x*z + 2*y*z + 3*z^2")
-# a large coefficient gives the target coefficients no small fraction
+# a large coefficient leaves the target's coefficients without one small
+# fraction read alike at both primes, so the primes disagree
 LARGE_ALPHA = "100003*" + GENERIC_ALPHA
 
 
