@@ -11,18 +11,21 @@ each shifted by that point's coordinate.
 The bicanonical module is Sym^2_R omega_R: the k-linear symmetric square
 of omega_R, dimension d(d+1)/2, modulo the relations
 (r f) . g - f . (r g) for algebra generators r (telescoping extends
-these to all of R).  Its degree is compared with two Hom spaces:
-Hom_R(omega_R, R) (matrices F with F M_v^T = M_v F) and its symmetric
-part (F also literally symmetric, since R and omega_R carry dual bases);
-in characteristic != 2 the symmetric part has the same dimension as the
-bicanonical module.
+these to all of R).  It is read off Hom_R(omega_R, R), the matrices F
+with M_v F = F M_v^T, and its symmetric part, F also literally
+symmetric (R and omega_R carry dual bases).  One rank gives both the
+symmetric part and the degree: row (v, {i, j}) of the relation matrix
+is, entry for entry, row (v, i, j) of the map F -> M_v F - F M_v^T on
+symmetric F, and row (v, j, i) is its negative.  So deg Sym^2 omega_R
+= homsym_dim, an identity of the assembly that tests/test_duality.py
+pins against a dense relation matrix.
 
-Both the relation matrix and the intertwiner matrix (3 d^2 x d^2) are
-built as sparse entries straight from the nonzeros of the multiplication
-matrices, and their ranks are summed over the connected components of
-the row-column graph (``gfp.sparse_rank``).  For a monomial ideal every
-entry carries a torus weight, so the components are small; in generic
-coordinates there is one component and one dense elimination.
+Both maps are Sylvester maps X -> A X - X B with A = M_v, B = M_v^T,
+built as sparse entries by gfp.sylvester_entries and ranked over the
+connected components of the row-column graph (``gfp.sparse_rank``).
+For a monomial ideal every entry carries a torus weight, so the
+components are small; in generic coordinates there is one component
+and one dense elimination.
 
 Both entry points read the multiplication matrices from the ideal's
 cached QuotientData (poly3.quotient_data); those arrays are read-only,
@@ -82,61 +85,35 @@ def _is_nilpotent(m: np.ndarray, p: int) -> bool:
     return not power.any()
 
 
-def _entries(mats, d: int) -> list[np.ndarray]:
-    """(v, s, k, c, t) for every nonzero c = mats[v][s, k] and every t < d."""
-    stack = np.asarray(mats, dtype=np.int64).reshape(len(mats), d, d)
-    v, s, k = np.nonzero(stack)
-    fields = (x[:, None] for x in (v, s, k, stack[v, s, k]))
-    return [x.ravel() for x in np.broadcast_arrays(*fields, np.arange(d))]
+def _intertwiner_rank(mats, unknown: np.ndarray, p: int) -> int:
+    """Rank of F -> (M_v F - F M_v^T for each v), entry (s, t) of F being
+    the unknown numbered unknown[s, t]; the block of v starts at row v d^2."""
+    if not len(mats):
+        return 0
+    d = len(unknown)
+    rows, cols, vals = zip(*(gfp.sylvester_entries(m, m.T, unknown) for m in mats))
+    rows = [r + v * d * d for v, r in enumerate(rows)]
+    return gfp.sparse_rank(np.concatenate(rows), np.concatenate(cols), np.concatenate(vals),
+                           (len(mats) * d * d, int(unknown.max()) + 1), p)
 
 
-def _pair(a: np.ndarray, b: np.ndarray, d: int) -> np.ndarray:
-    """Position of {a, b} in the row-major upper triangle of a d x d matrix."""
-    lo, hi = np.minimum(a, b), np.maximum(a, b)
-    return lo * d - lo * (lo - 1) // 2 + hi - lo
-
-
-def _sym2_relation_rank(mats, d: int, p: int) -> int:
-    """Rank of the span of (r e_i) . e_j - e_i . (r e_j) in Sym^2.
-
-    With m the matrix of the v-th r, row (v, {i, j}) holds +m[i, k] at
-    {k, j} and -m[j, k] at {i, k}: each nonzero m[s, k] meets every t,
-    as i = s <= t = j and as i = t <= s = j.
-    """
-    nsym = d * (d + 1) // 2
-    v, s, k, c, t = _entries(mats, d)
-    rows, cols = v * nsym + _pair(s, t, d), _pair(k, t, d)
-    up, down = t >= s, t <= s
-    return gfp.sparse_rank(np.concatenate([rows[up], rows[down]]),
-                           np.concatenate([cols[up], cols[down]]),
-                           np.concatenate([c[up], -c[down]]), (len(mats) * nsym, nsym), p)
-
-
-def _intertwiner_dims(mats, d: int, p: int) -> tuple[int, int]:
-    """dims of {F : F M_v^T = M_v F for all v}: F symmetric, then F arbitrary.
-
-    On row-major vec(F) the map F -> M_v F - F M_v^T takes a nonzero
-    c = M_v[s, k] to +c at (st, kt) and -c at (ts, tk) for every t.
-    A symmetric F is spanned by E_ab + E_ba (a <= b), whose columns are
-    the sum of columns ab and ba: both kt and tk land on column {k, t}.
-    """
-    nsym = d * (d + 1) // 2
-    v, s, k, c, t = _entries(mats, d)
-    rows = np.concatenate([(v * d + s) * d + t, (v * d + t) * d + s])
-    vals = np.concatenate([c, -c])
-    shape = len(mats) * d * d
-    full = gfp.sparse_rank(rows, np.concatenate([k * d + t, t * d + k]), vals, (shape, d * d), p)
-    pairs = _pair(k, t, d)
-    sym = gfp.sparse_rank(rows, np.concatenate([pairs, pairs]), vals, (shape, nsym), p)
-    return nsym - sym, d * d - full
+def _symmetric_unknowns(d: int) -> np.ndarray:
+    """F[s, t] = F[t, s] numbered by the pair {s, t} in the row-major upper triangle."""
+    s, t = np.triu_indices(d)
+    unknown = np.empty((d, d), dtype=np.int64)
+    unknown[s, t] = unknown[t, s] = np.arange(len(s))
+    return unknown
 
 
 def bicanonical_degree(I: PolyIdeal, verify: bool = False) -> BicanonicalReport:
     """Degree of Sym^2_R omega_R plus the two Hom dimensions.
 
-    With verify the Sym^2 relations are regenerated with r running over
-    every standard monomial of positive degree instead of just the three
-    variables; the ranks must agree.  The unit ideal raises UnitIdealError.
+    The degree is homsym_dim, from one rank of the symmetric intertwiner
+    map (see the module docstring for why that rank is the relation
+    rank).  With verify that rank is recomputed with M_v running over
+    the matrices of every standard monomial of positive degree instead
+    of the three variables; the two must agree, else InvariantError.
+    The unit ideal raises UnitIdealError.
     """
     qd = poly3.quotient_data(I)
     p = qd.ring.p
@@ -145,19 +122,15 @@ def bicanonical_degree(I: PolyIdeal, verify: bool = False) -> BicanonicalReport:
     d = qd.colength
     if d == 0:
         raise UnitIdealError("the ideal is the whole ring")
-    mats = qd.mult_matrices
-    nsym = d * (d + 1) // 2
-    rel_rank = _sym2_relation_rank(mats, d, p)
+    mats, sym = qd.mult_matrices, _symmetric_unknowns(d)
+    sym_rank = _intertwiner_rank(mats, sym, p)
     if verify:
         all_mats = [poly3.evaluate_at_matrices(qd.ring.monomial(e), qd)
                     for e in qd.standard_monomials if sum(e) > 0]
-        full_rank = _sym2_relation_rank(all_mats, d, p)
-        if full_rank != rel_rank:
+        if _intertwiner_rank(all_mats, sym, p) != sym_rank:
             raise InvariantError("algebra generators missed Sym^2 relations")
-    homsym_dim, hom_full_dim = _intertwiner_dims(mats, d, p)
-    if homsym_dim != nsym - rel_rank:
-        raise InvariantError(f"symmetric Hom has dimension {homsym_dim}, "
-                             f"Sym^2 omega has degree {nsym - rel_rank}")
-    return BicanonicalReport(colength=d, sym2_omega_deg=nsym - rel_rank,
-                             homsym_dim=homsym_dim, hom_full_dim=hom_full_dim,
+    homsym_dim = d * (d + 1) // 2 - sym_rank
+    full_rank = _intertwiner_rank(mats, np.arange(d * d).reshape(d, d), p)
+    return BicanonicalReport(colength=d, sym2_omega_deg=homsym_dim,
+                             homsym_dim=homsym_dim, hom_full_dim=d * d - full_rank,
                              gorenstein_type=gorenstein_type(I))

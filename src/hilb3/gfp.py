@@ -8,7 +8,11 @@ Pivoting always takes the first row with a nonzero entry, which makes
 every result deterministic.  ``sparse_rank`` ranks a matrix given by its
 nonzero entries block by block: the connected components of its
 row-column graph (the coarse Dulmage-Mendelsohn decomposition) each go
-through the same dense elimination.
+through the same dense elimination.  ``sylvester_entries`` gives those
+entries for the Sylvester map X -> A X - X B on a patterned X, the one
+shape of sparse matrix the package ranks: the linearised commutators of
+the border-basis tangent space and the intertwiners behind the
+bicanonical degree.
 
 The default prime is 2^31 - 1.  Characteristic-zero statements are only
 certified numerically by agreement over two large primes, so a second
@@ -139,6 +143,26 @@ def rank(a: np.ndarray, p: int) -> int:
     if a.size == 0:
         return 0
     return len(rref(a, p)[1])
+
+
+def sylvester_entries(a: np.ndarray, b: np.ndarray, unknown: np.ndarray):
+    """COO entries (rows, cols, vals) of the linear map X -> A X - X B.
+
+    A, B and X are d x d.  Entry (r, c) of X is the unknown numbered
+    unknown[r, c]: a negative number is a fixed zero, and a number used
+    twice is one unknown shared by both entries.  Entry (r, c) of the
+    image is row r * d + c.  Entries at one position are not summed.
+    """
+    d = len(unknown)
+    # A X: entry (r, c) gets A[r, k] X[k, c]
+    r, k = np.nonzero(a)
+    left = ((r * d)[:, None] + np.arange(d), unknown[k], np.repeat(a[r, k][:, None], d, 1))
+    # - X B: entry (r, c) gets - X[r, k] B[k, c]
+    k, c = np.nonzero(b)
+    right = ((np.arange(d) * d)[:, None] + c, unknown[:, k], np.repeat(-b[k, c][None], d, 0))
+    rows, cols, vals = (np.concatenate((x.ravel(), y.ravel())) for x, y in zip(left, right))
+    known = cols >= 0
+    return rows[known], cols[known], vals[known]
 
 
 def sparse_rank(rows, cols, vals, shape: tuple[int, int], p: int) -> int:

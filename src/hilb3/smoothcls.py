@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from . import mono3
-from .errors import HasTripleError, InvariantError
+from .errors import HasTripleError, InputError, InvariantError
 from .mono3 import ExponentVec, MonomialIdeal3, monomial_str
 
 SINGULAR_EXCESS_LOWER_BOUND = 6
@@ -175,7 +175,9 @@ def classify(ideal: MonomialIdeal3) -> Classification:
 
 
 def smooth_census(dmax: int) -> list[tuple[int, int, int]]:
-    """Rows (d, total ideals, smooth ideals) for d = 1..dmax."""
+    """Rows (d, total ideals, smooth ideals) for d = 1..dmax; InputError if dmax < 0."""
+    if dmax < 0:
+        raise InputError("census bound must be >= 0")
     rows = []
     for d in range(1, dmax + 1):
         total = smooth = 0

@@ -14,9 +14,10 @@ reads the same dimension as the tangent space of the border-basis
 scheme, an open subscheme of Hilb^d cut out by the commutators of the
 multiplication matrices (Mourrain 1999; Kreuzer-Robbiano 2008).  Its
 unknowns are the border polynomials' coefficients, its equations the
-commutators linearised at the point, and its rank comes from
-gfp.sparse_rank.  generator_syzygies, the syzygies of the given
-generators, serves poly3.intersect.
+commutators linearised at the point, each a Sylvester map whose entries
+come from gfp.sylvester_entries, and its rank from gfp.sparse_rank.
+generator_syzygies, the syzygies of the given generators, serves
+poly3.intersect.
 
 For a monomial ideal the same Hom splits by weight into union-find
 counts over the minimal generators (hom_dim_weight).  mono_hom_dims
@@ -126,26 +127,6 @@ def _hom_dim_from_syzygies(syz: SyzygySet, qd: poly3.QuotientData) -> int:
     return r * d - gfp.rank(mat, p)
 
 
-def _linear_commutator(unknown: np.ndarray, fixed: np.ndarray):
-    """COO entries (rows, cols, vals) of the linear map dM -> dM F - F dM.
-
-    F = fixed is d x d.  Column j of dM is the unknown vector numbered
-    unknown[j], whose entry k is column unknown[j] * d + k, or zero when
-    unknown[j] < 0.  Entry (r, c) of the commutator is row r * d + c.
-    """
-    d = len(unknown)
-    js = np.flatnonzero(unknown >= 0)
-    # dM F: entry (r, c) gets dM[r, j] F[j, c]
-    a, c = np.nonzero(fixed[js])
-    j, r = js[a], np.arange(d)[:, None]
-    left = (r * d + c, unknown[j] * d + r, np.broadcast_to(fixed[j, c], (d, len(j))))
-    # - F dM: entry (r, c) gets - F[r, k] dM[k, c], for the unknown columns c
-    r, k = np.nonzero(fixed)
-    c = js[:, None]
-    right = (r * d + c, unknown[c] * d + k, np.broadcast_to(-fixed[r, k], (len(js), len(r))))
-    return tuple(np.concatenate((x.ravel(), y.ravel())) for x, y in zip(left, right))
-
-
 def hom_dim(I: PolyIdeal) -> int:
     """dim_k Hom_S(I, S/I) as the tangent space of the border-basis scheme.
 
@@ -159,28 +140,33 @@ def hom_dim(I: PolyIdeal) -> int:
     is column m of dM_v wherever x_v m = t, and every other column of
     dM_v is zero.  The equations are the three commutators linearised at
     the point, [dM_u, M_v] + [M_u, dM_v] = 0, and dim T = d |border| -
-    rank.  This reads only quotient_data and gfp.sparse_rank, and shares
-    no syzygy code with tangent_excess, which it cross-checks.
+    rank.  The pair (u, v) is the Sylvester map dM_v -> M_u dM_v - dM_v M_u
+    minus dM_u -> M_v dM_u - dM_u M_v, where entry (k, j) of dM_u is
+    entry k of the unknown vector of x_u m_j when that is a border term
+    (gfp.sylvester_entries).  This reads only quotient_data,
+    gfp.sylvester_entries and gfp.sparse_rank, and shares no syzygy code
+    with tangent_excess, which it cross-checks.
 
     Raises NotZeroDimensionalError unless S/I is finite.
     """
     qd = poly3.quotient_data(I)
     d, mats = qd.colength, qd.mult_matrices
     border: dict[Exponent, int] = {}
-    unknown = np.full((3, d), -1, dtype=np.int64)
+    # column j of dM_u holds the unknown vector of its border term, if any
+    delta = np.full((3, d, d), -1, dtype=np.int64)
     for u in range(3):
         for j, (x, y, z) in enumerate(qd.standard_monomials):
             t = (x + (u == 0), y + (u == 1), z + (u == 2))
             if t not in qd.standard_set:
-                unknown[u, j] = border.setdefault(t, len(border))
+                delta[u, :, j] = border.setdefault(t, len(border)) * d + np.arange(d)
     rows, cols, vals = [], [], []
     for n, (u, v) in enumerate(((0, 1), (0, 2), (1, 2))):
-        # [dM_u, M_v] + [M_u, dM_v] = [dM_u, M_v] - [dM_v, M_u]
-        for w, f, sign in ((u, v, 1), (v, u, -1)):
-            r, c, x = _linear_commutator(unknown[w], mats[f])
+        # [dM_u, M_v] + [M_u, dM_v] = (M_u dM_v - dM_v M_u) - (M_v dM_u - dM_u M_v)
+        for a, x, sign in ((u, delta[v], 1), (v, delta[u], -1)):
+            r, c, val = gfp.sylvester_entries(mats[a], mats[a], x)
             rows.append(r + n * d * d)
             cols.append(c)
-            vals.append(sign * x)
+            vals.append(sign * val)
     rank = gfp.sparse_rank(np.concatenate(rows), np.concatenate(cols), np.concatenate(vals),
                            (3 * d * d, d * len(border)), qd.ring.p)
     return d * len(border) - rank

@@ -242,12 +242,15 @@ class TestParityAnnBicanonical:
         assert (res["hom_full_dim"], res["homsym_dim"]) == (9, 7)
 
     def test_bicanonical_degree_mismatch_exits_1(self, capsys, monkeypatch):
-        rank = duality._sym2_relation_rank
-        monkeypatch.setattr(duality, "_sym2_relation_rank",
-                            lambda mats, d, p: rank(mats, d, p) + 1)
-        code, data = run_json(capsys, "bicanonical", "x^2, x*y^2, y^5, z")
+        # --verify ranks the relations of every standard monomial (6 of
+        # them here) against those of the 3 variables; shift the former
+        rank = duality._intertwiner_rank
+        monkeypatch.setattr(duality, "_intertwiner_rank",
+                            lambda mats, unknown, p: rank(mats, unknown, p) + (len(mats) > 3))
+        code, data = run_json(capsys, "--verify", "bicanonical", "x^2, x*y^2, y^5, z")
         assert code == 1
         assert data["error"]["type"] == "InvariantError"
+        assert data["error"]["message"] == "algebra generators missed Sym^2 relations"
 
 
 class TestFilesAndErrors:

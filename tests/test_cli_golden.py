@@ -65,6 +65,8 @@ CASES = {
     "census-json": ["census", "6"],
     "census-csv-verify": ["--format", "csv", "--verify", "census", "7"],
     "census-text": ["--format", "text", "census", "4"],
+    "census-negative": ["census", "-1"],
+    "census-negative-verify": ["--verify", "census", "-1"],
     "series": ["series", "10"],
     "series-second-prime": [SP, "series", "3"],
     "link-tripod": ["link", "x^3,y^5,z^4,x*y,x*z,y*z",

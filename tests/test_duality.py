@@ -66,7 +66,8 @@ def moved_mono_ideal(ideal, point, ring):
 
 
 def oracle_sym2_relation_rank(mats, d, p):
-    """Dense reference for duality._sym2_relation_rank: one row per (r, i <= j)."""
+    """Rank of the Sym^2 omega relations (r e_i) . e_j - e_i . (r e_j), one dense
+    row per (r, i <= j); bicanonical_degree reads it as nsym - homsym_dim."""
     idx = {ij: n for n, ij in enumerate(itertools.combinations_with_replacement(range(d), 2))}
     nsym = len(idx)
     rows = []
@@ -90,8 +91,15 @@ def oracle_sym2_relation_rank(mats, d, p):
     return gfp.rank(np.vstack(rows), p)
 
 
+def intertwiner_dims(mats, d, p):
+    """(homsym_dim, hom_full_dim) from duality's sparse intertwiner ranks."""
+    sym = duality._intertwiner_rank(mats, duality._symmetric_unknowns(d), p)
+    full = duality._intertwiner_rank(mats, np.arange(d * d).reshape(d, d), p)
+    return d * (d + 1) // 2 - sym, d * d - full
+
+
 def oracle_intertwiner_dims(mats, d, p):
-    """Dense reference for duality._intertwiner_dims, on the Kronecker stack.
+    """Dense reference for intertwiner_dims, on the Kronecker stack.
 
     On row-major vec(F) the map F -> M_v F - F M_v^T is M_v (x) I - I (x) M_v.
     A symmetric F is spanned by E_ij + E_ji (i <= j), whose columns are
@@ -188,6 +196,12 @@ class TestBicanonical:
         rep = duality.bicanonical_degree(PLANAR_97, verify=True)
         assert rep.sym2_omega_deg == 7
 
+    @pytest.mark.parametrize("text", ["x, y, z", "x - 1, y, z"])
+    def test_verification_flag_at_colength_one(self, text):
+        # no standard monomial of positive degree, so no matrix to verify with
+        rep = duality.bicanonical_degree(pi(text), verify=True)
+        assert (rep.sym2_omega_deg, rep.homsym_dim, rep.hom_full_dim) == (1, 1, 1)
+
     def test_planar_fiber_degree_small(self):
         for d in range(1, 7):
             for ideal in planar_ideals(d):
@@ -224,7 +238,7 @@ class TestBicanonical:
                 for ideal in rng.sample(ideals, min(4, len(ideals))):
                     qd = poly3.quotient_data(mono_poly_ideal(ideal, ring))
                     mats = random_presentation(list(qd.mult_matrices), p, rng)
-                    got = duality._intertwiner_dims(mats, d, p)[0]
+                    got = intertwiner_dims(mats, d, p)[0]
                     assert got == homsym_dim_reference(mats, d, p), (p, ideal)
             for text in ["x^2 - y*z, x*z, x*y, y^2, z^2", "x^2 - y, y^2 - z, z^3",
                          "x^2 + y*z, x*y^2, y^5, z - x"]:
@@ -279,8 +293,10 @@ class TestSparseRanksMatchDenseOracles:
     def test_generator_relations_and_intertwiners(self, p):
         rng = random.Random(p)
         for mats, d in oracle_cases(p, rng):
-            assert duality._sym2_relation_rank(mats, d, p) == oracle_sym2_relation_rank(mats, d, p)
-            assert duality._intertwiner_dims(mats, d, p) == oracle_intertwiner_dims(mats, d, p)
+            homsym_dim, hom_full_dim = intertwiner_dims(mats, d, p)
+            assert (homsym_dim, hom_full_dim) == oracle_intertwiner_dims(mats, d, p)
+            # the relation rank is the symmetric intertwiner rank
+            assert oracle_sym2_relation_rank(mats, d, p) == d * (d + 1) // 2 - homsym_dim
 
     @pytest.mark.parametrize("p", PRIMES)
     def test_relations_from_every_standard_monomial(self, p):
@@ -297,7 +313,8 @@ class TestSparseRanksMatchDenseOracles:
             mats = [poly3.evaluate_at_matrices(ring.monomial(e), qd)
                     for e in qd.standard_monomials if sum(e) > 0]
             d = qd.colength
-            assert duality._sym2_relation_rank(mats, d, p) == oracle_sym2_relation_rank(mats, d, p)
+            sym = duality._intertwiner_rank(mats, duality._symmetric_unknowns(d), p)
+            assert sym == oracle_sym2_relation_rank(mats, d, p)
 
 
 @pytest.mark.parametrize("verify", [False, True])

@@ -158,6 +158,45 @@ def test_sparse_rank_single_row_and_column_components(p):
     assert gfp.sparse_rank(rows, cols, vals, (5, 5), p) == 3
 
 
+def oracle_sylvester(a, b, unknown, nunknowns, p):
+    """Dense matrix of X -> A X - X B on row-major vec(X): kron(A, I) - kron(I, B^T),
+    with the columns of entries sharing an unknown summed and fixed ones dropped."""
+    d = len(unknown)
+    eye = np.eye(d, dtype=np.int64)
+    full = (np.kron(a, eye) - np.kron(eye, b.T)) % p
+    merged = gfp.zeros(d * d, nunknowns)
+    for pos, u in enumerate(unknown.ravel()):
+        if u >= 0:
+            merged[:, u] = (merged[:, u] + full[:, pos]) % p
+    return merged
+
+
+def sylvester_inputs(p, rng):
+    """(A, B, unknown, number of unknowns): sparse and dense A and B, a zero
+    one, and numberings with fixed zeros and shared unknowns."""
+    for d in range(1, 6):
+        for density in (0.3, 1.0):
+            a, b = (np.where(rng.random((d, d)) < density,
+                             rng.integers(0, p, size=(d, d), dtype=np.int64), 0) for _ in range(2))
+            n = int(rng.integers(1, d * d + 1))
+            yield a, b, rng.integers(-2, n, size=(d, d)), n  # fixed and shared
+            yield a, b, rng.permutation(d * d).reshape(d, d), d * d  # one unknown each
+            yield a, gfp.zeros(d, d), rng.integers(-1, n, size=(d, d)), n
+            yield a, a.T.copy(), np.full((d, d), -1), 1  # nothing unknown
+
+
+@pytest.mark.parametrize("p", [P, P2, 3])
+def test_sylvester_entries_match_kronecker_oracle(p):
+    rng = np.random.default_rng(p + 7)
+    for a, b, unknown, n in sylvester_inputs(p, rng):
+        d = len(unknown)
+        rows, cols, vals = gfp.sylvester_entries(a, b, unknown)
+        assert ((0 <= rows) & (rows < d * d) & (0 <= cols) & (cols < n)).all()
+        got = gfp.zeros(d * d, n)
+        np.add.at(got, (rows, cols), np.mod(vals, p))
+        assert (got % p == oracle_sylvester(a, b, unknown, n, p)).all()
+
+
 def oracle_kernel_basis(a, p):
     """kernel_basis read off the rref one free column and one pivot at a time."""
     a = np.asarray(a, dtype=np.int64)

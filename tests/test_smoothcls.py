@@ -7,7 +7,7 @@ import textwrap
 import pytest
 
 from hilb3 import cli, mono3, smoothcls, tancomb
-from hilb3.errors import HasTripleError, InvariantError
+from hilb3.errors import HasTripleError, InputError, InvariantError
 from helpers import ev
 
 I1 = mono3.parse_monomial_ideal("x^2, x*y, x*z, y^2, y*z, z^3")
@@ -202,6 +202,11 @@ class TestCensus:
         rows = smoothcls.smooth_census(6)
         assert [r[2] for r in rows] == [1, 3, 6, 12, 21, 36]
         assert [r[1] for r in rows] == [1, 3, 6, 13, 24, 48]
+
+    def test_negative_bound_rejected(self):
+        with pytest.raises(InputError, match="census bound must be >= 0"):
+            smoothcls.smooth_census(-1)
+        assert smoothcls.smooth_census(0) == []
 
     def test_csv_shape(self):
         text = smoothcls.census_csv(smoothcls.smooth_census(2))

@@ -27,6 +27,19 @@ def test_one_text_grammar():
     assert [p.name for p in sorted(SRC.glob("*.py")) if _imports(p, "re")] == ["poly3.py"]
 
 
+def _finds_nonzeros(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    return any(isinstance(node, ast.Attribute) and node.attr in ("nonzero", "flatnonzero")
+               for node in ast.walk(tree))
+
+
+def test_one_sparse_assembly():
+    # sparse matrices are assembled from nonzero entries in gfp alone
+    # (sylvester_entries, sparse_rank and rref); no other module calls
+    # np.nonzero or np.flatnonzero
+    assert [p.name for p in sorted(SRC.glob("*.py")) if _finds_nonzeros(p)] == ["gfp.py"]
+
+
 def _top_level_names(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     names = set()
