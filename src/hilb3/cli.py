@@ -430,6 +430,9 @@ def main(argv=None) -> int:
         if args.second_prime is not None:
             envelope["second_prime"] = args.second_prime
             ring2 = _ring(args.second_prime)
+            if args.second_prime == args.prime:
+                raise InputError(f"--second-prime {args.second_prime} equals --prime; "
+                                 "a rerun over the same field checks nothing")
         payload, status = HANDLERS[args.command](args, ring)
         if args.second_prime is not None:
             checked = args.command in FIELD_DEPENDENT

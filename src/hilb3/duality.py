@@ -21,8 +21,9 @@ symmetric F, and row (v, j, i) is its negative.  So deg Sym^2 omega_R
 pins against a dense relation matrix.
 
 Both maps are Sylvester maps X -> A X - X B with A = M_v, B = M_v^T,
-built as sparse entries by gfp.sylvester_entries and ranked over the
-connected components of the row-column graph (``gfp.sparse_rank``).
+built as sparse entries by gfp.sylvester_entries and ranked by
+``gfp.sparse_rank``: singleton rows and columns peel off, and the rest
+goes over the connected components of the row-column graph.
 For a monomial ideal every entry carries a torus weight, so the
 components are small; in generic coordinates there is one component
 and one dense elimination.

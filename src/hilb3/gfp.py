@@ -6,13 +6,16 @@ Gaussian elimination with ``% p`` after each row operation is exact;
 ``matmul`` and ``rref`` raise ``InputError`` for any larger p.
 Pivoting always takes the first row with a nonzero entry, which makes
 every result deterministic.  ``sparse_rank`` ranks a matrix given by its
-nonzero entries block by block: the connected components of its
-row-column graph (the coarse Dulmage-Mendelsohn decomposition) each go
-through the same dense elimination.  ``sylvester_entries`` gives those
-entries for the Sylvester map X -> A X - X B on a patterned X, the one
-shape of sparse matrix the package ranks: the linearised commutators of
-the border-basis tangent space and the intertwiners behind the
-bicanonical degree.
+nonzero entries.  It first peels off rows and columns with one entry,
+exactly (the first step of structured Gaussian elimination: LaMacchia and
+Odlyzko, CRYPTO '90, LNCS 537), then ranks the rest block by block: the
+connected components of its row-column graph (the coarse
+Dulmage-Mendelsohn decomposition) each go through the same dense
+elimination.  ``sylvester_entries`` gives the entries of the Sylvester
+map X -> A X - X B on a patterned X (the linearised commutators of the
+border-basis tangent space and the intertwiners behind the bicanonical
+degree), ``dense_entries`` those of a dense block placed in a larger
+matrix (the syzygy blocks of the tangent space).
 
 The default prime is 2^31 - 1.  Characteristic-zero statements are only
 certified numerically by agreement over two large primes, so a second
@@ -165,15 +168,33 @@ def sylvester_entries(a: np.ndarray, b: np.ndarray, unknown: np.ndarray):
     return rows[known], cols[known], vals[known]
 
 
+def dense_entries(a: np.ndarray, row: int, col: int):
+    """COO entries (rows, cols, vals) of the nonzero entries of a, placed
+    with its top left corner at (row, col)."""
+    r, c = np.nonzero(a)
+    return r + row, c + col, a[r, c]
+
+
 def sparse_rank(rows, cols, vals, shape: tuple[int, int], p: int) -> int:
     """Rank of the matrix of the given shape with COO entries (rows, cols, vals).
 
     Entries at one position are summed mod p and positions that sum to
     zero are dropped.  Each value is reduced into [0, p) first, so the sum
     is exact in int64 while fewer than 2^32 entries share a position.
-    The rank is the sum of ``rank`` over the connected components of the
-    row-column graph (a node per row and per column, an edge per nonzero
-    entry), each densified as its own block.
+
+    Singletons are then peeled until none is left.  If some column holds
+    one entry, every row holding such an entry is a pivot: the rank grows
+    by the number of those rows, and all their entries go.  Otherwise, if
+    some row holds one entry, the same is done with rows and columns
+    swapped.  This is exact: when column c's only entry is at (r, c),
+    column operations by c clear the rest of row r and leave
+    [a_rc] + (the matrix without row r and column c) as a direct sum.
+    Two singleton columns on one row give one pivot, the second column
+    being empty once the row is gone.
+
+    The rank of what is left is the sum of ``rank`` over the connected
+    components of its row-column graph (a node per row and per column, an
+    edge per nonzero entry), each densified as its own block.
     """
     require_exact(p)
     nrows, ncols = shape
@@ -187,6 +208,23 @@ def sparse_rank(rows, cols, vals, shape: tuple[int, int], p: int) -> int:
     key = key[starts][vals != 0]
     vals = vals[vals != 0]
     r, c = key // ncols, key % ncols
+    total = 0
+    while r.size:
+        # a column with one entry makes its row a pivot; failing that, a
+        # row with one entry makes its column one
+        for lines, other, size in ((c, r, nrows), (r, c, ncols)):
+            lone = np.bincount(lines)[lines] == 1
+            if lone.any():
+                pivot = np.zeros(size, dtype=bool)
+                pivot[other[lone]] = True
+                total += int(pivot.sum())
+                keep = ~pivot[other]
+                r, c, vals = r[keep], c[keep], vals[keep]
+                break
+        else:
+            break
+    if r.size == 0:
+        return total
     # hook each root onto the least root across an edge, then jump pointers
     # to the roots, until every edge joins two nodes under one root
     cnode = nrows + c
@@ -204,7 +242,6 @@ def sparse_rank(rows, cols, vals, shape: tuple[int, int], p: int) -> int:
     comp = label[r]
     order = np.argsort(comp, kind="stable")
     cuts = np.flatnonzero(np.diff(comp[order])) + 1
-    total = 0
     for br, bc, bv in zip(*(np.split(a[order], cuts) for a in (r, c, vals))):
         ur, lr = np.unique(br, return_inverse=True)
         uc, lc = np.unique(bc, return_inverse=True)

@@ -7,7 +7,11 @@ each h_j in the standard monomial basis and each syzygy coefficient as a
 multiplication matrix turns Hom into the kernel of a block matrix over
 F_p, whose dimension equals the tangent dimension of the point [S/I] of
 the Hilbert scheme.  Syzygies come from the recorded S-pair reductions
-of a Groebner basis; these generate the whole syzygy module.
+of a Groebner basis; these generate the whole syzygy module.  The block
+matrix is never formed densely: its nonzero blocks go in as COO entries
+(gfp.dense_entries) to one gfp.sparse_rank call, which peels singleton
+rows and columns exactly before any dense elimination.  A box's Koszul
+blocks are all zero, so its rank costs no elimination at all.
 
 hom_dim is the cross-check and shares no syzygy code with this route: it
 reads the same dimension as the tangent space of the border-basis
@@ -109,22 +113,21 @@ def generator_syzygies(I: PolyIdeal) -> SyzygySet:
 # ---------------------------------------------------------------------------
 
 def _hom_dim_from_syzygies(syz: SyzygySet, qd: poly3.QuotientData) -> int:
-    gens = syz.generators_used
-    r, d, p = len(gens), qd.colength, qd.ring.p
-    if r == 0:
-        return 0
-    blocks = []
-    for s in syz.syzygies:
-        row = np.zeros((d, r * d), dtype=np.int64)
-        for j, coeff in enumerate(s):
-            if coeff.is_zero:
-                continue
-            row[:, j * d:(j + 1) * d] = poly3.evaluate_at_matrices(coeff, qd)
-        blocks.append(row)
-    if not blocks:
-        return r * d
-    mat = np.vstack(blocks)
-    return r * d - gfp.rank(mat, p)
+    """r d - rank of the block matrix with block (n, j) the matrix of
+    syzygy n's coefficient s_j on S/I: the dimension of the tuples
+    (h_1, ..., h_r) in (S/I)^r with sum_j s_j h_j = 0 for every syzygy.
+
+    Each nonzero block goes in as its COO entries (gfp.dense_entries) at
+    offset (n d, j d), and one gfp.sparse_rank call ranks them all, so no
+    dense matrix of the whole is built.
+    """
+    r, d = len(syz.generators_used), qd.colength
+    parts = [gfp.dense_entries(poly3.evaluate_at_matrices(coeff, qd), n * d, j * d)
+             for n, s in enumerate(syz.syzygies)
+             for j, coeff in enumerate(s) if not coeff.is_zero]
+    rows, cols, vals = (np.concatenate(x) for x in zip(*parts)) if parts else ([], [], [])
+    return r * d - gfp.sparse_rank(rows, cols, vals, (len(syz.syzygies) * d, r * d),
+                                   qd.ring.p)
 
 
 def hom_dim(I: PolyIdeal) -> int:

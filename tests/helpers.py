@@ -7,6 +7,12 @@ from hilb3 import gfp, poly3
 
 RING = poly3.PolyRing(gfp.DEFAULT_PRIME)
 
+# three quadrics, generic enough that linking by them gives a point
+# that is not monomial
+GENERIC_ALPHA = ("x^2 + 2*x*y + 3*y^2 + 5*x*z + 7*y*z + 11*z^2, "
+                 "2*x^2 + x*y + y^2 + 3*x*z + y*z + 4*z^2, "
+                 "x^2 + x*y + 5*y^2 + x*z + 2*y*z + 3*z^2")
+
 
 def ev(text):
     """The exponent vector of one monomial, such as "z^2" or "x*y"."""

@@ -383,6 +383,18 @@ class TestFilesAndErrors:
         assert data["second_prime"] == 91
         assert "result" not in data
 
+    @pytest.mark.parametrize("argv", [["tangent", "x^2 + y, y^2, z"], ["series", "3"],
+                                      ["census", "3"]])
+    def test_second_prime_equal_to_prime_rejected(self, capsys, argv):
+        # a rerun over the same field would certify nothing
+        code, data = run_json(capsys, "--prime", "2147483629",
+                              "--second-prime", "2147483629", *argv)
+        assert code == 2
+        assert data["error"] == {"type": "InputError",
+                                 "message": "--second-prime 2147483629 equals --prime; "
+                                            "a rerun over the same field checks nothing"}
+        assert "result" not in data and "second_prime_checked" not in data
+
     def test_second_prime_above_int64_range_rejected_for_census(self, capsys):
         code, data = run_json(capsys, "--second-prime", "4294967311", "census", "3")
         assert code == 2

@@ -12,6 +12,8 @@ import os
 
 import pytest
 
+from helpers import GENERIC_ALPHA
+
 HERE = os.path.dirname(os.path.abspath(__file__))
 DATA = os.path.join(HERE, "data")
 GOLDEN = os.path.join(DATA, "cli_golden.json")
@@ -22,9 +24,6 @@ BINOMIAL = "x^2, x*y^2, x*y*z, x*z^2, y^2*z^2, y*z^3, z^4, y^3 - x*z"
 # non-monic, redundant and repeated generators of the ideal SMALL
 MESSY = "2*x^2 - 2*y*z, 3*x*z, x*y, x*y + x*z, y^2, z^2, y^2, x^3"
 SP = "--second-prime=2147483629"
-GENERIC_ALPHA = ("x^2 + 2*x*y + 3*y^2 + 5*x*z + 7*y*z + 11*z^2, "
-                 "2*x^2 + x*y + y^2 + 3*x*z + y*z + 4*z^2, "
-                 "x^2 + x*y + 5*y^2 + x*z + 2*y*z + 3*z^2")
 # a large coefficient leaves the target's coefficients without one small
 # fraction read alike at both primes, so the primes disagree
 LARGE_ALPHA = "100003*" + GENERIC_ALPHA
@@ -111,6 +110,7 @@ CASES = {
     "composite-prime": ["--prime", "91", "series", "1"],
     "even-prime": ["--prime", "2", "tangent", "x,y,z"],
     "composite-second-prime": ["--second-prime", "91", "parity", "x,y,z"],
+    "second-prime-equals-prime": ["--second-prime", "2147483647", "tangent", "x^2 + y, y^2, z"],
     "small-prime": ["--prime", "101", "tangent", SMALL],
     "unknown-subcommand": ["frobnicate"],
     "missing-argument": ["link", "x,y,z"],

@@ -158,6 +158,60 @@ def test_sparse_rank_single_row_and_column_components(p):
     assert gfp.sparse_rank(rows, cols, vals, (5, 5), p) == 3
 
 
+def dense_from_coo(rows, cols, vals, shape, p):
+    a = gfp.zeros(*shape)
+    np.add.at(a, (np.asarray(rows), np.asarray(cols)), np.mod(vals, p))
+    return a % p
+
+
+def peel_cases(p, rng):
+    """(name, rows, cols, vals, shape): COO inputs shaped for singleton peeling."""
+    n = 12
+    idx = np.arange(n)
+    # upper bidiagonal: column k is a singleton only once row k - 1 is gone
+    yield ("upper chain", np.r_[idx, idx[:-1]], np.r_[idx, idx[1:]],
+           rng.integers(1, p, size=2 * n - 1), (n, n))
+    # lower bidiagonal with one more row: no singleton column, so the row
+    # step peels column k once column k - 1 is gone
+    yield ("lower chain", np.r_[idx, idx + 1], np.r_[idx, idx],
+           rng.integers(1, p, size=2 * n), (n + 1, n))
+    # columns 0 and 1 are singletons on row 0: one pivot, not two
+    yield "two singletons on one row", [0, 0, 0, 1], [0, 1, 2, 2], [1, 2, 1, 1], (2, 3)
+    # row 0 is a singleton and its column 0 has two more entries; every
+    # column has at least two, so the row step runs first
+    yield "singleton row", [0, 1, 1, 2, 2], [0, 0, 1, 0, 1], [1, 1, 1, 1, 2], (3, 2)
+    perm = rng.permutation(n)
+    yield "permutation", idx, perm, rng.integers(1, p, size=n), (n, n)
+    # (1, 0) and (2, 2) cancel: column 0 is left a singleton, and row and
+    # column 2 must not count as a pivot
+    yield ("cancelled duplicates", [0, 0, 1, 1, 1, 2, 2], [0, 1, 1, 0, 0, 2, 2],
+           [1, 1, 1, 4, p - 4, 5, 2 * p - 5], (3, 3))
+    for density in (0.05, 0.1, 0.2, 0.3):
+        for _ in range(10):
+            shape = tuple(int(v) for v in rng.integers(1, 25, size=2))
+            a = np.where(rng.random(shape) < density,
+                         rng.integers(0, p, size=shape, dtype=np.int64), 0)
+            yield (f"random {density}", *scattered_coo(a, p, rng), shape)
+
+
+@pytest.mark.parametrize("p", [3, P, P2])
+def test_sparse_rank_peeling_matches_dense_oracle(p):
+    rng = np.random.default_rng(p + 3)
+    for name, rows, cols, vals, shape in peel_cases(p, rng):
+        want = len(oracle_rref(dense_from_coo(rows, cols, vals, shape, p), p)[1])
+        assert gfp.sparse_rank(rows, cols, vals, shape, p) == want, name
+
+
+@pytest.mark.parametrize("p", [3, P])
+def test_chains_and_permutations_peel_without_elimination(p, monkeypatch):
+    calls = []
+    monkeypatch.setattr(gfp, "rank", lambda a, q: calls.append(a.shape))
+    for name, rows, cols, vals, shape in peel_cases(p, np.random.default_rng(p)):
+        if name in ("upper chain", "lower chain", "permutation"):
+            assert gfp.sparse_rank(rows, cols, vals, shape, p) == min(shape), name
+    assert calls == []
+
+
 def oracle_sylvester(a, b, unknown, nunknowns, p):
     """Dense matrix of X -> A X - X B on row-major vec(X): kron(A, I) - kron(I, B^T),
     with the columns of entries sharing an unknown summed and fixed ones dropped."""

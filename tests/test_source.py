@@ -35,8 +35,8 @@ def _finds_nonzeros(path):
 
 def test_one_sparse_assembly():
     # sparse matrices are assembled from nonzero entries in gfp alone
-    # (sylvester_entries, sparse_rank and rref); no other module calls
-    # np.nonzero or np.flatnonzero
+    # (sylvester_entries, dense_entries, sparse_rank and rref); no other
+    # module calls np.nonzero or np.flatnonzero
     assert [p.name for p in sorted(SRC.glob("*.py")) if _finds_nonzeros(p)] == ["gfp.py"]
 
 

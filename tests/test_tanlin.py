@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from hilb3 import gfp, linkage, mono3, poly3, tancomb, tanlin
 from hilb3.errors import NotZeroDimensionalError
-from helpers import IDENTITY, invertible, linear_image, random_change
+from helpers import GENERIC_ALPHA, IDENTITY, invertible, linear_image, random_change
 
 P = gfp.DEFAULT_PRIME
 P2 = gfp.SECOND_PRIME
@@ -67,6 +67,15 @@ def oracle_hom_dim_weight(ideal, a):
             elif i in parent or j in parent:
                 killed.append(i if i in parent else j)
     return len({find(j) for j in parent} - {find(k) for k in killed})
+
+
+def degeneration_bound(I):
+    """dim T of the initial ideal in(I), the monomial ideal of the leading
+    terms of the reduced Groebner basis.  I degenerates flatly to in(I) and
+    dim Hom(I, S/I) is upper semicontinuous in a flat family, so over any
+    field this bounds dim T(I) from above."""
+    initial = mono3.from_generators(g.leading()[0] for g in poly3.groebner(I))
+    return tancomb.tangent_report(initial).total
 
 
 @pytest.fixture
@@ -256,6 +265,7 @@ class TestBorderRoute:
         I = linear_image(ideal, poly3.PolyRing(p), *change)
         want = tancomb.tangent_report(ideal).total
         assert tanlin.hom_dim(I) == tanlin.tangent_excess(I)[1] == want
+        assert want <= degeneration_bound(I)
 
     @pytest.mark.parametrize("p", [P, P2])
     @pytest.mark.parametrize("first, a, second, b", [
@@ -272,6 +282,7 @@ class TestBorderRoute:
                             linear_image(B, ring, IDENTITY, [-c for c in b]))
         want = tancomb.tangent_report(A).total + tancomb.tangent_report(B).total
         assert tanlin.hom_dim(I) == tanlin.tangent_excess(I)[1] == want
+        assert want <= degeneration_bound(I)
 
     def test_two_reduced_points(self):
         assert tanlin.hom_dim(pi("x^2 - x, y, z")) == 6
@@ -287,6 +298,20 @@ class TestBorderRoute:
         assert shapes == [(3 * 4 * 4, 4 * 6)]
 
 
+class TestDegenerationBound:
+    @pytest.mark.parametrize("p", [P, P2])
+    def test_non_monomial_points(self, p):
+        # the binomial ideal, and the link of x^2, xy, y^2, z by three
+        # generic quadrics: dim T against dim T of the initial ideal
+        ring = poly3.PolyRing(p)
+        source = poly3.parse_ideal("x^2, x*y, y^2, z", ring)
+        target = linkage.link(source, [poly3.parse_poly(f, ring)
+                                       for f in GENERIC_ALPHA.split(",")]).target
+        for I, t, bound in ((poly3.parse_ideal(GGGL, ring), 45, 54), (target, 15, 21)):
+            assert not all(len(g.terms) == 1 for g in poly3.groebner(I))
+            assert (tanlin.tangent_excess(I)[1], degeneration_bound(I)) == (t, bound)
+
+
 class TestMatrixTraffic:
     def test_box_koszul_coefficients_need_no_products(self, matmul_calls):
         # the parity subcommand's path: every syzygy coefficient of a box is
@@ -294,6 +319,33 @@ class TestMatrixTraffic:
         rep = linkage.parity_report(pi("x^6, y^6, z^6"))
         assert (rep.colength, rep.tangent_dim) == (216, 648)
         assert matmul_calls == [0]
+
+    def test_box_koszul_matrix_needs_no_elimination(self, monkeypatch):
+        # the 648 x 648 Koszul matrix of the box is all zero, so its sparse
+        # rank has no entries to eliminate
+        calls = []
+        original = gfp.rref
+        monkeypatch.setattr(gfp, "rref", lambda a, p: calls.append(a.shape) or original(a, p))
+        rep = linkage.parity_report(pi("x^6, y^6, z^6"))
+        assert (rep.colength, rep.tangent_dim) == (216, 648)
+        assert calls == []
+
+    @pytest.mark.parametrize("p", [P, P2])
+    def test_syzygy_route_is_one_sparse_rank(self, monkeypatch, p):
+        # one rank of the whole block matrix: (syzygies x d) by (generators x d)
+        ring = poly3.PolyRing(p)
+        moved = linear_image(mono3.parse_monomial_ideal("x^2, x*y, x*z, y^2, y*z, z^2"),
+                             ring, *random_change(random.Random(5), p))
+        shapes = []
+        original = gfp.sparse_rank
+        monkeypatch.setattr(gfp, "sparse_rank", lambda r, c, v, shape, q:
+                            shapes.append(shape) or original(r, c, v, shape, q))
+        for I, want in ((moved, 18), (poly3.parse_ideal(GGGL, ring), 45)):
+            shapes.clear()
+            d, t, _ = tanlin.tangent_excess(I)
+            syz = tanlin.syzygies(I)
+            assert t == want
+            assert shapes == [(len(syz.syzygies) * d, len(syz.generators_used) * d)]
 
     @pytest.mark.parametrize("text", ["x^2, x*y, x*z, y^2, y*z, z^2",
                                       "x^3, y^3, z^3, y*z^2, x^2*z, x*y^2",
