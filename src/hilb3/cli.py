@@ -291,24 +291,23 @@ HANDLERS = {
 # ---------------------------------------------------------------------------
 
 def _render_text(payload, indent=0) -> list[str]:
-    lines = []
+    """One line per scalar, led by its key or a `-` list marker; a nonempty
+    list or dict gets its key or marker on a line of its own and its
+    contents indented under it, and an empty one prints as [] or {}."""
     pad = "  " * indent
     if isinstance(payload, dict):
-        for k in sorted(payload):
-            v = payload[k]
-            if isinstance(v, (dict, list)):
-                lines.append(f"{pad}{k}:")
-                lines.extend(_render_text(v, indent + 1))
-            else:
-                lines.append(f"{pad}{k}: {v}")
+        items = [(f"{k}:", payload[k]) for k in sorted(payload)]
     elif isinstance(payload, list):
-        for v in payload:
-            if isinstance(v, (dict, list)):
-                lines.extend(_render_text(v, indent + 1))
-            else:
-                lines.append(f"{pad}- {v}")
+        items = [("-", v) for v in payload]
     else:
-        lines.append(f"{pad}{payload}")
+        return [f"{pad}{payload}"]
+    lines = []
+    for head, v in items:
+        if isinstance(v, (dict, list)) and v:
+            lines.append(f"{pad}{head}")
+            lines.extend(_render_text(v, indent + 1))
+        else:
+            lines.append(f"{pad}{head} {v}")
     return lines
 
 

@@ -6,13 +6,19 @@ heights[i][j] = #{k : x^i y^j z^k not in I}, a plane partition of the
 colength; h(i, j) reads 0 off the array.  The rest is read off h
 locally: the minimal generators are the corners (i, j, h(i, j)) where h
 drops against both lower neighbours, the socle of S/I is the cells
-(i, j, h(i, j) - 1) where h drops in both directions, and the staircase
+(i, j, h(i, j) - 1) where h drops in both directions (read row against
+row, with no bounds-checked lookups), and the staircase
 (the exponent vectors outside I) is expanded only on demand, and so are
 the per-ideal tables the two monomial tangent routes read: the staircase
 graph and the pairwise generator lcms.
 
-MacMahon's product formula  prod_{i>=1} (1 - q^i)^{-i}  generates the
-counts of plane partitions and serves as an enumeration oracle.
+All colength-d ideals come from plane_partitions(d), a depth-first walk
+with an explicit stack.  Each level runs through a cached tuple of the
+candidate rows under the row above it; the tuples are kept by (largest
+row sum that fits, row above), and only they are cached, never whole
+lists of plane partitions.  MacMahon's product formula  prod_{i>=1} (1 - q^i)^{-i}
+generates the counts of plane partitions and serves as an enumeration
+oracle.
 
 Exponent triples, and the helpers on them (ORIGIN, exp_lcm,
 monomial_str), are poly3's.  Text is read with poly3's polynomial
@@ -21,6 +27,7 @@ lists exponent triples.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 from dataclasses import dataclass
@@ -163,11 +170,19 @@ def from_generators(gens: Iterable[ExponentVec]) -> MonomialIdeal3:
 def socle(ideal: MonomialIdeal3) -> tuple[ExponentVec, ...]:
     """Maximal staircase elements, sorted; their number is the Gorenstein type.
 
-    They are the cells (i, j, h - 1) where h drops in both directions.
+    They are the cells (i, j, h - 1) where h drops in both directions:
+    h is read against the next entry of its row and against the entry
+    under it in the next row, row by row, so the cells come out sorted.
     """
     H = ideal.heights
-    return tuple((i, j, h - 1) for i, row in enumerate(H) for j, h in enumerate(row)
-                 if h > _at(H, i + 1, j) and h > _at(H, i, j + 1))
+    out = []
+    for i, row in enumerate(H):
+        below = H[i + 1] if i + 1 < len(H) else ()
+        last, under = len(row) - 1, len(below)
+        for j, h in enumerate(row):
+            if (j == last or h > row[j + 1]) and (j >= under or h > below[j]):
+                out.append((i, j, h - 1))
+    return tuple(out)
 
 
 def colon_by_monomial(ideal: MonomialIdeal3, f: ExponentVec) -> MonomialIdeal3:
@@ -199,35 +214,58 @@ def macmahon_series(n: int) -> list[int]:
     return c
 
 
-def _partitions_bounded(total: int, bound: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-    """Nonincreasing positive tuples summing to `total`, pointwise <= bound."""
-    def rec(remaining: int, maxpart: int, j: int) -> Iterator[tuple[int, ...]]:
+@functools.cache
+def _partitions(k: int) -> tuple[tuple[int, ...], ...]:
+    """Partitions of k as nonincreasing tuples, largest first part first."""
+    def rec(remaining: int, maxpart: int) -> Iterator[tuple[int, ...]]:
         if remaining == 0:
             yield ()
-            return
-        if j >= len(bound):
-            return
-        for v in range(min(maxpart, bound[j], remaining), 0, -1):
-            for rest in rec(remaining - v, v, j + 1):
+        for v in range(min(maxpart, remaining), 0, -1):
+            for rest in rec(remaining - v, v):
                 yield (v,) + rest
-    yield from rec(total, total, 0)
+    return tuple(rec(k, k))
+
+
+@functools.lru_cache(maxsize=1 << 13)
+def _candidate_rows(top: int, bound: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """The partitions of each k = top, ..., 1 that fit pointwise under `bound`.
+
+    The rows a plane partition can take next under the row `bound` when
+    `top` cells are left (at most sum(bound)).  The enumeration up to
+    d = 16 asks for 2228 of these tuples, and up to d = 19 for 5724.
+    """
+    return tuple(p for k in range(top, 0, -1) for p in _partitions(k)
+                 if len(p) <= len(bound) and all(v <= b for v, b in zip(p, bound)))
 
 
 def plane_partitions(d: int) -> Iterator[tuple[tuple[int, ...], ...]]:
     """Plane partitions of d as tuples of rows, largest row readings first.
 
     Rows are nonincreasing, and each row is pointwise bounded by the one
-    above it, so entries are nonincreasing along rows and columns.
+    above it, so entries are nonincreasing along rows and columns.  A
+    depth-first walk with an explicit stack: each level runs through the
+    cached candidate rows under the row above it (the first level under
+    (d, ..., d)), and a row that takes all the cells left ends a plane
+    partition.
     """
-    def rec(remaining: int, bound: tuple[int, ...]) -> Iterator[tuple]:
-        if remaining == 0:
-            yield ()
-            return
-        for k in range(min(remaining, sum(bound)), 0, -1):
-            for row in _partitions_bounded(k, bound):
-                for rest in rec(remaining - k, row):
-                    yield (row,) + rest
-    yield from rec(d, tuple([d] * d))
+    if d == 0:
+        yield ()
+    rows: list[tuple[int, ...]] = []
+    stack = [(iter(_candidate_rows(d, (d,) * d)), d)]
+    while stack:
+        level, remaining = stack[-1]
+        row = next(level, None)
+        if row is None:
+            stack.pop()
+            if rows:
+                rows.pop()
+            continue
+        rest = remaining - sum(row)
+        if rest:
+            rows.append(row)
+            stack.append((iter(_candidate_rows(min(rest, remaining - rest), row)), rest))
+        else:
+            yield (*rows, row)
 
 
 def ideal_from_plane_partition(pp: Iterable[Iterable[int]]) -> MonomialIdeal3:

@@ -17,6 +17,12 @@ colon by pure powers of the remaining variable, read off the same pass,
 gives a flag of principal ideals with Gorenstein subquotients (a broken
 Gorenstein structure without flips), which this module emits as a
 checkable certificate.
+
+The census needs only the verdict: it counts the ideals whose peel
+empties the socle and builds no triple.  Whether the peel gets stuck does
+not depend on which peelable element goes first: while all three members
+of a triple are left, each attains at most one maximum, so none of them
+is ever peeled.
 """
 from __future__ import annotations
 
@@ -120,15 +126,21 @@ def _witness_triple(stuck: list[ExponentVec]) -> SingularizingTriple:
     return SingularizingTriple(a=picks[0], b=picks[1], c=picks[2])
 
 
+def _unpeeled(ideal: MonomialIdeal3) -> list[ExponentVec]:
+    """The socle elements left when the maxima peel stops; empty iff no triple."""
+    remaining = list(mono3.socle(ideal))
+    for _ in _peel(remaining):
+        pass
+    return remaining
+
+
 def find_triple(ideal: MonomialIdeal3) -> Optional[SingularizingTriple]:
     """Some singularizing triple among the socle monomials, if one exists.
 
     The maxima peel, run until it stops: if it gets stuck, the
     per-coordinate maxima witnesses of the elements left form a triple.
     """
-    remaining = sorted(mono3.socle(ideal))
-    for _ in _peel(remaining):
-        pass
+    remaining = _unpeeled(ideal)
     return _witness_triple(remaining) if remaining else None
 
 
@@ -144,7 +156,7 @@ def noflip_chain(ideal: MonomialIdeal3) -> BGChainCert:
     is Gorenstein with socle {s_i / acc}, and so is J_{n-1}, with socle
     {s_n / f_1...f_{n-1}}.
     """
-    remaining = sorted(mono3.socle(ideal))
+    remaining = list(mono3.socle(ideal))
     steps = list(_peel(remaining))
     if remaining:
         raise HasTripleError(_witness_triple(remaining).monomials())
@@ -175,7 +187,11 @@ def classify(ideal: MonomialIdeal3) -> Classification:
 
 
 def smooth_census(dmax: int) -> list[tuple[int, int, int]]:
-    """Rows (d, total ideals, smooth ideals) for d = 1..dmax; InputError if dmax < 0."""
+    """Rows (d, total ideals, smooth ideals) for d = 1..dmax; InputError if dmax < 0.
+
+    An ideal is smooth when the maxima peel empties its socle; no
+    witness triple is built for the singular ones.
+    """
     if dmax < 0:
         raise InputError("census bound must be >= 0")
     rows = []
@@ -183,7 +199,7 @@ def smooth_census(dmax: int) -> list[tuple[int, int, int]]:
         total = smooth = 0
         for ideal in mono3.enumerate_ideals(d):
             total += 1
-            smooth += find_triple(ideal) is None
+            smooth += not _unpeeled(ideal)
         rows.append((d, total, smooth))
     return rows
 

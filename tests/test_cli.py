@@ -475,3 +475,26 @@ class TestDeterminismAndSecondPrime:
             assert code == 0
             if fmt == "json":
                 assert "two large primes" in json.loads(out)["note"]
+
+
+class TestTextFormat:
+    @staticmethod
+    def text(result):
+        return cli.render("chain", {"prime": 2, "result": result}, "text").split("\n", 2)[2]
+
+    def test_nesting_is_visible(self):
+        # two payloads that differ only in where the inner lists break
+        left, right = {"q": [["a", "b"], ["c"]]}, {"q": [["a"], ["b", "c"]]}
+        assert self.text(left) == "q:\n  -\n    - a\n    - b\n  -\n    - c\n"
+        assert self.text(right) == "q:\n  -\n    - a\n  -\n    - b\n    - c\n"
+        assert self.text({"q": [{"k": 1}, {"k": 2}]}) == "q:\n  -\n    k: 1\n  -\n    k: 2\n"
+
+    def test_empty_containers(self):
+        assert self.text({"w": [], "v": [[], [1]]}) == "v:\n  - []\n  -\n    - 1\nw: []\n"
+
+    def test_one_marker_per_quotient(self, capsys):
+        code, out = run(capsys, "--format", "text", "chain", "x^2,y^2,z^2,x*y*z")
+        assert code == 0
+        quotients = out.split("quotients:\n")[1].splitlines()
+        assert quotients.count("  -") == 3
+        assert len(quotients) == 3 + 9

@@ -63,6 +63,34 @@ def oracle_socle(staircase):
                         if all(ev_add(v, e) not in staircase for e in UNIT_VECS)))
 
 
+def oracle_partitions_bounded(total, bound):
+    """Nonincreasing positive tuples summing to `total`, pointwise <= bound."""
+    def rec(remaining, maxpart, j):
+        if remaining == 0:
+            yield ()
+            return
+        if j >= len(bound):
+            return
+        for v in range(min(maxpart, bound[j], remaining), 0, -1):
+            for rest in rec(remaining - v, v, j + 1):
+                yield (v,) + rest
+    yield from rec(total, total, 0)
+
+
+def oracle_plane_partitions(d):
+    """The recursive enumeration mono3 ran before its explicit-stack walk:
+    plane partitions of d, largest row readings first."""
+    def rec(remaining, bound):
+        if remaining == 0:
+            yield ()
+            return
+        for k in range(min(remaining, sum(bound)), 0, -1):
+            for row in oracle_partitions_bounded(k, bound):
+                for rest in rec(remaining - k, row):
+                    yield (row,) + rest
+    yield from rec(d, tuple([d] * d))
+
+
 def oracle_hilbert_function(staircase):
     if not staircase:
         return ()
@@ -212,6 +240,11 @@ class TestSocle:
         m2 = mono3.parse_monomial_ideal("x^2,y^2,z^2,x*y,x*z,y*z")
         assert set(mono3.socle(m2)) == {ev("x"), ev("y"), ev("z")}
 
+    def test_matches_staircase_maxima(self):
+        for d in range(1, 11):
+            for ideal in mono3.enumerate_ideals(d):
+                assert mono3.socle(ideal) == oracle_socle(ideal.staircase), ideal.heights
+
     def test_socle_characterization(self):
         for d in range(1, 7):
             for ideal in mono3.enumerate_ideals(d):
@@ -285,8 +318,8 @@ class TestEnumeration:
         assert ideals == [mono3.parse_monomial_ideal("x,y,z")]
 
     def test_counts_match_series(self):
-        coeffs = mono3.macmahon_series(14)
-        for d in range(1, 15):
+        coeffs = mono3.macmahon_series(16)
+        for d in range(1, 17):
             n = sum(1 for _ in mono3.enumerate_ideals(d))
             assert n == coeffs[d], d
 
@@ -306,10 +339,9 @@ class TestEnumeration:
                             w[i] -= 1
                             assert tuple(w) in st
 
-    def test_deterministic_order(self):
-        first = [i.mingens for i in mono3.enumerate_ideals(5)]
-        second = [i.mingens for i in mono3.enumerate_ideals(5)]
-        assert first == second
+    def test_order_pinned_to_recursive_oracle(self):
+        for d in range(13):
+            assert list(mono3.plane_partitions(d)) == list(oracle_plane_partitions(d)), d
 
 
 class TestSeries:

@@ -52,6 +52,38 @@ class TestFindTriple:
             for ideal in mono3.enumerate_ideals(d):
                 assert (smoothcls.find_triple(ideal) is not None) == exhaustive(ideal)
 
+    def test_same_witnesses_as_the_sorted_peel(self):
+        # the witness find_triple and classify gave when the peel ran on a
+        # socle sorted afresh: the first per-coordinate maxima of what is left
+        for d in range(1, 10):
+            for ideal in mono3.enumerate_ideals(d):
+                remaining = sorted(mono3.socle(ideal))
+                for _ in smoothcls._peel(remaining):
+                    pass
+                triple = smoothcls.find_triple(ideal)
+                assert smoothcls.classify(ideal).triple == triple
+                if not remaining:
+                    assert triple is None
+                    continue
+                mx = [max(s[i] for s in remaining) for i in range(3)]
+                want = [min(s for s in remaining if s[i] == mx[i]) for i in range(3)]
+                assert [triple.a, triple.b, triple.c] == want, ideal
+
+    def test_census_builds_no_witness(self, monkeypatch):
+        witness, built = smoothcls._witness_triple, []
+        monkeypatch.setattr(smoothcls, "_witness_triple",
+                            lambda stuck: built.append(stuck) or witness(stuck))
+        seen, enumerate_ideals = [], mono3.enumerate_ideals
+        monkeypatch.setattr(mono3, "enumerate_ideals",
+                            lambda d: (seen.append(i) or i for i in enumerate_ideals(d)))
+        smoothcls.smooth_census(10)
+        assert built == [] and len(seen) == sum(mono3.macmahon_series(10)[1:])
+        # the census path reads only the socle of the ideals it enumerates
+        for ideal in seen:
+            assert set(vars(ideal)) == {"heights"}
+        smoothcls.find_triple(I1)
+        assert len(built) == 1
+
     def test_bad_witness_is_an_engine_fault(self, monkeypatch, capsys):
         # a triple that breaks the extremality conditions is the engine's
         # fault: exit 1 with a JSON error, not an uncaught exception
@@ -211,6 +243,11 @@ class TestCensus:
     def test_csv_shape(self):
         text = smoothcls.census_csv(smoothcls.smooth_census(2))
         assert text.splitlines() == ["d,total_ideals,smooth_ideals", "1,1,1", "2,3,3"]
+
+    def test_smooth_count_is_triple_free_count(self):
+        for d, total, smooth in smoothcls.smooth_census(12):
+            verdicts = [smoothcls.find_triple(i) is None for i in mono3.enumerate_ideals(d)]
+            assert (total, smooth) == (len(verdicts), sum(verdicts)), d
 
     def test_rows_to_16(self):
         # d <= 14 from the paper; 1116 and 1497 from the exhaustive tancomb
