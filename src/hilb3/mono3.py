@@ -268,9 +268,10 @@ def plane_partitions(d: int) -> Iterator[tuple[tuple[int, ...], ...]]:
             yield (*rows, row)
 
 
-def ideal_from_plane_partition(pp: Iterable[Iterable[int]]) -> MonomialIdeal3:
-    """The ideal whose height array is the plane partition pp."""
-    return MonomialIdeal3(tuple(map(tuple, pp)))
+def ideal_from_plane_partition(pp: tuple[tuple[int, ...], ...]) -> MonomialIdeal3:
+    """The ideal whose height array is the plane partition pp, a tuple of
+    row tuples (as plane_partitions yields them), wrapped as given."""
+    return MonomialIdeal3(pp)
 
 
 def enumerate_ideals(d: int) -> Iterator[MonomialIdeal3]:

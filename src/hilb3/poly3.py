@@ -18,6 +18,14 @@ one set of helpers on it.  Coefficients are integers in [0, p) for a
 fixed prime p carried by the ring.  Buchberger runs with the coprime and
 chain criteria and a normal (smallest-lcm-first) selection strategy;
 reduced bases are unique, so ideal equality is Groebner-basis equality.
+
+parse_poly reads the package's one text grammar in one pass over its
+tokens.  Terms are joined by signs; a run of signs may precede a term
+(x - -y) but not follow '*'.  A term's factors are integers and letters,
+with '*', whitespace or nothing between them (2*x*y, x y, 2x, xy);
+integers multiply (2*3*x), and one after another factor needs its '*'
+(x*2, not x2).  A '^k' binds to the last letter of its run (xy^2 is
+x*y^2).
 """
 from __future__ import annotations
 
@@ -226,74 +234,62 @@ def poly_str(f: Poly) -> str:
 # parsing:  "x^2 - y*z",  "z^3 + 2*x",  "-3"
 # ---------------------------------------------------------------------------
 
-_TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z]+)|(\^)|(\*)|(\+)|(-))")
+# a number, a letter run with its optional ^k, an operator, or a bad character
+_TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z]+)(?:\s*(\^)\s*(\d*))?|([*+^-])|(\S))")
 
 
 def parse_poly(text: str, ring: PolyRing) -> Poly:
-    """Parse integer-coefficient polynomials in the ring's variable names."""
+    """Parse an integer-coefficient polynomial in the ring's variable names.
+
+    Terms are joined by signs; a run of signs may precede a term (x - -y)
+    but not follow '*'.  A term's factors are integers and letters, with
+    '*', whitespace or nothing between them (2*x*y, x y, 2x, xy);
+    integers multiply (2*3*x), and one after another factor needs its '*'
+    (x*2, not x2).  A '^k' binds to the last letter of its run (xy^2 is
+    x*y^2).  Coefficients are reduced mod p.
+    """
     names = ring.names
-    pos, n = 0, len(text)
     terms: dict[Exponent, int] = {}
-    sign = 1
-    cur_coeff: Optional[int] = None
-    cur_exp = [0, 0, 0]
+    coeff, exp = 1, [0, 0, 0]  # the term being read; signs multiply into coeff
     prev = "start"  # start | sign | star | factor
-
-    def flush():
-        nonlocal sign, cur_coeff, cur_exp
-        c = sign * (1 if cur_coeff is None else cur_coeff)
-        e = tuple(cur_exp)
-        terms[e] = (terms.get(e, 0) + c) % ring.p
-        sign, cur_coeff, cur_exp = 1, None, [0, 0, 0]
-
-    while pos < n:
-        m = _TOKEN.match(text, pos)
-        if not m or m.end() == pos:
-            if text[pos:].strip():
-                raise InputError(f"bad character in {text!r} at position {pos}")
-            break
-        pos = m.end()
-        num, var, caret, star, plus, minus = m.groups()
-        if plus or minus:
+    for m in _TOKEN.finditer(text):
+        num, var, caret, power, op, bad = m.groups()
+        if bad:
+            raise InputError(f"bad character in {text!r} at position {m.start()}")
+        if op == "+" or op == "-":
             if prev == "star":
                 raise InputError(f"sign after '*' in {text!r}")
-            if prev == "factor":
-                flush()
-            if minus:
-                sign = -sign
+            if prev == "factor":  # the sign ends a term
+                terms[tuple(exp)] = terms.get(tuple(exp), 0) + coeff
+                coeff, exp = 1, [0, 0, 0]
+            if op == "-":
+                coeff = -coeff
             prev = "sign"
-        elif star:
+            continue
+        if op == "*":
             if prev != "factor":
                 raise InputError(f"misplaced '*' in {text!r}")
             prev = "star"
-        elif num:
+            continue
+        if op:
+            raise InputError(f"misplaced '^' in {text!r}")
+        if num:
             if prev == "factor":
                 raise InputError(f"missing '*' before {num!r} in {text!r}")
-            cur_coeff = int(num) if cur_coeff is None else cur_coeff * int(num)
-            prev = "factor"
-        elif var:
-            # a run like "xy" is implicit multiplication of single letters
+            coeff *= int(num)
+        else:
             letters = [var] if var in names else list(var)
             if any(ch not in names for ch in letters):
                 raise InputError(f"unknown variable {var!r} in {text!r}")
-            power = 1  # a trailing ^k applies to the last letter of the run
-            m2 = _TOKEN.match(text, pos)
-            if m2 and m2.group(3):  # caret
-                pos = m2.end()
-                m3 = _TOKEN.match(text, pos)
-                if not m3 or not m3.group(1):
-                    raise InputError(f"missing exponent in {text!r}")
-                power = int(m3.group(1))
-                pos = m3.end()
+            if caret and not power:
+                raise InputError(f"missing exponent in {text!r}")
             for ch in letters[:-1]:
-                cur_exp[names.index(ch)] += 1
-            cur_exp[names.index(letters[-1])] += power
-            prev = "factor"
-        elif caret:
-            raise InputError(f"misplaced '^' in {text!r}")
+                exp[names.index(ch)] += 1
+            exp[names.index(letters[-1])] += int(power) if caret else 1
+        prev = "factor"
     if prev != "factor":
         raise InputError(f"incomplete polynomial in {text!r}")
-    flush()
+    terms[tuple(exp)] = terms.get(tuple(exp), 0) + coeff
     return ring.poly(terms)
 
 

@@ -107,6 +107,10 @@ CASES = {
     "pfaffian-ideal-string-size": ["pfaffian-ideal", "{data}/mats_string_size.json"],
     "bad-ideal": ["classify", "x^2, nope"],
     "bad-ideal-text": ["--format", "text", "tangent", "x^^2"],
+    "parse-sign-after-star": ["tangent", "x*-y"],
+    "parse-missing-star": ["tangent", "x2, y, z"],
+    "parse-misplaced-caret": ["tangent", "2^3, y"],
+    "parse-bad-character": ["tangent", "x, y, z  / 2"],
     "composite-prime": ["--prime", "91", "series", "1"],
     "even-prime": ["--prime", "2", "tangent", "x,y,z"],
     "composite-second-prime": ["--second-prime", "91", "parity", "x,y,z"],

@@ -1,8 +1,9 @@
 import random
+import re
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hilb3 import gfp, mono3, poly3, tancomb, tanlin
@@ -55,6 +56,124 @@ class TestParsing:
         for text in ["x^2 - y*z", "z^3 + x^2", "x*y*z - 1", "2*x^4 + 3*y - z"]:
             f = pp(text)
             assert poly3.parse_poly(poly3.poly_str(f), R) == f
+
+
+# ---------------------------------------------------------------------------
+# the step-by-step tokenizer parse_poly replaced, kept as a reference only
+# ---------------------------------------------------------------------------
+
+_ORACLE_TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z]+)|(\^)|(\*)|(\+)|(-))")
+
+
+def oracle_parse_poly(text, ring):
+    """parse_poly as it was: one token per match, with lookahead for '^k'."""
+    names = ring.names
+    pos, n = 0, len(text)
+    terms = {}
+    sign = 1
+    cur_coeff = None
+    cur_exp = [0, 0, 0]
+    prev = "start"  # start | sign | star | factor
+
+    def flush():
+        nonlocal sign, cur_coeff, cur_exp
+        c = sign * (1 if cur_coeff is None else cur_coeff)
+        e = tuple(cur_exp)
+        terms[e] = (terms.get(e, 0) + c) % ring.p
+        sign, cur_coeff, cur_exp = 1, None, [0, 0, 0]
+
+    while pos < n:
+        m = _ORACLE_TOKEN.match(text, pos)
+        if not m or m.end() == pos:
+            if text[pos:].strip():
+                raise InputError(f"bad character in {text!r} at position {pos}")
+            break
+        pos = m.end()
+        num, var, caret, star, plus, minus = m.groups()
+        if plus or minus:
+            if prev == "star":
+                raise InputError(f"sign after '*' in {text!r}")
+            if prev == "factor":
+                flush()
+            if minus:
+                sign = -sign
+            prev = "sign"
+        elif star:
+            if prev != "factor":
+                raise InputError(f"misplaced '*' in {text!r}")
+            prev = "star"
+        elif num:
+            if prev == "factor":
+                raise InputError(f"missing '*' before {num!r} in {text!r}")
+            cur_coeff = int(num) if cur_coeff is None else cur_coeff * int(num)
+            prev = "factor"
+        elif var:
+            letters = [var] if var in names else list(var)
+            if any(ch not in names for ch in letters):
+                raise InputError(f"unknown variable {var!r} in {text!r}")
+            power = 1
+            m2 = _ORACLE_TOKEN.match(text, pos)
+            if m2 and m2.group(3):
+                pos = m2.end()
+                m3 = _ORACLE_TOKEN.match(text, pos)
+                if not m3 or not m3.group(1):
+                    raise InputError(f"missing exponent in {text!r}")
+                power = int(m3.group(1))
+                pos = m3.end()
+            for ch in letters[:-1]:
+                cur_exp[names.index(ch)] += 1
+            cur_exp[names.index(letters[-1])] += power
+            prev = "factor"
+        elif caret:
+            raise InputError(f"misplaced '^' in {text!r}")
+    if prev != "factor":
+        raise InputError(f"incomplete polynomial in {text!r}")
+    flush()
+    return ring.poly(terms)
+
+
+def _outcome(parse, text, ring):
+    try:
+        return parse(text, ring).terms
+    except InputError as exc:
+        return str(exc)
+
+
+PARSE_ALPHABET = "xyzXYw0123456789^*+- \t/."
+# whole tokens as well as single characters, so that valid polynomials
+# with runs, exponents and sign runs come up often
+PARSE_PIECES = ["x", "y", "z", "X", "Y", "Z", "w", "xy", "yx", "zx^2", "XY", "YZ^3", "2", "13", "0",
+                "^", "^2", "^ 3", "*", "*-", "+", "-", " ", "\t", "/", "."]
+PARSE_TEXT = st.one_of(st.text(alphabet=PARSE_ALPHABET, max_size=16),
+                       st.lists(st.sampled_from(PARSE_PIECES), max_size=10).map("".join))
+PARSE_RINGS = [R, poly3.PolyRing(101, ("X", "Y", "Z")), poly3.PolyRing(5)]
+
+
+class TestParseOracle:
+    @settings(max_examples=600, deadline=None)
+    @given(text=PARSE_TEXT)
+    @example(text=" /")
+    @example(text="x*-y")
+    @example(text="xy^2")
+    def test_matches_oracle(self, text):
+        # the same terms, or the same InputError message, in every ring
+        for ring in PARSE_RINGS:
+            assert _outcome(poly3.parse_poly, text, ring) == \
+                _outcome(oracle_parse_poly, text, ring)
+
+    def test_grammar_examples(self):
+        # the rules the parse_poly docstring states
+        assert pp("x y") == pp("x*y") == pp("xy")
+        assert pp("2x") == pp("2*x") == pp("2 x")
+        assert pp("2*3*x") == pp("6*x")
+        assert pp("x - -y") == pp("x + y")
+        assert pp("xy^2") == pp("x*y^2") and pp("x^2y") == pp("x^2*y")
+        assert pp("x*2") == pp("2*x")
+        for bad, message in [("x*-y", "sign after '*'"), ("x2", "missing '*' before '2'"),
+                             ("2^3", "misplaced '^'"), ("x ^ ", "missing exponent"),
+                             (" z  / 2", "bad character in ' z  / 2' at position 2")]:
+            with pytest.raises(InputError, match=re.escape(message)):
+                pp(bad)
 
 
 def fresh_leading(f):
