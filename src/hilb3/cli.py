@@ -10,6 +10,10 @@ Printed coefficients are residues; a coefficient that prints differently
 at the two primes is compared as the fraction it stands for (rational
 reconstruction).
 
+build_parser's add(...) calls are the one subcommand table: each names a
+subcommand, its handler, whether --second-prime reruns it, its help and its
+positionals, and main dispatches on what the chosen call set.
+
 Ideals are read with poly3's grammar.  Exponent JSON or a list of monic
 monomials is a monomial ideal: tangent's monomial route and the only
 input of classify, triple and chain; tangent takes any other ideal by
@@ -21,7 +25,9 @@ Exit codes: 0 success, 1 validation failure (e.g. a broken chain),
 from __future__ import annotations
 
 import argparse
+import csv
 import functools
+import io
 import json
 import sys
 
@@ -33,10 +39,6 @@ from .errors import (Hilb3Error, InputError, InvariantError,
 CHAR_NOTE = ("exact arithmetic over F_p; characteristic-zero statements are "
              "certified only by agreement across two large primes "
              "(rerun with --second-prime)")
-
-#: subcommands whose numbers depend on the field (rerun under --second-prime)
-FIELD_DEPENDENT = {"tangent", "link", "verify-chain", "parity", "ann",
-                   "bicanonical", "pfaffian-ideal"}
 
 
 def _read_ideal(text: str, ring: poly3.PolyRing):
@@ -270,22 +272,6 @@ def _cmd_pfaffian_ideal(args, ring) -> tuple[dict, int]:
     return payload, 0 if ok else 1
 
 
-HANDLERS = {
-    "tangent": _cmd_tangent,
-    "classify": _cmd_classify,
-    "triple": _cmd_triple,
-    "chain": _cmd_chain,
-    "census": _cmd_census,
-    "series": _cmd_series,
-    "link": _cmd_link,
-    "verify-chain": _cmd_verify_chain,
-    "parity": _cmd_parity,
-    "ann": _cmd_ann,
-    "bicanonical": _cmd_bicanonical,
-    "pfaffian-ideal": _cmd_pfaffian_ideal,
-}
-
-
 # ---------------------------------------------------------------------------
 # rendering
 # ---------------------------------------------------------------------------
@@ -312,16 +298,12 @@ def _render_text(payload, indent=0) -> list[str]:
 
 
 def _flatten(payload, prefix=""):
-    rows = []
-    if isinstance(payload, dict):
-        for k in sorted(payload):
-            rows.extend(_flatten(payload[k], f"{prefix}{k}." if prefix else f"{k}."))
-    elif isinstance(payload, list):
-        for i, v in enumerate(payload):
-            rows.extend(_flatten(v, f"{prefix}{i}."))
-    else:
-        rows.append((prefix[:-1], payload))
-    return rows
+    """(dotted key, value) per scalar; an empty list or dict is a value."""
+    if isinstance(payload, dict) and payload:
+        return [row for k in sorted(payload) for row in _flatten(payload[k], f"{prefix}{k}.")]
+    if isinstance(payload, list) and payload:
+        return [row for i, v in enumerate(payload) for row in _flatten(v, f"{prefix}{i}.")]
+    return [(prefix[:-1], payload)]
 
 
 def render(command: str, envelope: dict, fmt: str) -> str:
@@ -329,11 +311,15 @@ def render(command: str, envelope: dict, fmt: str) -> str:
         return json.dumps(envelope, sort_keys=True, separators=(",", ":")) + "\n"
     payload = envelope.get("result", envelope)
     if fmt == "csv":
+        out = io.StringIO()
+        writer = csv.writer(out, lineterminator="\n")
         if command == "census" and "rows" in payload:
-            return smoothcls.census_csv([tuple(r) for r in payload["rows"]])
-        lines = ["key,value"]
-        lines += [f"{k},{v}" for k, v in _flatten(payload)]
-        return "\n".join(lines) + "\n"
+            writer.writerow(("d", "total_ideals", "smooth_ideals"))
+            writer.writerows(payload["rows"])
+        else:  # str keeps None, [] and {} as printed, not as empty fields
+            writer.writerow(("key", "value"))
+            writer.writerows((k, str(v)) for k, v in _flatten(payload))
+        return out.getvalue()
     # text
     lines = [f"# {command} (p = {envelope['prime']})", f"# {CHAR_NOTE}"]
     lines += _render_text(payload)
@@ -360,7 +346,9 @@ def _add_common_flags(parser, suppress: bool) -> None:
                         default=d("json"), help="output format")
     parser.add_argument("--verify", action="store_true",
                         default=d(False),
-                        help="enable expensive brute-force cross-checks")
+                        help="enable expensive brute-force cross-checks (read by "
+                             "tangent, census and bicanonical; the other "
+                             "subcommands accept it and ignore it)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -375,30 +363,34 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_flags(common, suppress=True)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, help_text, *positional):
+    def add(name, handler, field_dependent, help_text, *positional):
         p = sub.add_parser(name, help=help_text, parents=[common])
+        p.set_defaults(handler=handler, field_dependent=field_dependent)
         for arg, kw in positional:
             p.add_argument(arg, **kw)
         return p
 
-    add("tangent", "tangent space dimension",
+    # name, handler, whether --second-prime reruns it, help, positionals
+    add("tangent", _cmd_tangent, True, "tangent space dimension",
         ("ideal", {"help": "comma-separated generators"}))
-    add("classify", "smooth/singular verdict for a monomial ideal",
+    add("classify", _cmd_classify, False, "smooth/singular verdict for a monomial ideal",
         ("ideal", {"help": "comma-separated monomials"}))
-    add("triple", "find a singularizing triple",
+    add("triple", _cmd_triple, False, "find a singularizing triple",
         ("ideal", {"help": "comma-separated monomials"}))
-    add("chain", "no-flip chain certificate for a monomial ideal",
+    add("chain", _cmd_chain, False, "no-flip chain certificate for a monomial ideal",
         ("ideal", {"help": "comma-separated monomials"}))
-    add("census", "smooth monomial point counts", ("dmax", {"type": int}))
-    add("series", "plane partition counting series", ("n", {"type": int}))
-    p_link = add("link", "link an ideal by a regular sequence", ("ideal", {}))
+    add("census", _cmd_census, False, "smooth monomial point counts", ("dmax", {"type": int}))
+    add("series", _cmd_series, False, "plane partition counting series", ("n", {"type": int}))
+    p_link = add("link", _cmd_link, True, "link an ideal by a regular sequence", ("ideal", {}))
     p_link.add_argument("--alpha", required=True,
                         help="three comma-separated polynomials")
-    add("verify-chain", "validate a JSON chain of links", ("file", {}))
-    add("parity", "homogeneous-linkage parity obstruction", ("ideal", {}))
-    add("ann", "annihilator of dual polynomials (X, Y, Z)", ("dual_polys", {}))
-    add("bicanonical", "bicanonical degree and Hom dimensions", ("ideal", {}))
-    add("pfaffian-ideal", "layered Pfaffian ideal from JSON", ("file", {}))
+    add("verify-chain", _cmd_verify_chain, True, "validate a JSON chain of links", ("file", {}))
+    add("parity", _cmd_parity, True, "homogeneous-linkage parity obstruction", ("ideal", {}))
+    add("ann", _cmd_ann, True, "annihilator of dual polynomials (X, Y, Z)", ("dual_polys", {}))
+    add("bicanonical", _cmd_bicanonical, True, "bicanonical degree and Hom dimensions",
+        ("ideal", {}))
+    add("pfaffian-ideal", _cmd_pfaffian_ideal, True, "layered Pfaffian ideal from JSON",
+        ("file", {}))
     return parser
 
 
@@ -432,27 +424,20 @@ def main(argv=None) -> int:
             if args.second_prime == args.prime:
                 raise InputError(f"--second-prime {args.second_prime} equals --prime; "
                                  "a rerun over the same field checks nothing")
-        payload, status = HANDLERS[args.command](args, ring)
+        payload, status = args.handler(args, ring)
         if args.second_prime is not None:
-            checked = args.command in FIELD_DEPENDENT
-            if checked and not _same_answer(
-                    payload, HANDLERS[args.command](args, ring2)[0], ring, ring2):
+            if args.field_dependent and not _same_answer(
+                    payload, args.handler(args, ring2)[0], ring, ring2):
                 raise PrimeDisagreementError(
                     f"results differ between p={args.prime} and "
                     f"p={args.second_prime}")
-            envelope["second_prime_checked"] = checked
+            envelope["second_prime_checked"] = args.field_dependent
         envelope["result"] = payload
-    except InputError as exc:
-        envelope["error"] = {"type": type(exc).__name__, "message": str(exc)}
-        sys.stdout.write(render(args.command, envelope, args.format))
-        return 2
     except (Hilb3Error, OSError) as exc:
         envelope["error"] = {"type": type(exc).__name__, "message": str(exc)}
-        sys.stdout.write(render(args.command, envelope, args.format))
-        return 1
+        status = 2 if isinstance(exc, InputError) else 1
     sys.stdout.write(render(args.command, envelope, args.format))
     return status
-
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -582,18 +582,11 @@ def standard_monomials(gb: Sequence[Poly]) -> list[Exponent]:
         if not any(lt[i] == sum(lt) for lt in lts):
             raise NotZeroDimensionalError(
                 f"no pure power of {gb[0].ring.names[i]} among the leading terms")
-    found: set[Exponent] = set()
-    if ORIGIN not in lts:
-        found.add(ORIGIN)
-    frontier = [ORIGIN] if found else []
-    while frontier:
-        a, b, c = frontier.pop()
-        for w in ((a + 1, b, c), (a, b + 1, c), (a, b, c + 1)):
-            if w in found or any(exp_divides(lt, w) for lt in lts):
-                continue
-            found.add(w)
-            frontier.append(w)
-    return sorted(found, key=degrevlex_key)
+    if ORIGIN in lts:
+        return []
+    from .mono3 import from_generators  # mono3 imports this module
+
+    return sorted(from_generators(lts).staircase, key=degrevlex_key)
 
 
 def quotient_data(I: PolyIdeal) -> QuotientData:

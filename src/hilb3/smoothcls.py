@@ -202,9 +202,3 @@ def smooth_census(dmax: int) -> list[tuple[int, int, int]]:
             smooth += not _unpeeled(ideal)
         rows.append((d, total, smooth))
     return rows
-
-
-def census_csv(rows: list[tuple[int, int, int]]) -> str:
-    lines = ["d,total_ideals,smooth_ideals"]
-    lines += [f"{d},{total},{smooth}" for d, total, smooth in rows]
-    return "\n".join(lines) + "\n"

@@ -1,3 +1,5 @@
+import argparse
+import csv
 import json
 import os
 
@@ -27,6 +29,11 @@ class TestCensus:
         lines = out.strip().splitlines()
         assert lines[0] == "d,total_ideals,smooth_ideals"
         assert lines[-1] == "5,24,21"
+
+    def test_csv_shape(self, capsys):
+        code, out = run(capsys, "--format", "csv", "census", "2")
+        assert code == 0
+        assert out.splitlines() == ["d,total_ideals,smooth_ideals", "1,1,1", "2,3,3"]
 
     def test_json_rows(self, capsys):
         code, data = run_json(capsys, "census", "3")
@@ -469,6 +476,36 @@ class TestDeterminismAndSecondPrime:
         assert code == 0
         assert data["second_prime_checked"] is False
 
+    # one run per subcommand; --second-prime reruns exactly these seven
+    FIELD_DEPENDENT = {"tangent", "link", "verify-chain", "parity", "ann",
+                       "bicanonical", "pfaffian-ideal"}
+    ARGV = {
+        "tangent": ["x^2, x*y, y^2, z"],
+        "classify": ["x^2, x*y, y^2, z"],
+        "triple": ["x^2, x*y, y^2, z"],
+        "chain": ["x^2, x*y, y^2, z"],
+        "census": ["3"],
+        "series": ["3"],
+        "link": ["x^2, x*y, y^2, z", "--alpha", "x^2, y^2, z"],
+        "verify-chain": [os.path.join(DATA, "chain.json")],
+        "parity": ["x^2, x*y, x*z, y^2, y*z, z^2"],
+        "ann": ["X^2 + Y*Z"],
+        "bicanonical": ["x^2, x*y^2, y^5, z"],
+        "pfaffian-ideal": [os.path.join(DATA, "mats.json")],
+    }
+
+    def test_every_subcommand_has_a_run(self):
+        sub = next(a for a in cli.build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        assert sorted(sub.choices) == sorted(self.ARGV)
+
+    @pytest.mark.parametrize("command", sorted(ARGV))
+    def test_second_prime_checked_per_subcommand(self, capsys, command):
+        code, data = run_json(capsys, "--second-prime", "2147483629", command,
+                              *self.ARGV[command])
+        assert code == 0
+        assert data["second_prime_checked"] is (command in self.FIELD_DEPENDENT)
+
     def test_note_always_present(self, capsys):
         for fmt in ("json", "text", "csv"):
             code, out = run(capsys, "--format", fmt, "series", "2")
@@ -498,3 +535,17 @@ class TestTextFormat:
         quotients = out.split("quotients:\n")[1].splitlines()
         assert quotients.count("  -") == 3
         assert len(quotients) == 3 + 9
+
+
+class TestCsvFormat:
+    # quoting and the empty list of classify "x,y,z" are pinned in the
+    # golden corpus (chain-singular-csv, classify-point-csv)
+    @staticmethod
+    def csv_rows(result):
+        return list(csv.reader(cli.render("chain", {"prime": 2, "result": result},
+                                          "csv").splitlines()))
+
+    def test_quotes_empty_containers_and_none(self):
+        assert self.csv_rows({"w": [], "v": [{}, [1]], "n": None, "m": '("a", b)'}) == [
+            ["key", "value"], ["m", '("a", b)'], ["n", "None"], ["v.0", "{}"], ["v.1.0", "1"],
+            ["w", "[]"]]

@@ -240,10 +240,6 @@ class TestCensus:
             smoothcls.smooth_census(-1)
         assert smoothcls.smooth_census(0) == []
 
-    def test_csv_shape(self):
-        text = smoothcls.census_csv(smoothcls.smooth_census(2))
-        assert text.splitlines() == ["d,total_ideals,smooth_ideals", "1,1,1", "2,3,3"]
-
     def test_smooth_count_is_triple_free_count(self):
         for d, total, smooth in smoothcls.smooth_census(12):
             verdicts = [smoothcls.find_triple(i) is None for i in mono3.enumerate_ideals(d)]
