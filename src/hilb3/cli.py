@@ -158,6 +158,14 @@ def _cmd_tangent(args, ring) -> tuple[dict, int]:
 def _cmd_classify(args, ring) -> tuple[dict, int]:
     ideal_m = _read_monomial(args.ideal, ring)
     res = smoothcls.classify(ideal_m)
+    if args.verify:
+        # the graded route's excess: 0 exactly at the smooth points, at
+        # least the printed bound at the singular ones, and always even
+        excess = sum(tanlin.mono_hom_dims(ideal_m).values()) - 3 * ideal_m.colength
+        if ((excess == 0) != (res.verdict == "smooth")
+                or excess < res.excess_lower_bound or excess % 2):
+            raise InvariantError(f"verdict {res.verdict} but the graded tangent "
+                                 f"excess is {excess}")
     if res.verdict == "singular":
         return {"verdict": "singular",
                 "triple": list(res.triple.monomials()),
@@ -347,8 +355,8 @@ def _add_common_flags(parser, suppress: bool) -> None:
     parser.add_argument("--verify", action="store_true",
                         default=d(False),
                         help="enable expensive brute-force cross-checks (read by "
-                             "tangent, census and bicanonical; the other "
-                             "subcommands accept it and ignore it)")
+                             "tangent, classify, census and bicanonical; the "
+                             "other subcommands accept it and ignore it)")
 
 
 def build_parser() -> argparse.ArgumentParser:

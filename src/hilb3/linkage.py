@@ -9,11 +9,14 @@ computations.  A parity report flags ideals with dim T != d (mod 2),
 which cannot lie in the linkage class of any homogeneous ideal (in
 particular are not licci).
 
-A small catalog provides the explicit link families connecting the
-singular tangent-minimal monomial ideals (tripods I^tri(a,b,c) and the
-strongly stable J(a,b,c)) to the square of the maximal ideal.  The
-catalog targets are the computed colon ideals; see the family builders
-for the exact sequences.
+A small catalog provides explicit link families connecting families of
+singular monomial ideals of tangent excess 6 (tripods I^tri(a,b,c), and
+the strongly stable J(1,b,c) and J(a,b,b)) to the square of the maximal
+ideal.  They are not all the ideals of excess 6 (60 of the 261 at d = 11
+are in these families up to a permutation of the variables), and J(a,b,c)
+with a >= 2 and c > b has a larger excess in the cases checked (J(2,2,3)
+has 12).  The catalog targets are the computed colon ideals; see the
+family builders for the exact sequences.
 """
 from __future__ import annotations
 
@@ -128,7 +131,7 @@ def parity_report(I: PolyIdeal) -> ParityReport:
 
 
 # ---------------------------------------------------------------------------
-# catalog: explicit families linking tangent-minimal singular ideals to m^2
+# catalog: families of singular ideals of tangent excess 6, linked to m^2
 # ---------------------------------------------------------------------------
 
 def tripod(ring: PolyRing, a: int, b: int, c: int) -> PolyIdeal:

@@ -9,8 +9,13 @@ drops against both lower neighbours, the socle of S/I is the cells
 (i, j, h(i, j) - 1) where h drops in both directions (read row against
 row, with no bounds-checked lookups), and the staircase
 (the exponent vectors outside I) is expanded only on demand, and so are
-the per-ideal tables the two monomial tangent routes read: the staircase
-graph and the pairwise generator lcms.
+the per-ideal tables the two monomial tangent routes read, one each.
+tancomb reads the staircase bits: bit n stands for the n-th cell of the
+sorted staircase (the heights order (i, j, k) is already sorted), and
+integer bitmasks hold each cell's unit-step neighbours, the cells with a
+coordinate >= t, the cells v with v - b in the staircase for each
+difference b of two cells, and the cells on each coordinate plane.
+tanlin reads the pairwise generator lcms.
 
 All colength-d ideals come from plane_partitions(d), a depth-first walk
 with an explicit stack.  Each level runs through a cached tuple of the
@@ -32,7 +37,7 @@ import itertools
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from . import poly3
 from .errors import InputError, NotZeroDimensionalError, UnitIdealError
@@ -40,6 +45,26 @@ from .gfp import DEFAULT_PRIME
 from .poly3 import ORIGIN, Exponent as ExponentVec, exp_lcm, monomial_str
 
 _INF = float("inf")
+
+
+class StaircaseBits(NamedTuple):
+    """Bit tables of the staircase cells; bit n stands for cells[n].
+
+    cells    the staircase, sorted
+    adj      adj[n]: the unit-step neighbours of cells[n] in the staircase
+    ge       ge[c][t]: the cells whose coordinate c is >= t, for t from 0
+             to one past the largest coordinate c (where it is 0); every
+             cell qualifies below the table and none above it
+    blocked  blocked[b]: the cells v with v - b in the staircase (a weight
+             absent from the dict blocks none)
+    face     face[c]: the cells whose coordinate c is 0
+    """
+
+    cells: tuple[ExponentVec, ...]
+    adj: tuple[int, ...]
+    ge: tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]
+    blocked: dict[ExponentVec, int]
+    face: tuple[int, int, int]
 
 
 def _at(heights, i: int, j: int):
@@ -58,7 +83,7 @@ class MonomialIdeal3:
                      ideal equality
     mingens          minimal generators, sorted (derived, cached)
     staircase        exponent vectors outside the ideal (derived, cached)
-    staircase_graph  the staircase as a unit-step graph (derived, cached)
+    staircase_bits   the staircase as bit tables (derived, cached)
     generator_lcms   lcms of the pairs of minimal generators (derived,
                      cached)
     colength         dim_k S/I, the sum of the heights
@@ -86,20 +111,38 @@ class MonomialIdeal3:
                      if (h := _at(H, i, j)) < _at(H, i - 1, j) and h < _at(H, i, j - 1))
 
     @cached_property
-    def staircase_graph(self) -> tuple[tuple[ExponentVec, ...], tuple[tuple[int, ...], ...],
-                                       tuple[tuple[tuple[int, int, int], ...], ...]]:
-        """(cells, adjacent, outside) for the sorted staircase cells.
+    def staircase_bits(self) -> StaircaseBits:
+        """The staircase as bit tables; bit n stands for cells[n].
 
-        adjacent[n] indexes the unit-step neighbours of cells[n] inside the
-        staircase; outside[n] lists its neighbours with a negative entry.
+        The cells come sorted straight off the heights.  blocked is built
+        from the n^2 ordered pairs of cells; the other tables are linear.
         """
-        cells = tuple(sorted(self.staircase))
+        cells = tuple((i, j, k) for i, row in enumerate(self.heights)
+                      for j, h in enumerate(row) for k in range(h))
         index = {v: n for n, v in enumerate(cells)}
-        steps = [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)]
-        near = [[(v[0] + s[0], v[1] + s[1], v[2] + s[2]) for s in steps] for v in cells]
-        adjacent = tuple(tuple(index[w] for w in ws if w in index) for ws in near)
-        outside = tuple(tuple(w for w in ws if min(w) < 0) for ws in near)
-        return cells, adjacent, outside
+        adj = [0] * len(cells)
+        for n, (x, y, z) in enumerate(cells):
+            for w in ((x + 1, y, z), (x, y + 1, z), (x, y, z + 1)):
+                m = index.get(w)
+                if m is not None:
+                    adj[n] |= 1 << m
+                    adj[m] |= 1 << n
+        ge = []
+        for c in range(3):
+            # level t holds the cells with coordinate c = t, then >= t
+            level = [0] * (max((v[c] for v in cells), default=0) + 2)
+            for n, v in enumerate(cells):
+                level[v[c]] |= 1 << n
+            for t in range(len(level) - 2, -1, -1):
+                level[t] |= level[t + 1]
+            ge.append(tuple(level))
+        blocked: dict[ExponentVec, int] = {}
+        for n, (x, y, z) in enumerate(cells):
+            bit = 1 << n
+            for b in [(x - u, y - v, z - w) for u, v, w in cells]:
+                blocked[b] = blocked.get(b, 0) | bit
+        return StaircaseBits(cells, tuple(adj), tuple(ge), blocked,
+                             tuple(g[0] & ~g[1] for g in ge))
 
     @cached_property
     def generator_lcms(self) -> tuple[tuple[int, int, ExponentVec], ...]:

@@ -5,8 +5,12 @@ number of bounded connected components of (I+a) \\ I inside Z^3, where
 adjacency is by unit steps and a component is bounded exactly when it
 stays inside N^3.  Summing over all weights a that can support a nonzero
 graded homomorphism gives the tangent dimension of [S/I].  The search
-runs on the ideal's cached staircase graph; a cell v is in I+a when
-v >= a componentwise and v - a is outside the staircase, tested inline.
+runs on bitmasks over the ideal's cached staircase bits: the cells of
+(I+a) \\ I are ge(a) & ~blocked[a] (v >= a componentwise, v - a outside
+the staircase), a flood fill through the neighbour masks splits them into
+components, and the leak rule marks a component unbounded when it holds
+a cell v with v_k = 0, a_k < 0 and v - e_k - a in I, so that its
+neighbour v - e_k, outside N^3, lies in I+a.
 
 Weights are bucketed by signature: each coordinate is classed p
 ("positive or zero") or n ("negative"); the constant classes ppp and nnn
@@ -20,7 +24,6 @@ from dataclasses import dataclass
 
 from .errors import InvariantError
 from .mono3 import MonomialIdeal3
-from .poly3 import exp_sub
 
 SIGNATURES = ("ppn", "pnp", "npp", "nnp", "npn", "pnn")
 DOUBLY_NEGATIVE = ("nnp", "npn", "pnn")
@@ -52,38 +55,44 @@ class TangentReport:
 def bounded_components(ideal: MonomialIdeal3, a: tuple[int, int, int]) -> int:
     """Number of bounded connected components of (I+a) \\ I.
 
-    Exploration runs over the part of the set inside N^3, which lies in
-    the (finite) staircase, along the ideal's cached staircase graph; a
-    component is unbounded when a neighbour with a negative entry lies in
-    I+a (it is outside N^3, hence outside I).  Only the membership of each
-    cell v in I+a depends on a, and it is decided inline: v >= a
-    componentwise and v - a outside the staircase.
+    The part of the set inside N^3 lies in the (finite) staircase; on the
+    ideal's cached staircase bits it is M = ge(a) & ~blocked[a], the cells
+    v >= a with v - a outside the staircase.  A component is unbounded
+    when one of its cells v, with v_k = 0 and a_k < 0, has its neighbour
+    v - e_k (outside N^3, hence outside I) in I+a, that is v - e_k - a in
+    I: those cells make up the leak mask, face[k] & ge(a + e_k) &
+    ~blocked[a + e_k], where ge(a + e_k) bounds no cell in coordinate k,
+    as a_k + 1 <= 0.
+    Components are flood-filled through adj from the lowest bit left, and
+    each one that misses the leak counts.
     """
-    cells, adjacent, outside = ideal.staircase_graph
-    stair = ideal.staircase
+    _, adj, (gx, gy, gz), blocked, face = ideal.staircase_bits
     a0, a1, a2 = a
-    # todo[n]: cells[n] lies in (I+a) \ I and no search has reached it yet
-    todo = [x >= a0 and y >= a1 and z >= a2 and (x - a0, y - a1, z - a2) not in stair
-            for x, y, z in cells]
+    # ge(a) per coordinate, clamped: every cell below a table, none above it
+    cx = gx[a0] if 0 <= a0 < len(gx) else gx[0] if a0 < 0 else 0
+    cy = gy[a1] if 0 <= a1 < len(gy) else gy[0] if a1 < 0 else 0
+    cz = gz[a2] if 0 <= a2 < len(gz) else gz[0] if a2 < 0 else 0
+    todo = cx & cy & cz & ~blocked.get(a, 0)
+    if not todo:
+        return 0
+    leak = 0
+    if a0 < 0:
+        leak |= face[0] & cy & cz & ~blocked.get((a0 + 1, a1, a2), 0)
+    if a1 < 0:
+        leak |= face[1] & cx & cz & ~blocked.get((a0, a1 + 1, a2), 0)
+    if a2 < 0:
+        leak |= face[2] & cx & cy & ~blocked.get((a0, a1, a2 + 1), 0)
     count = 0
-    for s, seed in enumerate(todo):
-        if not seed:
-            continue
-        todo[s] = False
-        stack = [s]
-        bounded = True
-        while stack:
-            n = stack.pop()
-            if bounded:
-                for x, y, z in outside[n]:
-                    if x >= a0 and y >= a1 and z >= a2 and (x - a0, y - a1, z - a2) not in stair:
-                        bounded = False
-                        break
-            for m in adjacent[n]:
-                if todo[m]:
-                    todo[m] = False
-                    stack.append(m)
-        count += bounded
+    while todo:
+        comp = frontier = todo & -todo
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            new = adj[low.bit_length() - 1] & todo & ~comp
+            comp |= new
+            frontier |= new
+        todo &= ~comp
+        count += not comp & leak
     return count
 
 
@@ -94,7 +103,8 @@ def weight_candidates(ideal: MonomialIdeal3) -> set[tuple[int, int, int]]:
     multiple of the staircase monomial g + a, so a = m - g for some
     staircase m.  The zero weight never occurs (g is in I, m is not).
     """
-    return {exp_sub(m, g) for m in ideal.staircase for g in ideal.mingens}
+    gens = ideal.mingens
+    return {(x - u, y - v, z - w) for x, y, z in ideal.staircase for u, v, w in gens}
 
 
 def tangent_report(ideal: MonomialIdeal3) -> TangentReport:

@@ -24,11 +24,14 @@ generator_syzygies, the syzygies of the given generators, serves
 poly3.intersect.
 
 For a monomial ideal the same Hom splits by weight into union-find
-counts over the minimal generators (hom_dim_weight).  mono_hom_dims
-computes every weight in one transposed pass: staircase x generators
-gives each weight its unknowns, staircase x generator lcms its
-conditions.  It is the graded cross-check of tancomb's bounded
-components and shares no code with them.
+counts over the minimal generators (hom_dim_weight), on bitmasks: a
+weight's unknowns are an alive mask over the generators, each condition
+is the bit pair of a generator pair, the classes are disjoint masks
+merged by the conditions and the forced zeros are ORed into one killed
+mask.  mono_hom_dims computes every weight in one transposed pass:
+staircase x generators gives each weight its alive mask, staircase x
+generator lcms its conditions.  It is the graded cross-check of
+tancomb's bounded components and shares no code or table with them.
 """
 from __future__ import annotations
 
@@ -186,28 +189,36 @@ def tangent_excess(I: PolyIdeal) -> tuple[int, int, int]:
 # graded (per-weight) dimensions for monomial ideals
 # ---------------------------------------------------------------------------
 
-def _graded_dim(alive: list[int], conditions: list[tuple[int, int]]) -> int:
-    """Classes of the unknowns c_j, j in alive, under the conditions.
+def _graded_dim(alive: int, conditions: list[int]) -> int:
+    """Classes of the unknowns c_j, bit j of alive, under the conditions.
 
-    A condition (i, j) forces c_i = c_j when both are unknowns; when only
-    one of them is, it forces that one, and so its class, to 0.  The
-    answer is the number of classes holding no such forced zero.
+    A condition is the bit pair of (i, j): it forces c_i = c_j when both
+    are unknowns; when only one of them is, it forces that one, and so its
+    class, to 0.  The classes that conditions join are disjoint bitmasks,
+    merged as a pair meets them; the forced zeros are ORed into killed.
+    The answer counts the joined classes and the alive singletons that
+    hold no killed bit.
     """
-    parent = {j: j for j in alive}
-
-    def find(j: int) -> int:
-        while parent[j] != j:
-            parent[j] = parent[parent[j]]
-            j = parent[j]
-        return j
-
-    killed = []
-    for i, j in conditions:
-        if i in parent and j in parent:
-            parent[find(i)] = find(j)
-        elif i in parent or j in parent:
-            killed.append(i if i in parent else j)
-    return len({find(j) for j in parent} - {find(k) for k in killed})
+    classes: list[int] = []
+    killed = 0
+    for pair in conditions:
+        both = pair & alive
+        if both != pair:
+            killed |= both
+            continue
+        rest = []
+        for c in classes:
+            if c & pair:
+                pair |= c
+            else:
+                rest.append(c)
+        rest.append(pair)
+        classes = rest
+    joined = count = 0
+    for c in classes:
+        joined |= c
+        count += not c & killed
+    return count + (alive & ~joined & ~killed).bit_count()
 
 
 def hom_dim_weight(ideal: MonomialIdeal3, a: tuple[int, int, int]) -> int:
@@ -219,14 +230,16 @@ def hom_dim_weight(ideal: MonomialIdeal3, a: tuple[int, int, int]) -> int:
     c_i = 0 when g_j + a lies in I.  The dimension is therefore the number
     of classes of unknowns under c_i = c_j that hold no forced zero, over
     any field.  This builds the one bucket of weight a that mono_hom_dims
-    builds for every weight at once, and counts it with the same
-    union-find.  The pairwise lcms are the ideal's cached generator_lcms.
-    This route is independent of the bounded-component count.
+    builds for every weight at once: the alive generators as a bitmask and
+    the conditions as bit pairs, counted by the same _graded_dim.  The
+    pairwise lcms are the ideal's cached generator_lcms.  This route is
+    independent of the bounded-component count.
     """
     stair = ideal.staircase
     a0, a1, a2 = a
-    alive = [j for j, (x, y, z) in enumerate(ideal.mingens) if (x + a0, y + a1, z + a2) in stair]
-    conditions = [(i, j) for i, j, (x, y, z) in ideal.generator_lcms
+    alive = sum(1 << j for j, (x, y, z) in enumerate(ideal.mingens)
+                if (x + a0, y + a1, z + a2) in stair)
+    conditions = [1 << i | 1 << j for i, j, (x, y, z) in ideal.generator_lcms
                   if (x + a0, y + a1, z + a2) in stair]
     return _graded_dim(alive, conditions)
 
@@ -235,28 +248,26 @@ def mono_hom_dims(ideal: MonomialIdeal3) -> dict[tuple[int, int, int], int]:
     """{weight a: dim of the degree-a piece of Hom_S(I, S/I)}, nonzero ones only.
 
     One transposed pass over the ideal instead of a pass per weight: each
-    staircase monomial m puts generator j in the bucket of weight m - g_j
-    (the unknowns of hom_dim_weight), then puts the condition (i, j) in
-    the bucket of m - lcm(g_i, g_j) when that weight has a bucket.  So the
-    route finds its own weights, reading neither tancomb's candidates nor
-    its staircase graph.  Each bucket is counted by hom_dim_weight's
-    union-find.
+    staircase monomial m sets bit j in the alive mask of weight m - g_j
+    (the unknowns of hom_dim_weight), then adds the bit pair of (i, j) to
+    the conditions of m - lcm(g_i, g_j) when that weight has a mask.  So
+    the route finds its own weights, reading neither tancomb's candidates
+    nor its staircase bits.  Each weight is counted by _graded_dim.
     """
-    gens, pairs = ideal.mingens, ideal.generator_lcms
-    buckets: dict[tuple[int, int, int], tuple[list[int], list[tuple[int, int]]]] = {}
+    gens = tuple((1 << j, g) for j, g in enumerate(ideal.mingens))
+    pairs = tuple((1 << i | 1 << j, m) for i, j, m in ideal.generator_lcms)
+    alive: dict[tuple[int, int, int], int] = {}
     for x, y, z in ideal.staircase:
-        for j, (u, v, w) in enumerate(gens):
+        for bit, (u, v, w) in gens:
             a = (x - u, y - v, z - w)
-            if a in buckets:
-                buckets[a][0].append(j)
-            else:
-                buckets[a] = ([j], [])
+            alive[a] = alive.get(a, 0) | bit
+    conditions: dict[tuple[int, int, int], list[int]] = {a: [] for a in alive}
     for x, y, z in ideal.staircase:
-        for i, j, (u, v, w) in pairs:
-            bucket = buckets.get((x - u, y - v, z - w))
+        for pair, (u, v, w) in pairs:
+            bucket = conditions.get((x - u, y - v, z - w))
             if bucket is not None:
-                bucket[1].append((i, j))
-    return {a: n for a, bucket in buckets.items() if (n := _graded_dim(*bucket))}
+                bucket.append(pair)
+    return {a: n for a, bucket in conditions.items() if (n := _graded_dim(alive[a], bucket))}
 
 
 def mono_hom_dim(ideal: MonomialIdeal3) -> int:

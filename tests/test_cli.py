@@ -1,11 +1,12 @@
 import argparse
 import csv
+import dataclasses
 import json
 import os
 
 import pytest
 
-from hilb3 import cli, duality, gfp, mono3, tancomb, tanlin
+from hilb3 import cli, duality, gfp, mono3, smoothcls, tancomb, tanlin
 from hilb3.errors import PrimeDisagreementError
 
 DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
@@ -80,6 +81,38 @@ class TestClassify:
             capsys, "classify", "[[2,0,0],[1,1,0],[1,0,1],[0,2,0],[0,1,1],[0,0,3]]")
         assert code == 0
         assert data["result"]["triple"] == ["x", "y", "z^2"]
+
+    @pytest.mark.parametrize("text", ["x^2,x*y,x*z,y^2,y*z,z^3", "x^2,x*y,x*z,y^2,z^2",
+                                      "x^2,y^2,z^2,x*y,x*z,y*z", "x,y,z"])
+    def test_verify_prints_the_same_report(self, capsys, text):
+        assert run(capsys, "--verify", "classify", text) == run(capsys, "classify", text)
+
+    def test_verify_catches_a_smooth_verdict_on_a_triple(self, capsys, monkeypatch):
+        # a classify that calls every ideal smooth, with the chain of the point
+        point = smoothcls.classify(mono3.parse_monomial_ideal("x,y,z"))
+        monkeypatch.setattr(smoothcls, "classify", lambda ideal: point)
+        text = "x^2,x*y,x*z,y^2,y*z,z^3"
+        assert run_json(capsys, "classify", text)[0] == 0
+        code, data = run_json(capsys, "--verify", "classify", text)
+        assert code == 1
+        assert data["error"]["type"] == "InvariantError"
+        assert data["error"]["message"] == \
+            "verdict smooth but the graded tangent excess is 6"
+
+    @pytest.mark.parametrize("bound, dims, message", [
+        (6, {}, "verdict singular but the graded tangent excess is -15"),
+        (8, None, "verdict singular but the graded tangent excess is 6"),
+        (6, {(-1, 0, 0): 22}, "verdict singular but the graded tangent excess is 7"),
+    ])
+    def test_verify_checks_the_singular_bound_and_parity(self, capsys, monkeypatch,
+                                                         bound, dims, message):
+        verdict = smoothcls.classify(mono3.parse_monomial_ideal("x^2,x*y,x*z,y^2,y*z,z^3"))
+        monkeypatch.setattr(smoothcls, "classify", lambda ideal: dataclasses.replace(
+            verdict, excess_lower_bound=bound))
+        if dims is not None:
+            monkeypatch.setattr(tanlin, "mono_hom_dims", lambda ideal: dims)
+        code, data = run_json(capsys, "--verify", "classify", "x^2,x*y,x*z,y^2,y*z,z^3")
+        assert (code, data["error"]["message"]) == (1, message)
 
     @pytest.mark.parametrize("command", ["classify", "triple", "chain"])
     def test_non_monomial_is_input_error(self, capsys, command):

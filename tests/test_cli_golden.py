@@ -56,6 +56,8 @@ CASES = {
     "classify-singular": ["classify", "x^2,x*y,x*z,y^2,y*z,z^3"],
     "classify-smooth": ["classify", "x^2,x*y,x*z,y^2,z^2"],
     "classify-text": ["--format", "text", "classify", "x^3,x*y,y^2,z"],
+    "classify-verify-smooth": ["--verify", "classify", "x^2,x*y,x*z,y^2,z^2"],
+    "classify-verify-singular": ["--verify", "classify", "x^2,x*y,x*z,y^2,y*z,z^3"],
     "triple-found": ["triple", "x^2,x*y,x*z,y^2,y*z,z^3"],
     "triple-absent": ["triple", "x,y,z"],
     "chain-ok": ["chain", "x^2,x*y,y^2,x*z,z^3"],

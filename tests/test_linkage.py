@@ -1,6 +1,10 @@
+import importlib.util
+import os
+import sys
+
 import pytest
 
-from hilb3 import gfp, linkage, poly3, tanlin
+from hilb3 import gfp, linkage, mono3, poly3, tancomb, tanlin
 from hilb3.errors import ExcessMismatchError, InputError, NotContainedError
 
 P = gfp.DEFAULT_PRIME
@@ -136,3 +140,29 @@ class TestChainJson:
                     '[{"ideal": "x,y,z", "alpha": ["x"]}]', "nope"]:
             with pytest.raises(InputError):
                 linkage.parse_chain_json(bad, R)
+
+
+BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
+
+
+class TestCatalogExcess:
+    def test_every_catalog_source_has_excess_six(self, monkeypatch):
+        # the benchmark's catalog_links lists the link families' sources as
+        # exponent triples; the module is loaded by path and never edited
+        monkeypatch.syspath_prepend(BENCH)
+        spec = importlib.util.spec_from_file_location(
+            "bench_workloads", os.path.join(BENCH, "workloads.py"))
+        workloads = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, workloads)  # for its dataclasses
+        spec.loader.exec_module(workloads)
+        sources = [src for src, _, _ in workloads.catalog_links()]
+        assert len(sources) == 16
+        for src in sources:
+            assert tancomb.tangent_report(mono3.from_generators(src)).excess == 6, src
+
+    def test_j_with_a_above_one_and_c_above_b_is_not_in_the_catalog(self):
+        # J(a,b,c) with a >= 2 and c > b can leave excess 6, so the catalog
+        # holds only J(1,b,c) and J(a,b,b)
+        ideal = mono3.from_generators(
+            [(2, 0, 0), (1, 1, 0), (0, 2, 0), (1, 0, 2), (0, 1, 2), (0, 0, 4)])
+        assert tancomb.tangent_report(ideal).excess == 12

@@ -22,7 +22,18 @@ class TestFindTriple:
             smoothcls.find_triple(ideal)
             assert "staircase" not in vars(ideal)
             assert "mingens" not in vars(ideal)
-            assert "staircase_graph" not in vars(ideal)
+            assert "staircase_bits" not in vars(ideal)
+            assert "generator_lcms" not in vars(ideal)
+
+    def test_census_builds_no_tangent_table(self, monkeypatch):
+        seen = []
+        original = mono3.enumerate_ideals
+        monkeypatch.setattr(mono3, "enumerate_ideals",
+                            lambda d: (seen.append(I) or I for I in original(d)))
+        smoothcls.smooth_census(7)
+        assert len(seen) == sum(mono3.macmahon_series(7)[1:])
+        for ideal in seen:
+            assert "staircase_bits" not in vars(ideal)
             assert "generator_lcms" not in vars(ideal)
 
     def test_singular_staircase_example(self):

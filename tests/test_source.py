@@ -63,3 +63,31 @@ def test_one_exponent_vocabulary():
     assert {name: found for name, found in defined.items() if found} == \
         {"poly3.py": EXPONENT_HELPERS}
     assert [p.name for p in sorted(SRC.glob("*.py")) if "nvars" in p.read_text()] == []
+
+
+def _imports_or_names(path, module, name):
+    """Whether the module imports `module` (absolutely, relatively or from
+    the package) or names `name` as a variable, attribute or imported name."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import) and any(
+                module in a.name.split(".") for a in node.names):
+            return True
+        if isinstance(node, ast.ImportFrom) and (
+                module in (node.module or "").split(".")
+                or any(a.name in (module, name) for a in node.names)):
+            return True
+        if isinstance(node, ast.Name) and node.id == name \
+                or isinstance(node, ast.Attribute) and node.attr == name:
+            return True
+    return False
+
+
+@pytest.mark.parametrize("route, other, table", [
+    ("tancomb.py", "tanlin", "generator_lcms"),
+    ("tanlin.py", "tancomb", "staircase_bits"),
+])
+def test_monomial_tangent_routes_stay_independent(route, other, table):
+    # the bounded-component and graded routes cross-check each other, so
+    # neither reads the other's module or the other's per-ideal table
+    assert not _imports_or_names(SRC / route, other, table)

@@ -1,3 +1,6 @@
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from hilb3 import mono3, tancomb
 
 M = mono3.parse_monomial_ideal("x,y,z")
@@ -11,7 +14,8 @@ def oracle_bounded_components(ideal, a):
     """Bounded components of (I+a) \\ I by a search over exponent vectors.
 
     It builds each neighbour and tests staircase membership at every
-    visited cell, where bounded_components reads the cached staircase graph.
+    visited cell, where bounded_components works on the cached staircase
+    bits.
     """
     st = ideal.staircase
 
@@ -93,26 +97,66 @@ class TestBoundedComponents:
         assert calls == [0]
 
 
-class TestStaircaseGraph:
-    def test_tangent_report_builds_the_graph_once_per_ideal(self):
+#: every plane partition with d <= 14 cells, largest d first
+UP_TO_FOURTEEN = [pp for d in range(14, 0, -1) for pp in mono3.plane_partitions(d)]
+
+
+@st.composite
+def ideals_and_weights(draw):
+    """A random ideal of colength <= 14 and a weight: a candidate of it, or
+    one drawn from a range far outside its bounding box."""
+    ideal = mono3.ideal_from_plane_partition(draw(st.sampled_from(UP_TO_FOURTEEN)))
+    far = st.tuples(*[st.integers(-40, 40)] * 3)
+    return ideal, draw(st.sampled_from(sorted(tancomb.weight_candidates(ideal))) | far)
+
+
+class TestMatchesOracleOnRandomIdeals:
+    @settings(max_examples=400, deadline=None)
+    @given(ideals_and_weights())
+    def test_bounded_components(self, case):
+        ideal, a = case
+        assert tancomb.bounded_components(ideal, a) == oracle_bounded_components(ideal, a)
+
+
+def bits_of(ideal, cells):
+    """The bitmask of the given cells of the ideal's staircase."""
+    index = {v: n for n, v in enumerate(ideal.staircase_bits.cells)}
+    return sum(1 << index[v] for v in cells)
+
+
+class TestStaircaseBits:
+    def test_tangent_report_builds_the_bits_once_per_ideal(self):
         ideal = tripod(2, 3, 4)
-        assert "staircase_graph" not in vars(ideal)
+        assert "staircase_bits" not in vars(ideal)
         tancomb.tangent_report(ideal)
-        graph = vars(ideal)["staircase_graph"]
+        bits = vars(ideal)["staircase_bits"]
         tancomb.tangent_report(ideal)
-        assert ideal.staircase_graph is graph
+        assert ideal.staircase_bits is bits
         assert "generator_lcms" not in vars(ideal)
 
     def test_cells_and_neighbours(self):
         for ideal in UP_TO_EIGHT:
-            cells, adjacent, outside = ideal.staircase_graph
+            cells, adj = ideal.staircase_bits[:2]
             assert cells == tuple(sorted(ideal.staircase))
-            for v, near, off in zip(cells, adjacent, outside):
+            for v, near in zip(cells, adj):
                 steps = [tuple(v[k] + (s if k == i else 0) for k in range(3))
                          for i in range(3) for s in (1, -1)]
-                assert sorted(cells[n] for n in near) == \
-                    sorted(w for w in steps if w in ideal.staircase)
-                assert sorted(off) == sorted(w for w in steps if min(w) < 0)
+                assert near == bits_of(ideal, [w for w in steps if w in ideal.staircase])
+
+    def test_coordinate_tables(self):
+        for ideal in UP_TO_EIGHT:
+            cells, _, ge, blocked, face = ideal.staircase_bits
+            for c in range(3):
+                top = max(v[c] for v in cells)
+                assert len(ge[c]) == top + 2
+                for t in range(top + 2):
+                    assert ge[c][t] == bits_of(ideal, [v for v in cells if v[c] >= t])
+                assert face[c] == bits_of(ideal, [v for v in cells if v[c] == 0])
+            diffs = {tuple(x - y for x, y in zip(v, u)) for v in cells for u in cells}
+            assert blocked.keys() == diffs
+            for b in diffs:
+                assert blocked[b] == bits_of(ideal, [
+                    v for v in cells if tuple(x - y for x, y in zip(v, b)) in ideal.staircase])
 
 
 class TestWeightCandidates:

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -67,6 +68,40 @@ def oracle_hom_dim_weight(ideal, a):
             elif i in parent or j in parent:
                 killed.append(i if i in parent else j)
     return len({find(j) for j in parent} - {find(k) for k in killed})
+
+
+def oracle_graded_dim(alive, conditions):
+    """The union-find count of the graded route on a dict of parents.
+
+    alive lists the unknowns c_j; a condition (i, j) forces c_i = c_j when
+    both are unknowns, and forces the one that is, with its class, to 0
+    otherwise.  It counts the classes holding no forced zero.
+    """
+    parent = {j: j for j in alive}
+
+    def find(j):
+        while parent[j] != j:
+            parent[j] = parent[parent[j]]
+            j = parent[j]
+        return j
+
+    killed = []
+    for i, j in conditions:
+        if i in parent and j in parent:
+            parent[find(i)] = find(j)
+        elif i in parent or j in parent:
+            killed.append(i if i in parent else j)
+    return len({find(j) for j in parent} - {find(k) for k in killed})
+
+
+@st.composite
+def graded_buckets(draw):
+    """Unknowns among r <= 10 generators and conditions on pairs of them."""
+    r = draw(st.integers(1, 10))
+    alive = draw(st.sets(st.integers(0, r - 1)))
+    pairs = [(i, j) for j in range(r) for i in range(j)]
+    conditions = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return sorted(alive), conditions
 
 
 def degeneration_bound(I):
@@ -239,7 +274,35 @@ class TestGradedRoute:
         assert tanlin.mono_hom_dim(ideal) == 48
         assert calls == [pairs]
         assert "generator_lcms" in vars(ideal)
-        assert "staircase_graph" not in vars(ideal)
+        assert "staircase_bits" not in vars(ideal)
+
+    @settings(max_examples=400, deadline=None)
+    @given(graded_buckets())
+    def test_bitmask_classes_match_the_dict_union_find(self, bucket):
+        alive, conditions = bucket
+        masks = [1 << i | 1 << j for i, j in conditions]
+        assert tanlin._graded_dim(sum(1 << j for j in alive), masks) == \
+            oracle_graded_dim(alive, conditions)
+
+
+#: {excess: number of colength-d monomial ideals with that tangent excess}
+EXCESS_HISTOGRAMS = {
+    7: {0: 58, 6: 25, 8: 3},
+    8: {0: 91, 6: 51, 8: 15, 12: 3},
+    10: {0: 204, 6: 157, 8: 90, 12: 33, 16: 15, 30: 1},
+}
+
+
+class TestExcessHistograms:
+    @pytest.mark.parametrize("d", sorted(EXCESS_HISTOGRAMS))
+    def test_bounded_components_route(self, d):
+        assert Counter(tancomb.tangent_report(I).excess
+                         for I in mono3.enumerate_ideals(d)) == EXCESS_HISTOGRAMS[d]
+
+    @pytest.mark.parametrize("d", sorted(EXCESS_HISTOGRAMS))
+    def test_graded_route(self, d):
+        assert Counter(sum(tanlin.mono_hom_dims(I).values()) - 3 * d
+                         for I in mono3.enumerate_ideals(d)) == EXCESS_HISTOGRAMS[d]
 
 
 UP_TO_TEN = [I for d in range(1, 11) for I in mono3.enumerate_ideals(d)]
