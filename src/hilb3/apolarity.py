@@ -9,11 +9,14 @@ algebra, Gorenstein when r = 1, and every finite local quotient of S
 arises this way.
 
 If D is the largest total degree of the f_i, every monomial of degree
-D + 1 annihilates them all, so the annihilator is generated in degrees
-at most D + 1; a single kernel computation over all monomials of degree
-<= D + 1 therefore finds a full generating set (homogeneity of the f_i
-is not needed).  That contraction matrix, read one f_i per row, spans
-the inverse system, whose dimension checks the colength.  Dual
+D + 1 annihilates them all, so the annihilator contains m^(D+2), and
+Ann/m^(D+2) is an ideal of S/m^(D+2), whose standard monomials are those
+of degree <= D + 1.  A single kernel computation of the contraction map
+on them finds it (homogeneity of the f_i is not needed), and
+poly3.span_ideal reads the annihilator's reduced basis and quotient off
+one echelon form of the kernel, without Buchberger.  That contraction
+matrix, read one f_i per row, spans the inverse system, whose dimension
+checks the colength.  Dual
 polynomials use uppercase variables in the text grammar of the ring.
 """
 from __future__ import annotations
@@ -53,11 +56,15 @@ def _monomials_up_to(degree: int) -> list[tuple[int, int, int]]:
     return sorted(mons, key=poly3.degrevlex_key)
 
 
-def annihilator(fs: Sequence[Poly], ring: PolyRing) -> PolyIdeal:
+def annihilator(fs: Sequence[Poly], ring: PolyRing, verify: bool = False) -> PolyIdeal:
     """Ann(f_1, ..., f_r) as an ideal of the (lowercase) polynomial ring.
 
-    Kernel of the contraction map on monomials of degree <= D + 1; the
-    colength is post-verified against the rank of its contractions x^m o f_i.
+    Every monomial of degree D + 2 annihilates, and the standard monomials
+    of m^(D+2) are those of degree <= D + 1; the kernel of the contraction
+    map on them is Ann/m^(D+2), an ideal of S/m^(D+2), which
+    poly3.span_ideal turns into Ann (checked against Buchberger when verify
+    is set).  The colength is post-verified against the rank of the
+    contractions x^m o f_i.
     """
     fs = [f for f in fs]
     if not fs or any(f.is_zero for f in fs):
@@ -67,7 +74,10 @@ def annihilator(fs: Sequence[Poly], ring: PolyRing) -> PolyIdeal:
     if p <= top:
         raise SmallCharacteristicError(
             f"characteristic {p} <= top degree {top}; divided-power subtleties refused")
-    acting = _monomials_up_to(top + 1)
+    n = top + 2
+    ambient = poly3.ideal(ring, (ring.monomial((a, b, n - a - b))
+                                 for a in range(n + 1) for b in range(n + 1 - a)))
+    acting = poly3.quotient_data(ambient).standard_monomials
     dual_mons = _monomials_up_to(top)
     col = {m: i for i, m in enumerate(dual_mons)}
     mat = np.zeros((len(acting), len(fs) * len(dual_mons)), dtype=np.int64)
@@ -76,12 +86,7 @@ def annihilator(fs: Sequence[Poly], ring: PolyRing) -> PolyIdeal:
             g = contract_monomial(m, f)
             for e, c in g.terms.items():
                 mat[r, k * len(dual_mons) + col[e]] = c
-    kernel = gfp.kernel_basis(mat.T, p)
-    gens = []
-    for vec in kernel:
-        terms = {acting[i]: int(c) for i, c in enumerate(vec) if c}
-        gens.append(ring.poly(terms))
-    ann = poly3.ideal(ring, gens)
+    ann = poly3.span_ideal(ambient, gfp.kernel_basis(mat.T, p), verify=verify)
     expected = gfp.rank(mat.reshape(-1, len(dual_mons)), p)
     got = poly3.quotient_data(ann).colength
     if got != expected:

@@ -208,7 +208,7 @@ def _cmd_link(args, ring) -> tuple[dict, int]:
     alpha_polys = [poly3.parse_poly(s, ring) for s in args.alpha.split(",") if s.strip()]
     if len(alpha_polys) != 3:
         raise InputError("--alpha must list exactly three polynomials")
-    step = linkage.link(I, alpha_polys)
+    step = linkage.link(I, alpha_polys, verify=args.verify)
     return {
         "colengths": {"source": step.colengths[0], "alpha": step.colengths[1],
                       "target": step.colengths[2]},
@@ -220,7 +220,7 @@ def _cmd_verify_chain(args, ring) -> tuple[dict, int]:
     with open(args.file, "r", encoding="utf-8") as fh:
         text = fh.read()
     chain = linkage.parse_chain_json(text, ring)
-    report = linkage.verify_link_chain(chain)
+    report = linkage.verify_link_chain(chain, verify=args.verify)
     return {
         "steps": [{
             "colengths": list(s.colengths),
@@ -244,7 +244,7 @@ def _cmd_ann(args, ring) -> tuple[dict, int]:
     if not parts:
         raise InputError("no dual polynomials given")
     fs = [apolarity.parse_dual(s, ring.p) for s in parts]
-    ann = apolarity.annihilator(fs, ring)
+    ann = apolarity.annihilator(fs, ring, verify=args.verify)
     qd = poly3.quotient_data(ann)
     return {
         "generators": _gb_strings(ann),
@@ -355,8 +355,9 @@ def _add_common_flags(parser, suppress: bool) -> None:
     parser.add_argument("--verify", action="store_true",
                         default=d(False),
                         help="enable expensive brute-force cross-checks (read by "
-                             "tangent, classify, census and bicanonical; the "
-                             "other subcommands accept it and ignore it)")
+                             "tangent, classify, census, link, verify-chain, ann "
+                             "and bicanonical; the other subcommands accept it "
+                             "and ignore it)")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -36,12 +36,13 @@ class LinkStep:
     colengths: tuple[int, int, int]  # (d_source, d_alpha, d_target)
 
 
-def link(I: PolyIdeal, alpha: Sequence[Poly]) -> LinkStep:
+def link(I: PolyIdeal, alpha: Sequence[Poly], verify: bool = False) -> LinkStep:
     """The link (alpha : I) by three polynomials, validated.
 
     Checks alpha is contained in I and cuts out a finite scheme and that I
     is not the unit ideal (UnitIdealError), then verifies colength
-    additivity and the double-link identity.  The target may be (1).
+    additivity and the double-link identity.  The target may be (1).  With
+    verify set, both colons are checked against Buchberger (poly3.colon).
     """
     if len(alpha) != 3:
         raise InputError("a linking sequence must have exactly three entries")
@@ -56,12 +57,12 @@ def link(I: PolyIdeal, alpha: Sequence[Poly]) -> LinkStep:
     d_source = poly3.quotient_data(I).colength
     if d_source == 0:  # the link of (1) is (alpha), but (1) is not a point
         raise UnitIdealError("the source ideal is the whole ring")
-    target = poly3.colon(A, I)
+    target = poly3.colon(A, I, verify=verify)
     d_target = poly3.quotient_data(target).colength
     # both are theorems for valid links; a failure means a broken engine
     if d_source + d_target != d_alpha:
         raise InvariantError(f"colength additivity fails: {d_source} + {d_target} != {d_alpha}")
-    if not poly3.equal_ideals(poly3.colon(A, target), I):
+    if not poly3.equal_ideals(poly3.colon(A, target, verify=verify), I):
         raise InvariantError("double-link identity fails")
     return LinkStep(target=target, colengths=(d_source, d_alpha, d_target))
 
@@ -77,21 +78,22 @@ class ChainReport:
         return self.excesses[0][0] if self.excesses else None
 
 
-def verify_link_chain(chain: Sequence[tuple[PolyIdeal, Sequence[Poly]]]) -> ChainReport:
+def verify_link_chain(chain: Sequence[tuple[PolyIdeal, Sequence[Poly]]],
+                      verify: bool = False) -> ChainReport:
     """Validate every step and assert the tangent excess is constant.
 
     Consecutive steps must satisfy target_i = source_{i+1}, so the tangent
     excess dim T - 3d is computed at the first source and at each target
     only; a change along a step is a hard failure.  The canonical-module
     degree dim (alpha:I)/(alpha) is recorded per step (it equals the
-    source colength).
+    source colength).  verify is passed on to every link.
     """
     steps: list[LinkStep] = []
     tangents: list[tuple[int, int, int]] = []  # (d, dim T, excess) per ideal
     for I, alpha in chain:
         if steps and not poly3.equal_ideals(steps[-1].target, I):
             raise InputError("chain steps do not compose: target != next source")
-        step = link(I, alpha)
+        step = link(I, alpha, verify=verify)
         if not tangents:
             tangents.append(tanlin.tangent_excess(I))
         tangents.append(tanlin.tangent_excess(step.target))

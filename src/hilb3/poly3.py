@@ -7,6 +7,13 @@ plus the three commuting multiplication matrices) for zero-dimensional
 ideals, and the colon (I : J) of a zero-dimensional I as a kernel on S/I.
 The one monomial order is degree reverse lexicographic with x > y > z.
 
+Buchberger runs only where no quotient is known.  A list of monomials has
+its minimal exponents as its reduced basis.  An ideal A + V, with V an
+ideal of a known finite quotient S/A given by spanning vectors (a colon,
+an annihilator), is read off one echelon form of those vectors by
+span_ideal, basis and quotient data together (Marinari, Moeller and Mora,
+AAECC 4, 1993).
+
 A PolyIdeal caches its reduced Groebner basis and its QuotientData, each
 built on first use; the QuotientData in turn caches the matrix of every
 standard monomial that evaluate_at_matrices has formed.  Every caller of
@@ -36,7 +43,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .errors import InputError, NotZeroDimensionalError
+from .errors import InputError, InvariantError, NotZeroDimensionalError
 from .gfp import inv_mod, kernel_basis, require_exact
 
 Exponent = tuple[int, int, int]
@@ -502,9 +509,19 @@ def parse_ideal(text: str, ring: PolyRing) -> PolyIdeal:
 
 
 def groebner(I: PolyIdeal) -> tuple[Poly, ...]:
-    """Reduced degrevlex Groebner basis, cached on the ideal."""
+    """Reduced degrevlex Groebner basis, cached on the ideal.
+
+    Generators that are all monomials skip Buchberger: every S-polynomial
+    of two monomials is zero, so the reduced basis is the minimal
+    exponents among them, monic and sorted.
+    """
     if I._gb is None:
-        I._gb = reduce_basis(buchberger(I.gens))
+        if all(len(g.terms) == 1 for g in I.gens):
+            exps = {e for g in I.gens for e in g.terms}
+            minimal = [e for e in exps if not any(o != e and exp_divides(o, e) for o in exps)]
+            I._gb = tuple(Poly(I.ring, {e: 1}) for e in sorted(minimal, key=degrevlex_key))
+        else:
+            I._gb = reduce_basis(buchberger(I.gens))
     return I._gb
 
 
@@ -671,11 +688,80 @@ def evaluate_at_matrices(f: Poly, qd: QuotientData) -> np.ndarray:
     return out
 
 
-def colon(I: PolyIdeal, J) -> PolyIdeal:
+def span_ideal(A: PolyIdeal, rows, verify: bool = False) -> PolyIdeal:
+    """A + V for a zero-dimensional A and rows, coordinates on A's standard
+    monomials, that span an ideal V of S/A; basis and quotient filled in.
+
+    One echelon form of the rows replaces Buchberger, as for ideals given
+    by functionals (Marinari, Moeller and Mora, AAECC 4, 1993).  With the
+    columns in descending degrevlex order the pivots are the leading terms
+    of V.  An f in A + V whose leading term lies outside LT(A) has NF_A(f)
+    in V with the same leading term, so the standard monomials of A + V
+    are A's less the pivots.  Reducing A's multiplication matrices by the
+    rows gives those of A + V, and x_v V inside V is checked on the way
+    (InvariantError otherwise).  The reduced basis has one element per
+    minimal generator t of the new leading terms: the rref row when t is a
+    pivot, else A's basis element with leading term t, its tail reduced by
+    the rows.  With verify set, the basis is compared with the one
+    Buchberger finds from A's generators and the rows.
+    """
+    from .gfp import matmul, rref
+
+    qd = quotient_data(A)
+    ring, p, d = A.ring, A.ring.p, qd.colength
+    rows = np.asarray(rows, dtype=np.int64).reshape(len(rows), d)
+    echelon, cols = rref(rows[:, ::-1], p)
+    red = echelon[:len(cols), ::-1]  # row i: 1 at pivots[i], 0 at the other pivots
+    pivots = [d - 1 - c for c in cols]
+    pivot_row = {qd.standard_monomials[j]: i for i, j in enumerate(pivots)}
+    keep = [j for j, m in enumerate(qd.standard_monomials) if m not in pivot_row]
+    free = red[:, keep]  # the rows off the pivots
+    # column j of block v: NF_A(x_v m_j) less its pivot coordinates times
+    # the rows; one product serves the three variables
+    lifted = matmul(free.T, np.hstack([m[pivots] for m in qd.mult_matrices]), p)
+    blocks = [(m[keep] - x) % p for m, x in zip(qd.mult_matrices, np.hsplit(lifted, 3))]
+    # x_v V inside V: each row's image reduces to zero
+    images = matmul(np.vstack([b[:, keep] for b in blocks]), free.T, p)
+    if ((np.vstack([b[:, pivots] for b in blocks]) + images) % p).any():
+        raise InvariantError("the rows do not span an ideal of the quotient")
+    mats = [b[:, keep] for b in blocks]
+    for m in mats:
+        m.setflags(write=False)
+    std = tuple(qd.standard_monomials[j] for j in keep)
+    std_set = frozenset(std)
+    steps = {(a + u, b + v, c + w) for a, b, c in std for u, v, w in _VARIABLES}
+    minimal = {t for t in steps - std_set
+               if all(not k or exp_sub(t, v) in std_set for k, v in zip(t, _VARIABLES))}
+    gb = [] if std else [ring.one()]
+    outside = [g for g in groebner(A) if g.leading()[0] in minimal]
+    index = {m: j for j, m in enumerate(qd.standard_monomials)}
+    tails = np.zeros((len(outside), d), dtype=np.int64)
+    for i, g in enumerate(outside):
+        for e, c in g.terms.items():
+            if e in index:
+                tails[i, index[e]] = c
+    tails = (tails[:, keep] - matmul(tails[:, pivots], free, p)) % p
+    for lead, vec in [(g.leading()[0], v) for g, v in zip(outside, tails)] + \
+            [(t, red[pivot_row[t], keep]) for t in minimal if t in pivot_row]:
+        terms = {std[j]: int(c) for j, c in enumerate(vec) if c}
+        terms[lead] = 1
+        gb.append(Poly(ring, terms))
+    gb = tuple(sorted(gb, key=lambda g: degrevlex_key(g.leading()[0])))
+    if verify:
+        lifts = (ring.poly(dict(zip(qd.standard_monomials, map(int, v)))) for v in rows)
+        if groebner(ideal(ring, A.gens + tuple(lifts))) != gb:
+            raise InvariantError("the echelon-form basis differs from Buchberger's")
+    qd = QuotientData(ring=ring, standard_monomials=std, standard_set=std_set,
+                      colength=len(std), mult_matrices=tuple(mats), groebner_basis=gb)
+    return PolyIdeal(ring=ring, gens=gb, _gb=gb, _qd=qd)
+
+
+def colon(I: PolyIdeal, J, verify: bool = False) -> PolyIdeal:
     """(I : J) for a zero-dimensional I and J an ideal or a single polynomial.
 
     (I : J)/I is the common kernel of multiplication by the generators of
-    J on S/I; its vectors, read on the standard monomials, are added to I.
+    J on S/I, an ideal of S/I; span_ideal reads (I : J) off its basis
+    vectors, checked against Buchberger when verify is set.
     """
     ring = I.ring
     gens = [g for g in ((J,) if isinstance(J, Poly) else J.gens) if not g.is_zero]
@@ -683,6 +769,4 @@ def colon(I: PolyIdeal, J) -> PolyIdeal:
         return ideal(ring, (ring.one(),))
     qd = quotient_data(I)
     stacked = np.vstack([evaluate_at_matrices(g, qd) for g in gens])
-    lifts = [ring.poly(dict(zip(qd.standard_monomials, map(int, v))))
-             for v in kernel_basis(stacked, ring.p)]
-    return ideal(ring, I.gens + tuple(lifts))
+    return span_ideal(I, kernel_basis(stacked, ring.p), verify=verify)

@@ -29,9 +29,14 @@ SIGNATURES = ("ppn", "pnp", "npp", "nnp", "npn", "pnn")
 DOUBLY_NEGATIVE = ("nnp", "npn", "pnn")
 
 
+# the signature of every sign pattern, indexed by the bits (a0 < 0, a1 < 0, a2 < 0)
+_SIGNATURE_BY_SIGNS = tuple("".join("n" if bits >> (2 - k) & 1 else "p" for k in range(3))
+                            for bits in range(8))
+
+
 def signature_of(a: tuple[int, int, int]) -> str:
     """p for >= 0, n for < 0, per coordinate."""
-    return "".join("p" if c >= 0 else "n" for c in a)
+    return _SIGNATURE_BY_SIGNS[(a[0] < 0) << 2 | (a[1] < 0) << 1 | (a[2] < 0)]
 
 
 @dataclass(frozen=True)

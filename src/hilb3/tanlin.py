@@ -8,10 +8,13 @@ multiplication matrix turns Hom into the kernel of a block matrix over
 F_p, whose dimension equals the tangent dimension of the point [S/I] of
 the Hilbert scheme.  Syzygies come from the recorded S-pair reductions
 of a Groebner basis; these generate the whole syzygy module.  The block
-matrix is never formed densely: its nonzero blocks go in as COO entries
-(gfp.dense_entries) to one gfp.sparse_rank call, which peels singleton
-rows and columns exactly before any dense elimination.  A box's Koszul
-blocks are all zero, so its rank costs no elimination at all.
+matrix is never formed, nor any of its blocks: each coefficient's normal
+form is split into terms, each distinct standard monomial's matrix is
+listed once as COO entries (gfp.dense_entries), and every term gathers
+those entries, offset to its block and scaled by its coefficient, into
+one gfp.sparse_rank call, which peels singleton rows and columns exactly
+before any dense elimination.  A box's Koszul coefficients all reduce to
+zero, so its rank has no entries and costs no elimination at all.
 
 hom_dim is the cross-check and shares no syzygy code with this route: it
 reads the same dimension as the tangent space of the border-basis
@@ -120,15 +123,38 @@ def _hom_dim_from_syzygies(syz: SyzygySet, qd: poly3.QuotientData) -> int:
     syzygy n's coefficient s_j on S/I: the dimension of the tuples
     (h_1, ..., h_r) in (S/I)^r with sum_j s_j h_j = 0 for every syzygy.
 
-    Each nonzero block goes in as its COO entries (gfp.dense_entries) at
-    offset (n d, j d), and one gfp.sparse_rank call ranks them all, so no
-    dense matrix of the whole is built.
+    Each coefficient is replaced by its normal form, as evaluate_at_matrices
+    does, and split into terms.  The COO entries (gfp.dense_entries) of each
+    distinct standard monomial's matrix are listed once; every term gathers
+    those of its monomial, offset to (n d, j d) and scaled by its
+    coefficient (a product of two residues, below 2^62).  One
+    gfp.sparse_rank call sums the entries that share a position and ranks
+    them all, so no block and no dense matrix of the whole is formed.
     """
     r, d = len(syz.generators_used), qd.colength
-    parts = [gfp.dense_entries(poly3.evaluate_at_matrices(coeff, qd), n * d, j * d)
-             for n, s in enumerate(syz.syzygies)
-             for j, coeff in enumerate(s) if not coeff.is_zero]
-    rows, cols, vals = (np.concatenate(x) for x in zip(*parts)) if parts else ([], [], [])
+    index: dict[Exponent, int] = {}  # standard monomial -> its place in the table
+    terms = []  # (table place, row offset, column offset, coefficient) per term
+    for n, s in enumerate(syz.syzygies):
+        for j, coeff in enumerate(s):
+            if any(e not in qd.standard_set for e in coeff.terms):
+                coeff, _ = reduce_full(coeff, qd.groebner_basis)
+            terms += [(index.setdefault(e, len(index)), n * d, j * d, c)
+                      for e, c in coeff.terms.items()]
+    if not terms:
+        return r * d
+    table = [gfp.dense_entries(poly3.evaluate_at_matrices(qd.ring.monomial(e), qd), 0, 0)
+             for e in index]
+    sizes = np.array([len(t[0]) for t in table])
+    starts = np.cumsum(sizes) - sizes
+    t_rows, t_cols, t_vals = (np.concatenate(x) for x in zip(*table))
+    place, row_off, col_off, coeffs = (np.array(x, dtype=np.int64) for x in zip(*terms))
+    counts = sizes[place]
+    # entry k of term i sits at starts[place[i]] + k of the table
+    pos = np.repeat(starts[place] - (np.cumsum(counts) - counts), counts) \
+        + np.arange(counts.sum())
+    rows = t_rows[pos] + np.repeat(row_off, counts)
+    cols = t_cols[pos] + np.repeat(col_off, counts)
+    vals = t_vals[pos] * np.repeat(coeffs, counts)
     return r * d - gfp.sparse_rank(rows, cols, vals, (len(syz.syzygies) * d, r * d),
                                    qd.ring.p)
 

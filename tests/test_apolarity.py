@@ -2,6 +2,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hilb3 import apolarity, duality, gfp, mono3, poly3
 from hilb3.errors import SmallCharacteristicError, ZeroInputError
@@ -140,6 +142,50 @@ class TestAnnihilator:
         d = poly3.quotient_data(ann).colength
         assert d == contraction_closure_dim([dual("X^2 + X + Y")], P)
         assert duality.gorenstein_type(ann) == 1
+
+
+def oracle_annihilator(fs):
+    """The reduced basis Buchberger finds from the kernel of the contraction
+    map on the monomials of degree <= D + 1, read as polynomials."""
+    top = max(f.degree() for f in fs)
+    acting = apolarity._monomials_up_to(top + 1)
+    dual_mons = apolarity._monomials_up_to(top)
+    col = {m: i for i, m in enumerate(dual_mons)}
+    mat = np.zeros((len(fs) * len(dual_mons), len(acting)), dtype=np.int64)
+    for j, m in enumerate(acting):
+        for k, f in enumerate(fs):
+            for e, c in apolarity.contract_monomial(m, f).terms.items():
+                mat[k * len(dual_mons) + col[e], j] = c
+    gens = [R.poly(dict(zip(acting, map(int, v)))) for v in gfp.kernel_basis(mat, P)]
+    return poly3.reduce_basis(poly3.buchberger(gens))
+
+
+def dual_polys(top):
+    """A dual polynomial of one to four terms of degree 1 to top."""
+    exps = st.tuples(*[st.integers(0, top)] * 3).filter(lambda e: 1 <= sum(e) <= top)
+    coeffs = st.integers(1, P - 1)
+    return st.dictionaries(exps, coeffs, min_size=1, max_size=4).map(
+        apolarity.dual_ring(P).poly)
+
+
+class TestAnnihilatorOracle:
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(dual_polys(4), min_size=1, max_size=2))
+    def test_matches_buchberger_on_the_kernel(self, fs):
+        ann = apolarity.annihilator(fs, R)
+        assert poly3.groebner(ann) == oracle_annihilator(fs)
+        assert poly3.quotient_data(ann).colength == contraction_closure_dim(fs, P)
+
+    @settings(max_examples=10, deadline=None)
+    @given(st.lists(dual_polys(3), min_size=1, max_size=2))
+    def test_verify_agrees(self, fs):
+        assert apolarity.annihilator(fs, R, verify=True) == apolarity.annihilator(fs, R)
+
+    def test_runs_no_buchberger(self, buchberger_runs):
+        # the ambient m^(D+2) is monomial and the kernel is read off by rref
+        ann = apolarity.annihilator([dual("X^3 - Y^3"), dual("X*Y^2 + X*Z^2")], R)
+        assert poly3.quotient_data(ann).colength == 11
+        assert buchberger_runs == []
 
 
 class TestDualParsing:

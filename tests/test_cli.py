@@ -6,7 +6,7 @@ import os
 
 import pytest
 
-from hilb3 import cli, duality, gfp, mono3, smoothcls, tancomb, tanlin
+from hilb3 import cli, duality, gfp, mono3, poly3, smoothcls, tancomb, tanlin
 from hilb3.errors import PrimeDisagreementError
 
 DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
@@ -324,6 +324,24 @@ class TestFilesAndErrors:
         code, _ = run_json(capsys, *(a.replace("{data}", DATA) for a in argv))
         assert code == 0
         assert len(quotient_builds) == builds
+
+    @pytest.mark.parametrize("argv", [
+        ["ann", "X^2 + Y*Z"],
+        ["link", "x^3,y^5,z^4,x*y,x*z,y*z", "--alpha", "x*y, x*z + y*z, x^3 + y^5 + z^4"],
+        ["verify-chain", "{data}/chain.json"],
+    ], ids=["ann", "link", "verify-chain"])
+    def test_verify_compares_with_buchberger(self, capsys, monkeypatch, argv):
+        # only the --verify oracle hands Buchberger more than three
+        # generators here (the sources are monomial, each alpha has three),
+        # so a Buchberger that adds 1 to those bases fails --verify alone
+        original = poly3.buchberger
+        monkeypatch.setattr(poly3, "buchberger", lambda gens, track=False: original(gens) + (
+            [poly3.PolyRing(gfp.DEFAULT_PRIME).one()] if len(gens) > 3 else []))
+        argv = [a.replace("{data}", DATA) for a in argv]
+        assert run_json(capsys, *argv)[0] == 0
+        code, data = run_json(capsys, "--verify", *argv)
+        assert code == 1
+        assert data["error"]["type"] == "InvariantError"
 
     def test_missing_file_is_failure(self, capsys):
         code, data = run_json(capsys, "verify-chain", "/nonexistent.json")

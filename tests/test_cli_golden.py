@@ -74,6 +74,8 @@ CASES = {
     "series-second-prime": [SP, "series", "3"],
     "link-tripod": ["link", "x^3,y^5,z^4,x*y,x*z,y*z",
                     "--alpha", "x*y, x*z + y*z, x^3 + y^5 + z^4"],
+    "link-verify": ["--verify", "link", "x^3,y^5,z^4,x*y,x*z,y*z",
+                    "--alpha", "x*y, x*z + y*z, x^3 + y^5 + z^4"],
     "link-second-prime": [SP, "link", "x^2, x*y, y^2, x*z, y*z^2, z^4",
                           "--alpha", "x*z, y^2, z^4 + x^2"],
     "link-generic-second-prime": [SP, "link", "x^2, x*y, y^2, z", "--alpha", GENERIC_ALPHA],
@@ -92,6 +94,7 @@ CASES = {
     "parity-second-prime": [SP, "parity", "x^2, x*y, x*z, y^2, y*z, z^2"],
     "parity-unit": ["parity", "1, x"],
     "ann": ["ann", "X^2 + Y*Z"],
+    "ann-verify": ["--verify", "ann", "X^2 + Y*Z"],
     "ann-csv": ["--format", "csv", "ann", "X^3 - Y^3, X*Y^2 + X*Z^2"],
     "ann-empty": ["ann", " , "],
     "bicanonical": ["bicanonical", "x^2, x*y^2, y^5, z"],

@@ -95,16 +95,24 @@ class TestChains:
 
 
 class TestOneQuotientPerIdeal:
-    def test_link(self, quotient_builds):
-        src, alpha, _ = linkage.family_tripod_to_tripod22(R, 3, 5, 4)
-        linkage.link(src, alpha)
-        assert len(quotient_builds) == 3  # source, alpha and target
+    def test_link(self, quotient_builds, buchberger_runs):
+        # a redundant binomial generator makes the source need Buchberger;
+        # the target and the double link are read off alpha's quotient by
+        # span_ideal, so they run it not at all and build no quotient
+        src, alpha, want = linkage.family_tripod_to_tripod22(R, 3, 5, 4)
+        src = poly3.ideal(R, src.gens + (src.gens[3] + src.gens[4],))
+        step = linkage.link(src, alpha)
+        assert step.target == want
+        assert [tuple(gens) for gens in buchberger_runs] == [src.gens, tuple(alpha)]
+        assert len(quotient_builds) == 2  # alpha and source
 
-    def test_chain_step(self, quotient_builds):
-        # the excess at both ends reads the quotients the link built
+    def test_chain_step(self, quotient_builds, buchberger_runs):
+        # a monomial source needs no Buchberger, and the excess at both ends
+        # reads the quotients the link built
         src, alpha, _ = linkage.family_j1_to_tripod(R, 2, 4)
         linkage.verify_link_chain([(src, alpha)])
-        assert len(quotient_builds) == 3
+        assert [tuple(gens) for gens in buchberger_runs] == [tuple(alpha)]
+        assert len(quotient_builds) == 2  # alpha and source
 
 
 class TestParity:

@@ -7,7 +7,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hilb3 import gfp, mono3, poly3, tancomb, tanlin
-from hilb3.errors import InputError, NotZeroDimensionalError
+from hilb3.errors import InputError, InvariantError, NotZeroDimensionalError
 from helpers import shifts_to
 
 P = gfp.DEFAULT_PRIME
@@ -639,3 +639,134 @@ class TestDoubleColon:
         J = poly3.colon(alpha, I)
         back = poly3.colon(alpha, J)
         assert back == I
+
+
+# span_ideal against Buchberger, the route it replaced: the reduced basis of
+# A's generators plus the kernel vectors read as polynomials
+
+def lift_rows(A, rows):
+    std = poly3.quotient_data(A).standard_monomials
+    return [A.ring.poly(dict(zip(std, map(int, v)))) for v in rows]
+
+
+def oracle_span(A, rows):
+    return poly3.reduce_basis(poly3.buchberger(A.gens + tuple(lift_rows(A, rows))))
+
+
+def assert_same_quotient(got, gb):
+    """got carries gb as its basis and the quotient data built from gb."""
+    assert poly3.groebner(got) == gb
+    want = poly3.quotient_data(poly3.PolyIdeal(ring=got.ring, gens=gb))
+    qd = poly3.quotient_data(got)
+    assert qd.standard_monomials == want.standard_monomials
+    assert qd.standard_set == want.standard_set
+    assert qd.colength == want.colength
+    assert qd.groebner_basis == gb
+    for m, w in zip(qd.mult_matrices, want.mult_matrices):
+        assert (m == w).all()
+        with pytest.raises(ValueError):
+            m[...] = 0
+
+
+@st.composite
+def span_inputs(draw):
+    """A zero-dimensional A: a monomial ideal plus up to two polynomials of
+    degree 2 to 3, moved to a random point; J: one to three polynomials of
+    degree 1 to 2, moved to the same point.  Everything vanishes at the
+    point, so A is not (1), and (A : J) is in general neither A nor (1)."""
+    point = draw(points)
+    base = mono_ideal(draw(st.sampled_from(COLON_IDEALS)))
+    A = poly3.ideal(R, base.gens + tuple(draw(st.lists(polys(2, 3), max_size=2))))
+    J = poly3.ideal(R, draw(st.lists(polys(1, 2), min_size=1, max_size=3)))
+    return moved(A, point), moved(J, point)
+
+
+def colon_rows(A, J):
+    qd = poly3.quotient_data(A)
+    stacked = np.vstack([poly3.evaluate_at_matrices(g, qd) for g in J.gens])
+    return gfp.kernel_basis(stacked, P)
+
+
+class TestSpanIdeal:
+    @settings(max_examples=80, deadline=None)
+    @given(span_inputs())
+    def test_colon_matches_buchberger(self, inputs):
+        A, J = inputs
+        got = poly3.colon(A, J)
+        assert_same_quotient(got, oracle_span(A, colon_rows(A, J)))
+        assert got.gens == poly3.groebner(got)
+
+    @settings(max_examples=20, deadline=None)
+    @given(span_inputs())
+    def test_verify_agrees(self, inputs):
+        A, J = inputs
+        assert poly3.colon(A, J, verify=True) == poly3.colon(A, J)
+
+    @pytest.mark.parametrize("text", ["x^3, y^3, z^3, y*z^2, x^2*z, x*y^2",
+                                      "x^2 - y*z, x*z, x*y, y^2, z^2", "x^2 - y, y^2 - z, z^2"])
+    def test_zero_and_everything(self, text):
+        A = pi(text)
+        d = poly3.quotient_data(A).colength
+        assert_same_quotient(poly3.span_ideal(A, np.zeros((0, d), dtype=np.int64)),
+                             poly3.groebner(A))
+        full = poly3.span_ideal(A, 3 * np.eye(d, dtype=np.int64))
+        assert_same_quotient(full, (R.one(),))
+        assert poly3.quotient_data(full).colength == 0
+
+    def test_dependent_rows(self):
+        # y*z, x*y*z and their sum span the ideal (y*z) of S/A
+        A = pi("x^2, y^2, z^2")
+        std = poly3.quotient_data(A).standard_monomials
+        v = np.zeros((3, len(std)), dtype=np.int64)
+        v[0, std.index((0, 1, 1))] = 1
+        v[1, std.index((1, 1, 1))] = 5
+        v[2] = (v[0] + v[1]) % P
+        assert_same_quotient(poly3.span_ideal(A, v), poly3.groebner(pi("x^2, y^2, z^2, y*z")))
+
+    def test_tails_reduced_by_the_rows(self):
+        # A's element y^2 + (z - 1)^2 keeps its leading term, but its tail
+        # holds the pivot z^2 of V = ((z - 1)^2), so it becomes y^2
+        A = moved(pi("z^3, y^2*z, y^4, x, y^2 + z^2"), (0, 0, 1))
+        got = poly3.colon(A, pp("z - 1"))
+        assert [poly3.poly_str(g) for g in poly3.groebner(got)] == ["x", "z^2 - 2*z + 1", "y^2"]
+        assert_same_quotient(got, oracle_span(A, colon_rows(A, pi("z - 1"))))
+
+    def test_unit_ambient(self):
+        A = pi("x + 1, x")
+        got = poly3.colon(A, pp("x"))
+        assert_same_quotient(got, (R.one(),))
+
+    @pytest.mark.parametrize("text, row", [
+        ("x^3, x^2*y, x^2*z, x*y^2, x*y*z, x*z^2, y^3, y^2*z, y*z^2, z^3", "x"),
+        ("x^3, x^2*y, x^2*z, x*y^2, x*y*z, x*z^2, y^3, y^2*z, y*z^2, z^3", "x + y^2"),
+        ("x^2 - y, y^2 - z, z^2", "y"),
+    ])
+    def test_rows_spanning_no_ideal_are_rejected(self, text, row):
+        # x alone in S/m^3 is not closed under multiplication: x^2 is missing
+        A = pi(text)
+        std = poly3.quotient_data(A).standard_monomials
+        f = pp(row)
+        v = np.array([[f.terms.get(m, 0) for m in std]], dtype=np.int64)
+        with pytest.raises(InvariantError):
+            poly3.span_ideal(A, v)
+
+
+@st.composite
+def monomial_lists(draw):
+    """Monomials with any coefficient, repeats and the unit allowed."""
+    exps = st.tuples(*[st.integers(0, 4)] * 3)
+    terms = draw(st.lists(st.tuples(exps, st.integers(1, P - 1)), min_size=1, max_size=8))
+    return [R.monomial(e, c) for e, c in terms + draw(st.lists(st.sampled_from(terms)))]
+
+
+class TestMonomialGroebner:
+    @settings(max_examples=100, deadline=None)
+    @given(monomial_lists())
+    def test_matches_buchberger(self, gens):
+        got = poly3.groebner(poly3.ideal(R, gens))
+        assert got == poly3.reduce_basis(poly3.buchberger(gens))
+
+    def test_runs_no_buchberger(self, buchberger_runs):
+        gb = poly3.groebner(pi("3*x^2, x*y, x^3, 2*y, z^4"))
+        assert [poly3.poly_str(g) for g in gb] == ["y", "x^2", "z^4"]
+        assert buchberger_runs == []

@@ -91,3 +91,31 @@ def test_monomial_tangent_routes_stay_independent(route, other, table):
     # the bounded-component and graded routes cross-check each other, so
     # neither reads the other's module or the other's per-ideal table
     assert not _imports_or_names(SRC / route, other, table)
+
+
+def _buchberger_callers(path):
+    """(module, enclosing function) for every call of buchberger in the module."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    callers = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call) and (
+                    isinstance(child.func, ast.Name) and child.func.id == "buchberger"
+                    or isinstance(child.func, ast.Attribute) and child.func.attr == "buchberger"):
+                callers.add((path.name, scope))
+            visit(child, scope)
+
+    visit(tree, None)
+    return callers
+
+
+def test_one_buchberger_entry():
+    # a colon, an annihilator or any other ideal whose quotient is known is
+    # read off one echelon form (poly3.span_ideal); only groebner and the
+    # given-generator syzygies run Buchberger
+    callers = set().union(*(_buchberger_callers(p) for p in sorted(SRC.glob("*.py"))))
+    assert callers == {("poly3.py", "groebner"), ("tanlin.py", "generator_syzygies")}

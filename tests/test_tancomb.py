@@ -215,6 +215,12 @@ class TestTangentReport:
                 assert rep.excess == rep.total - 3 * d
 
 
+class TestSignatureOf:
+    @given(st.tuples(*[st.integers(-5, 5)] * 3))
+    def test_matches_sign_by_sign(self, a):
+        assert tancomb.signature_of(a) == "".join("p" if c >= 0 else "n" for c in a)
+
+
 class TestSignatureRelationsExhaustive:
     def test_plus_d_relations_and_parity(self):
         # exhaustive d <= 7 here; the acceptance suite pushes this to 10

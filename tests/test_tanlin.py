@@ -1,6 +1,7 @@
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -111,6 +112,18 @@ def degeneration_bound(I):
     field this bounds dim T(I) from above."""
     initial = mono3.from_generators(g.leading()[0] for g in poly3.groebner(I))
     return tancomb.tangent_report(initial).total
+
+
+def oracle_hom_dim_from_syzygies(syz, qd):
+    """r d - rank of the block matrix, each nonzero syzygy coefficient
+    evaluated densely on S/I (evaluate_at_matrices) and placed as its block."""
+    r, d = len(syz.generators_used), qd.colength
+    parts = [gfp.dense_entries(poly3.evaluate_at_matrices(coeff, qd), n * d, j * d)
+             for n, s in enumerate(syz.syzygies)
+             for j, coeff in enumerate(s) if not coeff.is_zero]
+    rows, cols, vals = (np.concatenate(x) for x in zip(*parts)) if parts else ([], [], [])
+    return r * d - gfp.sparse_rank(rows, cols, vals, (len(syz.syzygies) * d, r * d),
+                                   qd.ring.p)
 
 
 @pytest.fixture
@@ -319,6 +332,43 @@ class TestCoordinateChange:
         d, t, excess = tanlin.tangent_excess(I)
         rep = tancomb.tangent_report(ideal)
         assert (d, t, excess) == (ideal.colength, rep.total, rep.excess)
+
+
+class TestGatheredEntries:
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from((P, P2)), st.sampled_from(UP_TO_TEN[:40]), coordinate_changes(),
+           st.booleans())
+    def test_matches_dense_blocks(self, p, ideal, change, given_generators):
+        # the given generators' syzygies carry coefficients outside the
+        # staircase, the reduced basis's Schreyer syzygies mostly do not
+        I = linear_image(ideal, poly3.PolyRing(p), *change)
+        if given_generators:
+            I = poly3.ideal(I.ring, I.gens + (I.gens[0] * I.gens[-1],))
+        syz = (tanlin.generator_syzygies if given_generators else tanlin.syzygies)(I)
+        qd = poly3.quotient_data(I)
+        want = oracle_hom_dim_from_syzygies(syz, qd)
+        assert tanlin._hom_dim_from_syzygies(syz, qd) == want
+        if not given_generators:
+            assert want == tancomb.tangent_report(ideal).total
+
+    @pytest.mark.parametrize("text, distinct, nonzero", [
+        (GGGL, 9, 50), ("x^2 - y*z, x*z, x*y, y^2, z^2", 3, 12), ("x^6, y^6, z^6", 0, 0)])
+    def test_one_evaluation_per_standard_monomial(self, monkeypatch, text, distinct, nonzero):
+        # each distinct standard monomial among the reduced coefficients is
+        # evaluated once, as a monomial, not each nonzero coefficient; a
+        # box's Koszul coefficients all reduce to 0
+        I = pi(text)
+        syz, qd = tanlin.syzygies(I), poly3.quotient_data(I)
+        want = oracle_hom_dim_from_syzygies(syz, qd)
+        reduced = [poly3.normal_form(c, I) for s in syz.syzygies for c in s]
+        terms = {e for f in reduced for e in f.terms}
+        assert (len(terms), sum(not f.is_zero for f in reduced)) == (distinct, nonzero)
+        evaluated = []
+        original = poly3.evaluate_at_matrices
+        monkeypatch.setattr(poly3, "evaluate_at_matrices",
+                            lambda f, q: evaluated.append(f) or original(f, q))
+        assert tanlin._hom_dim_from_syzygies(syz, qd) == want
+        assert sorted(list(f.terms.items()) for f in evaluated) == sorted([[(e, 1)] for e in terms])
 
 
 class TestBorderRoute:
