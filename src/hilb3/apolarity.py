@@ -21,7 +21,6 @@ polynomials use uppercase variables in the text grammar of the ring.
 """
 from __future__ import annotations
 
-import itertools
 from typing import Sequence
 
 import numpy as np
@@ -50,12 +49,6 @@ def contract_monomial(m: tuple[int, int, int], f: Poly) -> Poly:
     return Poly(f.ring, terms)
 
 
-def _monomials_up_to(degree: int) -> list[tuple[int, int, int]]:
-    mons = [e for e in itertools.product(range(degree + 1), repeat=3)
-            if sum(e) <= degree]
-    return sorted(mons, key=poly3.degrevlex_key)
-
-
 def annihilator(fs: Sequence[Poly], ring: PolyRing, verify: bool = False) -> PolyIdeal:
     """Ann(f_1, ..., f_r) as an ideal of the (lowercase) polynomial ring.
 
@@ -78,7 +71,7 @@ def annihilator(fs: Sequence[Poly], ring: PolyRing, verify: bool = False) -> Pol
     ambient = poly3.ideal(ring, (ring.monomial((a, b, n - a - b))
                                  for a in range(n + 1) for b in range(n + 1 - a)))
     acting = poly3.quotient_data(ambient).standard_monomials
-    dual_mons = _monomials_up_to(top)
+    dual_mons = [m for m in acting if sum(m) <= top]  # acting is sorted by degree first
     col = {m: i for i, m in enumerate(dual_mons)}
     mat = np.zeros((len(acting), len(fs) * len(dual_mons)), dtype=np.int64)
     for r, m in enumerate(acting):

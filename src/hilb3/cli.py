@@ -11,8 +11,10 @@ at the two primes is compared as the fraction it stands for (rational
 reconstruction).
 
 build_parser's add(...) calls are the one subcommand table: each names a
-subcommand, its handler, whether --second-prime reruns it, its help and its
-positionals, and main dispatches on what the chosen call set.
+subcommand, its handler, whether --second-prime reruns it, whether --verify
+has a check to run, its help and its positionals, and main dispatches on
+what the chosen call set.  --verify on a subcommand without a check is an
+input error.
 
 Ideals are read with poly3's grammar.  Exponent JSON or a list of monic
 monomials is a monomial ideal: tangent's monomial route and the only
@@ -354,10 +356,9 @@ def _add_common_flags(parser, suppress: bool) -> None:
                         default=d("json"), help="output format")
     parser.add_argument("--verify", action="store_true",
                         default=d(False),
-                        help="enable expensive brute-force cross-checks (read by "
-                             "tangent, classify, census, link, verify-chain, ann "
-                             "and bicanonical; the other subcommands accept it "
-                             "and ignore it)")
+                        help="enable expensive brute-force cross-checks (tangent, "
+                             "classify, census, link, verify-chain, ann and "
+                             "bicanonical; the other subcommands refuse it)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -372,33 +373,40 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_flags(common, suppress=True)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, handler, field_dependent, help_text, *positional):
+    def add(name, handler, field_dependent, verifies, help_text, *positional):
         p = sub.add_parser(name, help=help_text, parents=[common])
-        p.set_defaults(handler=handler, field_dependent=field_dependent)
+        p.set_defaults(handler=handler, field_dependent=field_dependent, verifies=verifies)
         for arg, kw in positional:
             p.add_argument(arg, **kw)
         return p
 
-    # name, handler, whether --second-prime reruns it, help, positionals
-    add("tangent", _cmd_tangent, True, "tangent space dimension",
+    # name, handler, whether --second-prime reruns it, whether --verify has a
+    # check, help, positionals
+    add("tangent", _cmd_tangent, True, True, "tangent space dimension",
         ("ideal", {"help": "comma-separated generators"}))
-    add("classify", _cmd_classify, False, "smooth/singular verdict for a monomial ideal",
+    add("classify", _cmd_classify, False, True, "smooth/singular verdict for a monomial ideal",
         ("ideal", {"help": "comma-separated monomials"}))
-    add("triple", _cmd_triple, False, "find a singularizing triple",
+    add("triple", _cmd_triple, False, False, "find a singularizing triple",
         ("ideal", {"help": "comma-separated monomials"}))
-    add("chain", _cmd_chain, False, "no-flip chain certificate for a monomial ideal",
+    add("chain", _cmd_chain, False, False, "no-flip chain certificate for a monomial ideal",
         ("ideal", {"help": "comma-separated monomials"}))
-    add("census", _cmd_census, False, "smooth monomial point counts", ("dmax", {"type": int}))
-    add("series", _cmd_series, False, "plane partition counting series", ("n", {"type": int}))
-    p_link = add("link", _cmd_link, True, "link an ideal by a regular sequence", ("ideal", {}))
+    add("census", _cmd_census, False, True, "smooth monomial point counts",
+        ("dmax", {"type": int}))
+    add("series", _cmd_series, False, False, "plane partition counting series",
+        ("n", {"type": int}))
+    p_link = add("link", _cmd_link, True, True, "link an ideal by a regular sequence",
+                 ("ideal", {}))
     p_link.add_argument("--alpha", required=True,
                         help="three comma-separated polynomials")
-    add("verify-chain", _cmd_verify_chain, True, "validate a JSON chain of links", ("file", {}))
-    add("parity", _cmd_parity, True, "homogeneous-linkage parity obstruction", ("ideal", {}))
-    add("ann", _cmd_ann, True, "annihilator of dual polynomials (X, Y, Z)", ("dual_polys", {}))
-    add("bicanonical", _cmd_bicanonical, True, "bicanonical degree and Hom dimensions",
+    add("verify-chain", _cmd_verify_chain, True, True, "validate a JSON chain of links",
+        ("file", {}))
+    add("parity", _cmd_parity, True, False, "homogeneous-linkage parity obstruction",
         ("ideal", {}))
-    add("pfaffian-ideal", _cmd_pfaffian_ideal, True, "layered Pfaffian ideal from JSON",
+    add("ann", _cmd_ann, True, True, "annihilator of dual polynomials (X, Y, Z)",
+        ("dual_polys", {}))
+    add("bicanonical", _cmd_bicanonical, True, True, "bicanonical degree and Hom dimensions",
+        ("ideal", {}))
+    add("pfaffian-ideal", _cmd_pfaffian_ideal, True, False, "layered Pfaffian ideal from JSON",
         ("file", {}))
     return parser
 
@@ -426,6 +434,8 @@ def main(argv=None) -> int:
     envelope = {"schema": 1, "command": args.command, "prime": args.prime,
                 "note": CHAR_NOTE}
     try:
+        if args.verify and not args.verifies:
+            raise InputError(f"{args.command} has no --verify check")
         ring = _ring(args.prime)
         if args.second_prime is not None:
             envelope["second_prime"] = args.second_prime

@@ -1,10 +1,11 @@
 """Sparse polynomials over F_p in x, y, z and Buchberger Groebner bases.
 
 Everything an ideal-theoretic computation downstream needs lives here:
-reduced Groebner bases with optional cofactor rows, normal forms,
-intersection by syzygies, quotient-ring data (standard monomial basis
-plus the three commuting multiplication matrices) for zero-dimensional
-ideals, and the colon (I : J) of a zero-dimensional I as a kernel on S/I.
+reduced Groebner bases, normal forms, cofactor rows on Buchberger's
+unreduced basis (tanlin.generator_syzygies reads the syzygies intersect
+needs off them), quotient-ring data (standard monomial basis plus the
+three commuting multiplication matrices) for zero-dimensional ideals, and
+the colon (I : J) of a zero-dimensional I as a kernel on S/I.
 The one monomial order is degree reverse lexicographic with x > y > z.
 
 Buchberger runs only where no quotient is known.  A list of monomials has
@@ -363,21 +364,14 @@ def _monic(f: Poly, row: Optional[list[Poly]]):
     return f.monic(), row
 
 
-def sub_multiples(row: list[Poly], quots: Sequence[Poly],
-                  rows: Sequence[list[Poly]]) -> list[Poly]:
-    """row - sum_k quots[k] * rows[k], entrywise."""
-    for q, other in zip(quots, rows):
-        if not q.is_zero:
-            row = [a - q * b for a, b in zip(row, other)]
-    return row
-
-
 def buchberger(gens: Sequence[Poly], track: bool = False):
     """A (non-reduced) Groebner basis, deterministic.
 
     Pairs are processed smallest lcm first; the coprime criterion and the
     chain criterion prune reductions.  With track set, returns (basis, T)
     where the cofactor rows T satisfy basis[i] = sum_j T[i][j] * gens[j].
+    The basis begins with the nonzero gens[j] made monic, in order, each
+    with the row e_j / c_j for c_j its leading coefficient.
     """
     basis: list[Poly] = []
     rows: list = []
@@ -432,7 +426,9 @@ def buchberger(gens: Sequence[Poly], track: bool = False):
         if track:
             row = [a.mul_monomial(mi) - b.mul_monomial(mj)
                    for a, b in zip(rows[i], rows[j])]
-            row = sub_multiples(row, quots, rows)
+            for q, other in zip(quots, rows):
+                if not q.is_zero:
+                    row = [a - q * b for a, b in zip(row, other)]
         rem, row = _monic(rem, row)
         basis.append(rem)
         rows.append(row)
@@ -443,33 +439,19 @@ def buchberger(gens: Sequence[Poly], track: bool = False):
     return (basis, rows) if track else basis
 
 
-def reduce_basis(basis: Sequence[Poly], rows: Optional[Sequence[list[Poly]]] = None):
-    """The reduced Groebner basis: minimal, interreduced, monic, sorted.
-
-    Given cofactor rows (basis[i] = sum_j rows[i][j] * gens[j], as from
-    buchberger with track set), returns (reduced basis, rows) with the
-    rows carried through every step.
-    """
-    track = rows is not None
-    elems = [_monic(g, row)
-             for g, row in zip(basis, rows if track else [None] * len(basis))
-             if not g.is_zero]
+def reduce_basis(basis: Sequence[Poly]) -> tuple[Poly, ...]:
+    """The reduced Groebner basis: minimal, interreduced, monic, sorted."""
+    elems = [g.monic() for g in basis if not g.is_zero]
     # minimalize: drop any element whose leading term another one divides
-    lts = [g.leading()[0] for g, _ in elems]
-    keep = [elems[i] for i, lt in enumerate(lts)
-            if not any(j != i and exp_divides(lts[j], lt) and (lts[j] != lt or j < i)
-                       for j in range(len(elems)))]
-    basis = [g for g, _ in keep]
-    rows = [row for _, row in keep]
+    lts = [g.leading()[0] for g in elems]
+    basis = [elems[i] for i, lt in enumerate(lts)
+             if not any(j != i and exp_divides(lts[j], lt) and (lts[j] != lt or j < i)
+                        for j in range(len(elems)))]
     # no leading term divides another, so reducing each element once by the
     # others keeps every leading term and leaves every element reduced
     for i in range(len(basis)):
-        basis[i], quots = reduce_full(basis[i], basis[:i] + basis[i + 1:], track=track)
-        if track:
-            rows[i] = sub_multiples(rows[i], quots, rows[:i] + rows[i + 1:])
-    by_lt = sorted(range(len(basis)), key=lambda i: degrevlex_key(basis[i].leading()[0]))
-    reduced = tuple(basis[i] for i in by_lt)
-    return (reduced, [rows[i] for i in by_lt]) if track else reduced
+        basis[i], _ = reduce_full(basis[i], basis[:i] + basis[i + 1:])
+    return tuple(sorted(basis, key=lambda g: degrevlex_key(g.leading()[0])))
 
 
 # ---------------------------------------------------------------------------

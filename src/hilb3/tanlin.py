@@ -46,7 +46,7 @@ import numpy as np
 from . import gfp, poly3
 from .errors import InvariantError
 from .mono3 import MonomialIdeal3
-from .poly3 import Exponent, Poly, PolyIdeal, reduce_full, s_poly, sub_multiples
+from .poly3 import Exponent, Poly, PolyIdeal, reduce_full, s_poly
 
 
 @dataclass
@@ -89,28 +89,22 @@ def syzygies(I: PolyIdeal) -> SyzygySet:
 def generator_syzygies(I: PolyIdeal) -> SyzygySet:
     """Syzygies of the generators of I exactly as given.
 
-    Writes the Groebner basis as G = T . F and each given generator as
-    F = U . G; the syzygies of F are then the Schreyer syzygies of G
-    pushed through T together with the rows of Id - U T.
+    Buchberger's unreduced basis G = T . F begins with the nonzero given
+    generators made monic, f_j = c_j g_k with row e_j / c_j, so F = U . G
+    for U with those entries.  The syzygies of F are the Schreyer
+    syzygies of G (any Groebner basis, reduced or not) pushed through T,
+    together with the rows of Id - U T: all zero but the unit row e_j of
+    each zero generator.
     """
     gens = tuple(I.gens)
     ring = I.ring
     basis, T = poly3.buchberger(gens, track=True)
-    basis, T = poly3.reduce_basis(basis, rows=T)
-    schreyer = schreyer_syzygies(basis)
-    rows = []
-    for s in schreyer.syzygies:
-        rows.append(tuple(sum((s[i] * T[i][j] for i in range(len(basis))), ring.zero())
-                          for j in range(len(gens))))
+    rows = [tuple(sum((s[i] * T[i][j] for i in range(len(basis))), ring.zero())
+                  for j in range(len(gens)))
+            for s in schreyer_syzygies(basis).syzygies]
     for j, f in enumerate(gens):
-        rem, quots = reduce_full(f, basis, track=True)
-        if not rem.is_zero:
-            raise InvariantError(f"generator {j} does not reduce to zero by its Groebner basis")
-        unit = [ring.zero()] * len(gens)
-        unit[j] = ring.one()
-        row = sub_multiples(unit, quots, T)
-        if any(not a.is_zero for a in row):
-            rows.append(tuple(row))
+        if f.is_zero:
+            rows.append(tuple(ring.one() if k == j else ring.zero() for k in range(len(gens))))
     return SyzygySet(generators_used=gens, syzygies=tuple(rows))
 
 

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import numpy as np
@@ -20,12 +21,18 @@ def pi(text):
     return poly3.parse_ideal(text, R)
 
 
+def monomials_up_to(degree):
+    """Every exponent of total degree <= degree; the oracles below enumerate
+    their own monomials rather than read them off the package."""
+    return [e for e in itertools.product(range(degree + 1), repeat=3) if sum(e) <= degree]
+
+
 def contraction_closure_dim(fs, p):
     """dim_k of the S-submodule of P generated by the f_i under contraction,
     from the nonzero contractions by monomials of degree <= D; equals the
     colength of Ann(f_1, ..., f_r)."""
     top = max(f.degree() for f in fs)
-    dual_mons = apolarity._monomials_up_to(top)
+    dual_mons = monomials_up_to(top)
     col = {m: i for i, m in enumerate(dual_mons)}
     rows = []
     for m in dual_mons:
@@ -148,8 +155,8 @@ def oracle_annihilator(fs):
     """The reduced basis Buchberger finds from the kernel of the contraction
     map on the monomials of degree <= D + 1, read as polynomials."""
     top = max(f.degree() for f in fs)
-    acting = apolarity._monomials_up_to(top + 1)
-    dual_mons = apolarity._monomials_up_to(top)
+    acting = monomials_up_to(top + 1)
+    dual_mons = monomials_up_to(top)
     col = {m: i for i, m in enumerate(dual_mons)}
     mat = np.zeros((len(fs) * len(dual_mons), len(acting)), dtype=np.int64)
     for j, m in enumerate(acting):

@@ -557,6 +557,20 @@ class TestDeterminismAndSecondPrime:
         assert code == 0
         assert data["second_prime_checked"] is (command in self.FIELD_DEPENDENT)
 
+    # --verify has a check on exactly these seven; the other five refuse it
+    VERIFIES = {"tangent", "classify", "census", "link", "verify-chain", "ann",
+                "bicanonical"}
+
+    @pytest.mark.parametrize("command", sorted(ARGV))
+    def test_verify_refused_where_nothing_reads_it(self, capsys, command):
+        code, data = run_json(capsys, "--verify", command, *self.ARGV[command])
+        if command in self.VERIFIES:
+            assert code == 0 and "result" in data
+        else:
+            assert code == 2
+            assert data["error"] == {"type": "InputError",
+                                     "message": f"{command} has no --verify check"}
+
     def test_note_always_present(self, capsys):
         for fmt in ("json", "text", "csv"):
             code, out = run(capsys, "--format", fmt, "series", "2")

@@ -72,6 +72,7 @@ CASES = {
     "census-negative-verify": ["--verify", "census", "-1"],
     "series": ["series", "10"],
     "series-second-prime": [SP, "series", "3"],
+    "series-verify-refused": ["series", "3", "--verify"],
     "link-tripod": ["link", "x^3,y^5,z^4,x*y,x*z,y*z",
                     "--alpha", "x*y, x*z + y*z, x^3 + y^5 + z^4"],
     "link-verify": ["--verify", "link", "x^3,y^5,z^4,x*y,x*z,y*z",
@@ -93,6 +94,7 @@ CASES = {
     "parity": ["parity", BINOMIAL],
     "parity-second-prime": [SP, "parity", "x^2, x*y, x*z, y^2, y*z, z^2"],
     "parity-unit": ["parity", "1, x"],
+    "parity-verify-refused": ["--verify", "parity", BINOMIAL],
     "ann": ["ann", "X^2 + Y*Z"],
     "ann-verify": ["--verify", "ann", "X^2 + Y*Z"],
     "ann-csv": ["--format", "csv", "ann", "X^3 - Y^3, X*Y^2 + X*Z^2"],

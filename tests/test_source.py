@@ -119,3 +119,34 @@ def test_one_buchberger_entry():
     # given-generator syzygies run Buchberger
     callers = set().union(*(_buchberger_callers(p) for p in sorted(SRC.glob("*.py"))))
     assert callers == {("poly3.py", "groebner"), ("tanlin.py", "generator_syzygies")}
+
+
+def _functions_with_parameter(names):
+    """(module, function) for every function of the package with a
+    parameter of one of the names."""
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                a = node.args
+                params = a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg]
+                if any(arg is not None and arg.arg in names for arg in params):
+                    found.add((path.stem, node.name))
+    return found
+
+
+def test_cofactor_rows_only_inside_buchberger():
+    # cofactor rows live only while Buchberger builds its basis, with the
+    # quotients of full division that Schreyer's syzygies read; the given-
+    # generator syzygies are read off that basis, so no other function
+    # tracks or takes rows of cofactors
+    assert _functions_with_parameter({"track"}) == {("poly3", "buchberger"),
+                                                    ("poly3", "reduce_full")}
+    # these three take matrix rows (spanning vectors, COO row indices) and
+    # plane-partition rows, not cofactors
+    assert _functions_with_parameter({"rows"}) == {("poly3", "span_ideal"),
+                                                   ("gfp", "sparse_rank"),
+                                                   ("mono3", "_canonical")}
+    assert not [p.name for p in SRC.glob("*.py")
+                if "sub_multiples" in p.read_text(encoding="utf-8")]

@@ -172,6 +172,23 @@ class TestSyzygies:
             assert syz.generators_used == I.gens
             validate(syz)
 
+    @pytest.mark.parametrize("text", [GGGL, "x^2 - y*z, x*z, x*y, y^2, z^2", None],
+                             ids=["gggl", "small", "moved"])
+    def test_generator_syzygies_generate_the_module(self, text):
+        # each row being a syzygy is not enough: a Hom tuple must kill a
+        # generating set, or some h_j is left freer and the dimension grows.
+        # A zero, a repeated and a scaled generator each need their own rows.
+        I = pi(text) if text else linear_image(
+            mono3.parse_monomial_ideal("x^3, y^3, z^3, y*z^2, x^2*z, x*y^2"),
+            R, *random_change(random.Random(7), P))
+        g = I.gens
+        messy = poly3.PolyIdeal(ring=R, gens=(g[0], R.zero()) + g[1:] + (g[1], g[-1].scale(5)))
+        syz = tanlin.generator_syzygies(messy)
+        assert syz.generators_used == messy.gens
+        validate(syz)
+        got = tanlin._hom_dim_from_syzygies(syz, poly3.quotient_data(I))
+        assert got == tanlin.tangent_excess(I)[1]
+
 
 class TestHomDim:
     def test_maximal_ideal(self):
