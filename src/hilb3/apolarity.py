@@ -23,8 +23,6 @@ from __future__ import annotations
 
 from typing import Sequence
 
-import numpy as np
-
 from . import gfp, poly3
 from .errors import InvariantError, SmallCharacteristicError, ZeroInputError
 from .poly3 import Poly, PolyIdeal, PolyRing, exp_divides, exp_sub
@@ -59,6 +57,8 @@ def annihilator(fs: Sequence[Poly], ring: PolyRing, verify: bool = False) -> Pol
     is set).  The colength is post-verified against the rank of the
     contractions x^m o f_i.
     """
+    import numpy as np
+
     fs = [f for f in fs]
     if not fs or any(f.is_zero for f in fs):
         raise ZeroInputError("annihilator needs nonzero dual polynomials")

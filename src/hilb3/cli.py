@@ -21,6 +21,10 @@ monomials is a monomial ideal: tangent's monomial route and the only
 input of classify, triple and chain; tangent takes any other ideal by
 syzygies.
 
+No module imports numpy at its top, so the combinatorial subcommands
+(census, series, classify, triple, chain, monomial tangent) start without
+it; the others load it on their first F_p matrix.
+
 Exit codes: 0 success, 1 validation failure (e.g. a broken chain),
 2 input error.
 """

@@ -36,8 +36,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import gfp, poly3
 from .errors import CharTwoError, InputError, InvariantError, UnitIdealError
 from .poly3 import PolyIdeal
@@ -63,6 +61,8 @@ def gorenstein_type(I: PolyIdeal) -> int:
     or p divides d, so that the trace does not give l_v (inv_mod(d, p)
     is then 0).
     """
+    import numpy as np
+
     qd = poly3.quotient_data(I)
     d, p = qd.colength, qd.ring.p
     if d == 0:
@@ -89,6 +89,8 @@ def _is_nilpotent(m: np.ndarray, p: int) -> bool:
 def _intertwiner_rank(mats, unknown: np.ndarray, p: int) -> int:
     """Rank of F -> (M_v F - F M_v^T for each v), entry (s, t) of F being
     the unknown numbered unknown[s, t]; the block of v starts at row v d^2."""
+    import numpy as np
+
     if not len(mats):
         return 0
     d = len(unknown)
@@ -100,6 +102,8 @@ def _intertwiner_rank(mats, unknown: np.ndarray, p: int) -> int:
 
 def _symmetric_unknowns(d: int) -> np.ndarray:
     """F[s, t] = F[t, s] numbered by the pair {s, t} in the row-major upper triangle."""
+    import numpy as np
+
     s, t = np.triu_indices(d)
     unknown = np.empty((d, d), dtype=np.int64)
     unknown[s, t] = unknown[t, s] = np.arange(len(s))
@@ -116,6 +120,8 @@ def bicanonical_degree(I: PolyIdeal, verify: bool = False) -> BicanonicalReport:
     of the three variables; the two must agree, else InvariantError.
     The unit ideal raises UnitIdealError.
     """
+    import numpy as np
+
     qd = poly3.quotient_data(I)
     p = qd.ring.p
     if p == 2:

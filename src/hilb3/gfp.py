@@ -1,6 +1,8 @@
 """Exact dense linear algebra over a prime field F_p.
 
 Matrices are numpy ``int64`` arrays with entries reduced into ``[0, p)``.
+Each function here imports numpy in its own body, so importing the
+package, or running only its combinatorial code, never loads numpy.
 With p < 2^31 every intermediate product fits in an int64, so plain
 Gaussian elimination with ``% p`` after each row operation is exact;
 ``matmul`` and ``rref`` raise ``InputError`` for any larger p.
@@ -26,8 +28,6 @@ rational coefficients can be compared across the two primes.
 from __future__ import annotations
 
 import math
-
-import numpy as np
 
 from .errors import InputError
 
@@ -90,10 +90,14 @@ def rational_reconstruction(c: int, p: int) -> tuple[int, int] | None:
 
 
 def zeros(nrows: int, ncols: int) -> np.ndarray:
+    import numpy as np
+
     return np.zeros((nrows, ncols), dtype=np.int64)
 
 
 def identity(n: int) -> np.ndarray:
+    import numpy as np
+
     return np.eye(n, dtype=np.int64)
 
 
@@ -103,6 +107,8 @@ def matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     No int64 sum overflows: a reduced entry plus two products of residues
     is at most (p - 1) + 2 (p - 1)^2 < 2^63 - 1 for every p < 2^31.
     """
+    import numpy as np
+
     require_exact(p)
     a = np.mod(a, p)
     b = np.mod(b, p)
@@ -116,6 +122,8 @@ def matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
 
 def rref(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form and the list of pivot columns."""
+    import numpy as np
+
     require_exact(p)
     a = np.mod(np.array(a, dtype=np.int64, copy=True), p)
     nrows, ncols = a.shape
@@ -156,6 +164,8 @@ def sylvester_entries(a: np.ndarray, b: np.ndarray, unknown: np.ndarray):
     twice is one unknown shared by both entries.  Entry (r, c) of the
     image is row r * d + c.  Entries at one position are not summed.
     """
+    import numpy as np
+
     d = len(unknown)
     # A X: entry (r, c) gets A[r, k] X[k, c]
     r, k = np.nonzero(a)
@@ -171,6 +181,8 @@ def sylvester_entries(a: np.ndarray, b: np.ndarray, unknown: np.ndarray):
 def dense_entries(a: np.ndarray, row: int, col: int):
     """COO entries (rows, cols, vals) of the nonzero entries of a, placed
     with its top left corner at (row, col)."""
+    import numpy as np
+
     r, c = np.nonzero(a)
     return r + row, c + col, a[r, c]
 
@@ -196,6 +208,8 @@ def sparse_rank(rows, cols, vals, shape: tuple[int, int], p: int) -> int:
     components of its row-column graph (a node per row and per column, an
     edge per nonzero entry), each densified as its own block.
     """
+    import numpy as np
+
     require_exact(p)
     nrows, ncols = shape
     key = np.asarray(rows, dtype=np.int64) * ncols + np.asarray(cols, dtype=np.int64)
@@ -257,6 +271,8 @@ def kernel_basis(a: np.ndarray, p: int) -> np.ndarray:
     The number of rows returned is ncols - rank(a).  A 0 x n matrix has
     kernel all of F_p^n.
     """
+    import numpy as np
+
     a = np.asarray(a, dtype=np.int64)
     ncols = a.shape[1]
     if a.shape[0] == 0 or ncols == 0:

@@ -42,8 +42,6 @@ import re
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
-import numpy as np
-
 from .errors import InputError, InvariantError, NotZeroDimensionalError
 from .gfp import inv_mod, kernel_basis, require_exact
 
@@ -592,6 +590,8 @@ def quotient_data(I: PolyIdeal) -> QuotientData:
     """The quotient data of a zero-dimensional I, cached on the ideal."""
     if I._qd is not None:
         return I._qd
+    import numpy as np
+
     gb = groebner(I)
     basis = standard_monomials(gb)
     d = len(basis)
@@ -642,6 +642,7 @@ def evaluate_at_matrices(f: Poly, qd: QuotientData) -> np.ndarray:
     multiplication matrix itself, and each monomial of degree >= 2 costs
     one product.  The returned matrix is a new, writable array.
     """
+    import numpy as np
     from .gfp import matmul
 
     p = qd.ring.p
@@ -687,6 +688,7 @@ def span_ideal(A: PolyIdeal, rows, verify: bool = False) -> PolyIdeal:
     the rows.  With verify set, the basis is compared with the one
     Buchberger finds from A's generators and the rows.
     """
+    import numpy as np
     from .gfp import matmul, rref
 
     qd = quotient_data(A)
@@ -745,6 +747,8 @@ def colon(I: PolyIdeal, J, verify: bool = False) -> PolyIdeal:
     J on S/I, an ideal of S/I; span_ideal reads (I : J) off its basis
     vectors, checked against Buchberger when verify is set.
     """
+    import numpy as np
+
     ring = I.ring
     gens = [g for g in ((J,) if isinstance(J, Poly) else J.gens) if not g.is_zero]
     if not gens:  # (I : 0) = (1)

@@ -41,8 +41,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from . import gfp, poly3
 from .errors import InvariantError
 from .mono3 import MonomialIdeal3
@@ -125,6 +123,8 @@ def _hom_dim_from_syzygies(syz: SyzygySet, qd: poly3.QuotientData) -> int:
     gfp.sparse_rank call sums the entries that share a position and ranks
     them all, so no block and no dense matrix of the whole is formed.
     """
+    import numpy as np
+
     r, d = len(syz.generators_used), qd.colength
     index: dict[Exponent, int] = {}  # standard monomial -> its place in the table
     terms = []  # (table place, row offset, column offset, coefficient) per term
@@ -175,6 +175,8 @@ def hom_dim(I: PolyIdeal) -> int:
 
     Raises NotZeroDimensionalError unless S/I is finite.
     """
+    import numpy as np
+
     qd = poly3.quotient_data(I)
     d, mats = qd.colength, qd.mult_matrices
     border: dict[Exponent, int] = {}

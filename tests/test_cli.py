@@ -3,6 +3,9 @@ import csv
 import dataclasses
 import json
 import os
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
@@ -577,6 +580,38 @@ class TestDeterminismAndSecondPrime:
             assert code == 0
             if fmt == "json":
                 assert "two large primes" in json.loads(out)["note"]
+
+
+class TestStartup:
+    def test_numpy_loads_only_for_linear_algebra(self):
+        # the monomial subcommands are combinatorial, so a fresh process
+        # running them never imports numpy; a polynomial tangent does
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        code = textwrap.dedent("""
+            import contextlib, io, json, sys
+            from hilb3 import cli
+
+            def main(*argv):
+                with contextlib.redirect_stdout(io.StringIO()):
+                    return cli.main(list(argv))
+
+            codes = [main("--verify", "census", "6"),
+                     main("--verify", "classify", "x^2, x*y, x*z, y^2, z^2"),
+                     main("triple", "x^2, x*y, x*z, y^2, y*z, z^3"),
+                     main("chain", "x^2, x*y, x*z, y^2, z^2"),
+                     main("series", "9"),
+                     main("--verify", "tangent", "x^3, x*y, y^2, z"),
+                     main("--verify", "tangent", "[[2,0,0],[1,1,0],[0,2,0],[0,0,1]]"),
+                     main("--second-prime", "2147483629", "tangent", "x^2, y^2, z^2")]
+            before = "numpy" in sys.modules
+            codes.append(main("tangent", "x^2 + y, y^2, z"))
+            print(json.dumps([codes, before, "numpy" in sys.modules]))
+        """)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True).stdout
+        assert json.loads(out) == [[0] * 9, False, True]
 
 
 class TestTextFormat:

@@ -150,3 +150,64 @@ def test_cofactor_rows_only_inside_buchberger():
                                                    ("mono3", "_canonical")}
     assert not [p.name for p in SRC.glob("*.py")
                 if "sub_multiples" in p.read_text(encoding="utf-8")]
+
+
+def _numpy_scopes(path):
+    """(line numbers of module-level numpy imports, scopes that read np
+    without binding it, whether an annotation names np) for one module.
+    A function binds np by importing numpy in its own body, and its nested
+    functions see that binding.  Annotations are not reads: under
+    `from __future__ import annotations` they stay strings."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    annotations = [a for n in ast.walk(tree) for a in (
+        [n.returns] if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))
+        else [n.annotation] if isinstance(n, (ast.arg, ast.AnnAssign)) else []) if a]
+    in_annotation = {id(n) for a in annotations for n in ast.walk(a)}
+    top_imports, unbound = [], []
+
+    def own_nodes(stmts):
+        """The nodes of a scope; a nested function's body is its own scope,
+        its decorators and defaults are this one's."""
+        stack = list(stmts)
+        while stack:
+            node = stack.pop()
+            yield node
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                stack += node.decorator_list + node.args.defaults \
+                    + [d for d in node.args.kw_defaults if d]
+            else:
+                stack += ast.iter_child_nodes(node)
+
+    def visit(stmts, name, bound):
+        nodes = list(own_nodes(stmts))
+        imports = [n for n in nodes if isinstance(n, ast.Import) and any(
+            a.name == "numpy" for a in n.names) or isinstance(n, ast.ImportFrom)
+            and n.module == "numpy"]
+        if name is None:
+            top_imports.extend(n.lineno for n in imports)
+        bound = bound or any(isinstance(n, ast.Import) and any(
+            a.name == "numpy" and a.asname == "np" for a in n.names) for n in imports)
+        if not bound and any(isinstance(n, ast.Name) and n.id == "np"
+                             and id(n) not in in_annotation for n in nodes):
+            unbound.append(name or "<module>")
+        for n in nodes:
+            if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(n.body, n.name, bound)
+
+    visit(tree.body, None, False)
+    return top_imports, unbound, any(isinstance(n, ast.Name) and n.id == "np"
+                                     for a in annotations for n in ast.walk(a))
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_numpy_imported_where_it_is_used(path):
+    # `import hilb3.cli` and the combinatorial subcommands start without
+    # numpy: no module imports it at its top, and every function reading np
+    # imports it itself (or an enclosing function does), so a rarely run
+    # path cannot meet a NameError
+    top_imports, unbound, annotates_np = _numpy_scopes(path)
+    assert top_imports == [], f"{path.name}: module-level numpy import at lines {top_imports}"
+    assert unbound == [], f"{path.name}: np read without importing numpy in {unbound}"
+    if annotates_np:
+        assert "from __future__ import annotations" in path.read_text(encoding="utf-8"), \
+            f"{path.name}: annotations name np but would be evaluated"
