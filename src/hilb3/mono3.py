@@ -10,12 +10,16 @@ drops against both lower neighbours, the socle of S/I is the cells
 row, with no bounds-checked lookups), and the staircase
 (the exponent vectors outside I) is expanded only on demand, and so are
 the per-ideal tables the two monomial tangent routes read, one each.
-tancomb reads the staircase bits: bit n stands for the n-th cell of the
-sorted staircase (the heights order (i, j, k) is already sorted), and
-integer bitmasks hold each cell's unit-step neighbours, the cells with a
-coordinate >= t, the cells v with v - b in the staircase for each
-difference b of two cells, and the cells on each coordinate plane.
-tanlin reads the pairwise generator lcms.
+tancomb reads the staircase bits, the staircase on a padded bit grid:
+with X x Y x Z its bounding box, cell (i, j, k) is bit i*sx + j*sy + k
+for the strides sy = 2Z and sx = 2Y*sy, so each coordinate has a slot
+twice its extent.  One integer shift, by off(a) = a0*sx + a1*sy + a2,
+then moves every cell by a weight a with -X <= a0 < X, -Y <= a1 < Y and
+-Z <= a2 < Z, and no cell that leaves the box lands on a cell; on that
+range off(a) is injective and increasing in the lexicographic order, so
+it keys the weight.  The tables (the staircase mask, the cells with a
+coordinate >= t, the cells >= each cell) take O(d) big-integer
+operations.  tanlin reads the pairwise generator lcms.
 
 All colength-d ideals come from plane_partitions(d), a depth-first walk
 with an explicit stack.  Each level runs through a cached tuple of the
@@ -48,23 +52,42 @@ _INF = float("inf")
 
 
 class StaircaseBits(NamedTuple):
-    """Bit tables of the staircase cells; bit n stands for cells[n].
+    """The staircase S on a padded bit grid; cell (i, j, k) is bit
+    i*sx + j*sy + k.
 
-    cells    the staircase, sorted
-    adj      adj[n]: the unit-step neighbours of cells[n] in the staircase
+    dims     (X, Y, Z), the staircase's bounding box
+    strides  (sx, sy, 1) with sy = 2Z and sx = 2Y*sy
+    mask     S, the bits of the cells
     ge       ge[c][t]: the cells whose coordinate c is >= t, for t from 0
-             to one past the largest coordinate c (where it is 0); every
-             cell qualifies below the table and none above it
-    blocked  blocked[b]: the cells v with v - b in the staircase (a weight
-             absent from the dict blocks none)
-    face     face[c]: the cells whose coordinate c is 0
+             to the extent of coordinate c (where it is 0)
+    cone     cone[n]: the cells >= the cell at bit n, for every cell
+
+    Let a be a weight with -X <= a0 < X, -Y <= a1 < Y and -Z <= a2 < Z.
+    Shifting by offset(a) moves a cell v to the bit of v + a when that
+    lies in the box.  Otherwise the bit falls off the grid, or some slot
+    reads at or past its extent (a slot is twice the extent wide, so a
+    coordinate in [-n, 2n - 1) never wraps onto a cell's); it is never a
+    cell.  On that range offset is injective and increasing in the
+    lexicographic order, so it keys the weight, and weight inverts it.
     """
 
-    cells: tuple[ExponentVec, ...]
-    adj: tuple[int, ...]
+    dims: tuple[int, int, int]
+    strides: tuple[int, int, int]
+    mask: int
     ge: tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]
-    blocked: dict[ExponentVec, int]
-    face: tuple[int, int, int]
+    cone: dict[int, int]
+
+    def offset(self, v: ExponentVec) -> int:
+        """The shift of the weight v, or the bit of the cell v."""
+        sx, sy, _ = self.strides
+        return v[0] * sx + v[1] * sy + v[2]
+
+    def weight(self, off: int) -> ExponentVec:
+        """The weight in the grid range whose offset is off."""
+        _, Y, Z = self.dims
+        q, a2 = divmod(off + Z, self.strides[1])
+        a0, a1 = divmod(q + Y, 2 * Y)
+        return (a0, a1 - Y, a2 - Z)
 
 
 def _at(heights, i: int, j: int):
@@ -83,7 +106,7 @@ class MonomialIdeal3:
                      ideal equality
     mingens          minimal generators, sorted (derived, cached)
     staircase        exponent vectors outside the ideal (derived, cached)
-    staircase_bits   the staircase as bit tables (derived, cached)
+    staircase_bits   the staircase on a padded bit grid (derived, cached)
     generator_lcms   lcms of the pairs of minimal generators (derived,
                      cached)
     colength         dim_k S/I, the sum of the heights
@@ -112,37 +135,31 @@ class MonomialIdeal3:
 
     @cached_property
     def staircase_bits(self) -> StaircaseBits:
-        """The staircase as bit tables; bit n stands for cells[n].
+        """The staircase on its padded bit grid (see StaircaseBits).
 
-        The cells come sorted straight off the heights.  blocked is built
-        from the n^2 ordered pairs of cells; the other tables are linear.
+        The mask is one run of bits per column of the heights.  ge[c][t]
+        is S & (S << t * stride_c): a cell v whose v - t e_c is a cell
+        (S is closed downwards), which no shift by at most the extent
+        can fake.  Each cone is ge[0][i] & ge[1][j] & ge[2][k].
         """
-        cells = tuple((i, j, k) for i, row in enumerate(self.heights)
-                      for j, h in enumerate(row) for k in range(h))
-        index = {v: n for n, v in enumerate(cells)}
-        adj = [0] * len(cells)
-        for n, (x, y, z) in enumerate(cells):
-            for w in ((x + 1, y, z), (x, y + 1, z), (x, y, z + 1)):
-                m = index.get(w)
-                if m is not None:
-                    adj[n] |= 1 << m
-                    adj[m] |= 1 << n
-        ge = []
-        for c in range(3):
-            # level t holds the cells with coordinate c = t, then >= t
-            level = [0] * (max((v[c] for v in cells), default=0) + 2)
-            for n, v in enumerate(cells):
-                level[v[c]] |= 1 << n
-            for t in range(len(level) - 2, -1, -1):
-                level[t] |= level[t + 1]
-            ge.append(tuple(level))
-        blocked: dict[ExponentVec, int] = {}
-        for n, (x, y, z) in enumerate(cells):
-            bit = 1 << n
-            for b in [(x - u, y - v, z - w) for u, v, w in cells]:
-                blocked[b] = blocked.get(b, 0) | bit
-        return StaircaseBits(cells, tuple(adj), tuple(ge), blocked,
-                             tuple(g[0] & ~g[1] for g in ge))
+        H = self.heights
+        X, Y, Z = len(H), len(H[0]) if H else 0, H[0][0] if H else 0
+        sy = 2 * Z
+        sx = 2 * Y * sy
+        mask = 0
+        for i, row in enumerate(H):
+            for j, h in enumerate(row):
+                mask |= ((1 << h) - 1) << (i * sx + j * sy)
+        ge = tuple(tuple(mask & (mask << t * stride) for t in range(n + 1))
+                   for n, stride in ((X, sx), (Y, sy), (Z, 1)))
+        gx, gy, gz = ge
+        cone = {}
+        for i, row in enumerate(H):
+            for j, h in enumerate(row):
+                base, column = i * sx + j * sy, gx[i] & gy[j]
+                for k in range(h):
+                    cone[base + k] = column & gz[k]
+        return StaircaseBits((X, Y, Z), (sx, sy, 1), mask, ge, cone)
 
     @cached_property
     def generator_lcms(self) -> tuple[tuple[int, int, ExponentVec], ...]:

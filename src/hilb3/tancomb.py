@@ -4,13 +4,22 @@ The degree-a graded piece of Hom_S(I, S/I) has dimension equal to the
 number of bounded connected components of (I+a) \\ I inside Z^3, where
 adjacency is by unit steps and a component is bounded exactly when it
 stays inside N^3.  Summing over all weights a that can support a nonzero
-graded homomorphism gives the tangent dimension of [S/I].  The search
-runs on bitmasks over the ideal's cached staircase bits: the cells of
-(I+a) \\ I are ge(a) & ~blocked[a] (v >= a componentwise, v - a outside
-the staircase), a flood fill through the neighbour masks splits them into
-components, and the leak rule marks a component unbounded when it holds
-a cell v with v_k = 0, a_k < 0 and v - e_k - a in I, so that its
-neighbour v - e_k, outside N^3, lies in I+a.
+graded homomorphism gives the tangent dimension of [S/I].  The count runs
+on the ideal's staircase bits, the staircase S on a padded bit grid
+where one shift by the integer off(a) moves every cell by a (see
+mono3.StaircaseBits).  The cells of (I+a) \\ I in N^3 are T = ge(a) &
+~shift(S, off(a)): v >= a componentwise with v - a outside S.  A
+component is unbounded when it holds a cell v with v_k = 0, a_k < 0 and
+v - e_k - a in I, so that its neighbour v - e_k, outside N^3, lies in
+I+a; those cells make up the leak mask.
+
+T is closed upwards in S: if v is in T and w in S has w >= v, then
+w - a >= v - a lies in I.  So the cone of cells >= a cell of T lies in T
+and is connected (walk down from w to v), T is the union of the cones of
+its minimal cells, and a cell of T one step above a cone lies in it.
+Hence two minimal cells share a component exactly when a chain of their
+cones meets, each component is the union of the cones of one class, and
+it counts when that union misses the leak mask.
 
 Weights are bucketed by signature: each coordinate is classed p
 ("positive or zero") or n ("negative"); the constant classes ppp and nnn
@@ -23,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InvariantError
-from .mono3 import MonomialIdeal3
+from .mono3 import MonomialIdeal3, StaircaseBits
 
 SIGNATURES = ("ppn", "pnp", "npp", "nnp", "npn", "pnn")
 DOUBLY_NEGATIVE = ("nnp", "npn", "pnn")
@@ -57,48 +66,77 @@ class TangentReport:
     dims: dict[tuple[int, int, int], int]
 
 
+def _bounded_at(bits: StaircaseBits, off: int) -> int:
+    """Bounded components of (I+a) \\ I for the weight a keyed by off.
+
+    off must lie in the grid range (see StaircaseBits).  T = ge(a) &
+    ~shift(S, off); the leak through coordinate k, for a_k < 0, is the
+    cells of T on the plane v_k = 0 with v - e_k - a in I, that is outside
+    shift(S, off + stride_k).  The minimal cells of T have no unit step
+    down in T; their cones are merged into classes as they meet, and each
+    class that misses the leak counts.
+    """
+    (_, Y, Z), (sx, sy, _), S, (gx, gy, gz), cone = bits
+    # a = (a0, a1, a2), unpacked as StaircaseBits.weight does
+    q, a2 = divmod(off + Z, sy)
+    a0, a1 = divmod(q + Y, 2 * Y)
+    a1 -= Y
+    a2 -= Z
+    todo = S & ~(S << off if off >= 0 else S >> -off)
+    if a0 > 0:
+        todo &= gx[a0]
+    if a1 > 0:
+        todo &= gy[a1]
+    if a2 > 0:
+        todo &= gz[a2]
+    if not todo:
+        return 0
+    # the leak is left unmasked by todo: it is only ever tested against todo
+    # or a class of it
+    leak = 0
+    if a0 < 0:
+        o = off + sx
+        leak = ~(gx[1] | (S << o if o >= 0 else S >> -o))
+    if a1 < 0:
+        o = off + sy
+        leak |= ~(gy[1] | (S << o if o >= 0 else S >> -o))
+    if a2 < 0:
+        o = off + 1
+        leak |= ~(gz[1] | (S << o if o >= 0 else S >> -o))
+    mins = todo & ~(todo << 1 | todo << sy | todo << sx)
+    if not mins & (mins - 1):
+        return int(not todo & leak)
+    classes: list[int] = []
+    while mins:
+        low = mins & -mins
+        mins ^= low
+        comp = cone[low.bit_length() - 1]
+        rest = []
+        for c in classes:
+            if c & comp:
+                comp |= c
+            else:
+                rest.append(c)
+        rest.append(comp)
+        classes = rest
+    return sum(not c & leak for c in classes)
+
+
 def bounded_components(ideal: MonomialIdeal3, a: tuple[int, int, int]) -> int:
     """Number of bounded connected components of (I+a) \\ I.
 
-    The part of the set inside N^3 lies in the (finite) staircase; on the
-    ideal's cached staircase bits it is M = ge(a) & ~blocked[a], the cells
-    v >= a with v - a outside the staircase.  A component is unbounded
-    when one of its cells v, with v_k = 0 and a_k < 0, has its neighbour
-    v - e_k (outside N^3, hence outside I) in I+a, that is v - e_k - a in
-    I: those cells make up the leak mask, face[k] & ge(a + e_k) &
-    ~blocked[a + e_k], where ge(a + e_k) bounds no cell in coordinate k,
-    as a_k + 1 <= 0.
-    Components are flood-filled through adj from the lowest bit left, and
-    each one that misses the leak counts.
+    0 outside the grid range -X <= a0 < X, -Y <= a1 < Y, -Z <= a2 < Z of
+    the staircase's X x Y x Z box: there, either some a_k is at least the
+    extent, so no staircase cell v has v >= a, or some a_k < -extent_k.
+    In that case v - a and v - e_k - a both lie past the box in
+    coordinate k, so each is in I exactly when it is in N^3, and both are
+    when v is in the set; the column below a cell of the set stays in it
+    down to v_k = 0, where it leaks.
     """
-    _, adj, (gx, gy, gz), blocked, face = ideal.staircase_bits
-    a0, a1, a2 = a
-    # ge(a) per coordinate, clamped: every cell below a table, none above it
-    cx = gx[a0] if 0 <= a0 < len(gx) else gx[0] if a0 < 0 else 0
-    cy = gy[a1] if 0 <= a1 < len(gy) else gy[0] if a1 < 0 else 0
-    cz = gz[a2] if 0 <= a2 < len(gz) else gz[0] if a2 < 0 else 0
-    todo = cx & cy & cz & ~blocked.get(a, 0)
-    if not todo:
+    bits = ideal.staircase_bits
+    if not all(-n <= t < n for t, n in zip(a, bits.dims)):
         return 0
-    leak = 0
-    if a0 < 0:
-        leak |= face[0] & cy & cz & ~blocked.get((a0 + 1, a1, a2), 0)
-    if a1 < 0:
-        leak |= face[1] & cx & cz & ~blocked.get((a0, a1 + 1, a2), 0)
-    if a2 < 0:
-        leak |= face[2] & cx & cy & ~blocked.get((a0, a1, a2 + 1), 0)
-    count = 0
-    while todo:
-        comp = frontier = todo & -todo
-        while frontier:
-            low = frontier & -frontier
-            frontier ^= low
-            new = adj[low.bit_length() - 1] & todo & ~comp
-            comp |= new
-            frontier |= new
-        todo &= ~comp
-        count += not comp & leak
-    return count
+    return _bounded_at(bits, bits.offset(a))
 
 
 def weight_candidates(ideal: MonomialIdeal3) -> set[tuple[int, int, int]]:
@@ -113,18 +151,25 @@ def weight_candidates(ideal: MonomialIdeal3) -> set[tuple[int, int, int]]:
 
 
 def tangent_report(ideal: MonomialIdeal3) -> TangentReport:
-    """Sum bounded component counts over all candidate weights.
+    """Sum bounded component counts over all candidate weights, the
+    weight_candidates keyed by their grid offsets.
 
     Raises InvariantError on an odd excess: at a monomial point
     dim T = d (mod 2) (Maulik-Nekrasov-Okounkov-Pandharipande 2006).
     """
+    bits = ideal.staircase_bits
+    gens = [bits.offset(g) for g in ideal.mingens]
+    count, weight = _bounded_at, bits.weight
     by_signature = {s: 0 for s in SIGNATURES}
     doubly_negative = []
     dims = {}
-    for a in sorted(weight_candidates(ideal)):
-        n = bounded_components(ideal, a)
+    # each cell m and generator g give the weight m - g; in the grid range
+    # its key is the difference of their bits, and keys sort as weights do
+    for off in sorted({m - g for m in bits.cone for g in gens}):
+        n = count(bits, off)
         if n == 0:
             continue
+        a = weight(off)
         sig = signature_of(a)
         # ppp weights cannot occur among candidates and nnn weights never
         # carry bounded components; both would indicate a bug.

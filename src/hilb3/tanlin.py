@@ -33,8 +33,11 @@ is the bit pair of a generator pair, the classes are disjoint masks
 merged by the conditions and the forced zeros are ORed into one killed
 mask.  mono_hom_dims computes every weight in one transposed pass:
 staircase x generators gives each weight its alive mask, staircase x
-generator lcms its conditions.  It is the graded cross-check of
-tancomb's bounded components and shares no code or table with them.
+generator lcms its conditions.  It keys the weights by integers it packs
+from the heights (a mixed radix twice each extent, so a weight is the
+difference of two packed monomials) and unpacks only the nonzero ones.
+It is the graded cross-check of tancomb's bounded components and shares
+no code or table with them.
 """
 from __future__ import annotations
 
@@ -275,21 +278,43 @@ def mono_hom_dims(ideal: MonomialIdeal3) -> dict[tuple[int, int, int], int]:
     the conditions of m - lcm(g_i, g_j) when that weight has a mask.  So
     the route finds its own weights, reading neither tancomb's candidates
     nor its staircase bits.  Each weight is counted by _graded_dim.
+
+    Weights are keyed by integers packed from the heights: with X x Y x Z
+    the staircase's box, v is v0*px + v1*py + v2 for py = 2Z and
+    px = 2Y*py.  Staircase monomials lie in the box and generators and
+    their lcms in [0, X] x [0, Y] x [0, Z], so every weight here has
+    -X <= a0 < X, -Y <= a1 < Y and -Z <= a2 < Z.  On that range the key
+    of m - g is the difference of their keys and no two weights share
+    one.  Only the nonzero weights are unpacked.
     """
-    gens = tuple((1 << j, g) for j, g in enumerate(ideal.mingens))
-    pairs = tuple((1 << i | 1 << j, m) for i, j, m in ideal.generator_lcms)
-    alive: dict[tuple[int, int, int], int] = {}
-    for x, y, z in ideal.staircase:
-        for bit, (u, v, w) in gens:
-            a = (x - u, y - v, z - w)
+    H = ideal.heights
+    Y, Z = (len(H[0]), H[0][0]) if H else (0, 0)
+    py = 2 * Z
+    px = 2 * Y * py
+    cells = [i * px + j * py + k for i, row in enumerate(H)
+             for j, h in enumerate(row) for k in range(h)]
+    gens = tuple((1 << j, u * px + v * py + w) for j, (u, v, w) in enumerate(ideal.mingens))
+    pairs = tuple((1 << i | 1 << j, u * px + v * py + w)
+                  for i, j, (u, v, w) in ideal.generator_lcms)
+    alive: dict[int, int] = {}
+    for m in cells:
+        for bit, g in gens:
+            a = m - g
             alive[a] = alive.get(a, 0) | bit
-    conditions: dict[tuple[int, int, int], list[int]] = {a: [] for a in alive}
-    for x, y, z in ideal.staircase:
-        for pair, (u, v, w) in pairs:
-            bucket = conditions.get((x - u, y - v, z - w))
+    conditions: dict[int, list[int]] = {a: [] for a in alive}
+    for m in cells:
+        for pair, lcm in pairs:
+            bucket = conditions.get(m - lcm)
             if bucket is not None:
                 bucket.append(pair)
-    return {a: n for a, bucket in conditions.items() if (n := _graded_dim(alive[a], bucket))}
+    dims = {}
+    for a, bucket in conditions.items():
+        n = _graded_dim(alive[a], bucket)
+        if n:
+            q, a2 = divmod(a + Z, py)
+            a0, a1 = divmod(q + Y, 2 * Y)
+            dims[a0, a1 - Y, a2 - Z] = n
+    return dims
 
 
 def mono_hom_dim(ideal: MonomialIdeal3) -> int:

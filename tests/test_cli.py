@@ -181,10 +181,10 @@ class TestTangent:
 
     def test_verify_compares_weight_by_weight(self, capsys, monkeypatch):
         # one unit moves from weight (0, -1, 0) to (-1, 0, 0); the totals agree
-        original = tancomb.bounded_components
+        original = tancomb._bounded_at
         moved = {(-1, 0, 0): 1, (0, -1, 0): -1}
-        monkeypatch.setattr(tancomb, "bounded_components",
-                            lambda ideal, a: original(ideal, a) + moved.get(a, 0))
+        monkeypatch.setattr(tancomb, "_bounded_at", lambda bits, off: original(bits, off)
+                            + moved.get(bits.weight(off), 0))
         code, data = run_json(capsys, "--verify", "tangent", "x,y,z")
         assert code == 1
         assert data["error"]["type"] == "InvariantError"
@@ -193,9 +193,9 @@ class TestTangent:
 
     def test_odd_excess_is_invariant_error(self, capsys, monkeypatch):
         # dim T = d (mod 2) at a monomial point; one extra unit breaks it
-        original = tancomb.bounded_components
-        monkeypatch.setattr(tancomb, "bounded_components",
-                            lambda ideal, a: original(ideal, a) + (a == (-1, -1, 1)))
+        original = tancomb._bounded_at
+        monkeypatch.setattr(tancomb, "_bounded_at", lambda bits, off: original(bits, off)
+                            + (bits.weight(off) == (-1, -1, 1)))
         code, data = run_json(capsys, "tangent", "x^2,x*y,x*z,y^2,y*z,z^2")
         assert code == 1
         assert data["error"]["type"] == "InvariantError"

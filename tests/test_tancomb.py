@@ -118,10 +118,30 @@ class TestMatchesOracleOnRandomIdeals:
         assert tancomb.bounded_components(ideal, a) == oracle_bounded_components(ideal, a)
 
 
-def bits_of(ideal, cells):
-    """The bitmask of the given cells of the ideal's staircase."""
-    index = {v: n for n, v in enumerate(ideal.staircase_bits.cells)}
-    return sum(1 << index[v] for v in cells)
+def grid_cells(bits, mask):
+    """The cells (i, j, k) of the grid bits set in mask, read off the strides."""
+    sx, sy, _ = bits.strides
+    out = set()
+    while mask:
+        n = (mask & -mask).bit_length() - 1
+        mask &= mask - 1
+        assert n % sy < bits.dims[2] and n % sx // sy < bits.dims[1], n
+        out.add((n // sx, n % sx // sy, n % sy))
+    return out
+
+
+def grid_shift(mask, off):
+    return mask << off if off >= 0 else mask >> -off
+
+
+def grid_range(bits):
+    """Every weight a with -n <= a_c < n for the box extents n."""
+    X, Y, Z = bits.dims
+    return [(a0, a1, a2) for a0 in range(-X, X) for a1 in range(-Y, Y) for a2 in range(-Z, Z)]
+
+
+def minus(v, a):
+    return (v[0] - a[0], v[1] - a[1], v[2] - a[2])
 
 
 class TestStaircaseBits:
@@ -135,28 +155,52 @@ class TestStaircaseBits:
         assert "generator_lcms" not in vars(ideal)
 
     def test_cells_and_neighbours(self):
+        # the mask is the staircase on the padded grid, and a unit shift
+        # reaches exactly the unit-step neighbours
         for ideal in UP_TO_EIGHT:
-            cells, adj = ideal.staircase_bits[:2]
-            assert cells == tuple(sorted(ideal.staircase))
-            for v, near in zip(cells, adj):
-                steps = [tuple(v[k] + (s if k == i else 0) for k in range(3))
-                         for i in range(3) for s in (1, -1)]
-                assert near == bits_of(ideal, [w for w in steps if w in ideal.staircase])
+            bits = ideal.staircase_bits
+            stair = ideal.staircase
+            X, Y, Z = bits.dims
+            assert bits.dims == tuple(max(v[c] for v in stair) + 1 for c in range(3))
+            assert bits.strides == (4 * Y * Z, 2 * Z, 1)
+            assert grid_cells(bits, bits.mask) == stair
+            for c in range(3):
+                for step in (1, -1):
+                    e = tuple(step if k == c else 0 for k in range(3))
+                    moved = grid_shift(bits.mask, bits.offset(e)) & bits.mask
+                    assert grid_cells(bits, moved) == {v for v in stair if minus(v, e) in stair}
 
     def test_coordinate_tables(self):
         for ideal in UP_TO_EIGHT:
-            cells, _, ge, blocked, face = ideal.staircase_bits
+            bits = ideal.staircase_bits
+            stair = ideal.staircase
             for c in range(3):
-                top = max(v[c] for v in cells)
-                assert len(ge[c]) == top + 2
-                for t in range(top + 2):
-                    assert ge[c][t] == bits_of(ideal, [v for v in cells if v[c] >= t])
-                assert face[c] == bits_of(ideal, [v for v in cells if v[c] == 0])
-            diffs = {tuple(x - y for x, y in zip(v, u)) for v in cells for u in cells}
-            assert blocked.keys() == diffs
-            for b in diffs:
-                assert blocked[b] == bits_of(ideal, [
-                    v for v in cells if tuple(x - y for x, y in zip(v, b)) in ideal.staircase])
+                assert len(bits.ge[c]) == bits.dims[c] + 1
+                for t, mask in enumerate(bits.ge[c]):
+                    assert grid_cells(bits, mask) == {v for v in stair if v[c] >= t}
+            assert sorted(bits.cone) == sorted(map(bits.offset, stair))
+            for v in stair:
+                assert grid_cells(bits, bits.cone[bits.offset(v)]) == \
+                    {w for w in stair if all(x >= y for x, y in zip(w, v))}
+
+    def test_no_shifted_cell_lands_on_a_cell_by_mistake(self):
+        # over the whole grid range, shifting the mask by off(a) meets the
+        # staircase in exactly the cells v with v - a in the staircase
+        for ideal in UP_TO_EIGHT:
+            bits = ideal.staircase_bits
+            stair = ideal.staircase
+            for a in grid_range(bits):
+                moved = grid_shift(bits.mask, bits.offset(a)) & bits.mask
+                assert grid_cells(bits, moved) == {v for v in stair if minus(v, a) in stair}, \
+                    (ideal, a)
+
+    def test_offsets_key_the_weights_in_order(self):
+        for ideal in [M, M2, tripod(2, 3, 4), tripod(5, 1, 2)]:
+            bits = ideal.staircase_bits
+            weights = grid_range(bits)
+            offsets = [bits.offset(a) for a in weights]
+            assert offsets == sorted(set(offsets))
+            assert [bits.weight(off) for off in offsets] == weights
 
 
 class TestWeightCandidates:
@@ -206,6 +250,18 @@ class TestTangentReport:
         rep = tancomb.tangent_report(ideal)
         assert rep.colength == 14
         assert rep.total == 48
+
+    def test_dims_are_the_nonzero_bounded_components(self):
+        # tangent_report's walk over grid offsets counts the weights that
+        # bounded_components counts, candidate by candidate
+        for d in range(1, 10):
+            for ideal in mono3.enumerate_ideals(d):
+                want = {}
+                for a in sorted(tancomb.weight_candidates(ideal)):
+                    if n := tancomb.bounded_components(ideal, a):
+                        want[a] = n
+                dims = tancomb.tangent_report(ideal).dims
+                assert list(dims.items()) == list(want.items()), ideal
 
     def test_total_is_signature_sum(self):
         for d in range(1, 6):

@@ -105,6 +105,28 @@ def graded_buckets(draw):
     return sorted(alive), conditions
 
 
+@st.composite
+def elongated_ideals(draw):
+    """A monomial ideal of colength <= 60 whose staircase reaches up to 30
+    along one axis and at most 4 along the others: the down-closure of
+    random cells, each kept while the colength stays in bounds."""
+    cells = set()
+    for long, a, b in draw(st.lists(st.tuples(st.integers(0, 29), st.integers(0, 3),
+                                              st.integers(0, 3)), min_size=1, max_size=6)):
+        box = {(i, j, k) for i in range(long + 1) for j in range(a + 1) for k in range(b + 1)}
+        if len(cells | box) <= 60:
+            cells |= box
+    if not cells:
+        cells = {(0, 0, 0)}
+    axes = draw(st.permutations(range(3)))
+    cells = {tuple(v[axes.index(c)] for c in range(3)) for v in cells}
+    X = max(v[0] for v in cells) + 1
+    Y = max(v[1] for v in cells) + 1
+    heights = tuple(tuple(h for h in (sum((i, j, k) in cells for k in range(60))
+                                      for j in range(Y)) if h) for i in range(X))
+    return mono3.MonomialIdeal3(heights)
+
+
 def degeneration_bound(I):
     """dim T of the initial ideal in(I), the monomial ideal of the leading
     terms of the reduced Groebner basis.  I degenerates flatly to in(I) and
@@ -305,6 +327,13 @@ class TestGradedRoute:
         assert calls == [pairs]
         assert "generator_lcms" in vars(ideal)
         assert "staircase_bits" not in vars(ideal)
+
+    @settings(max_examples=150, deadline=None)
+    @given(elongated_ideals())
+    def test_routes_agree_past_the_census_shapes(self, ideal):
+        # extents and colengths the d = 11 corpus never reaches, where the
+        # grid's padding and the cone classes carry the most weight
+        assert tancomb.tangent_report(ideal).dims == tanlin.mono_hom_dims(ideal)
 
     @settings(max_examples=400, deadline=None)
     @given(graded_buckets())
