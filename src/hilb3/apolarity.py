@@ -8,16 +8,16 @@ Ann(f_1, ..., f_r) = {s : s o f_i = 0 for all i} cuts out a finite local
 algebra, Gorenstein when r = 1, and every finite local quotient of S
 arises this way.
 
-If D is the largest total degree of the f_i, every monomial of degree
-D + 1 annihilates them all, so the annihilator contains m^(D+2), and
-Ann/m^(D+2) is an ideal of S/m^(D+2), whose standard monomials are those
-of degree <= D + 1.  A single kernel computation of the contraction map
-on them finds it (homogeneity of the f_i is not needed), and
-poly3.span_ideal reads the annihilator's reduced basis and quotient off
-one echelon form of the kernel, without Buchberger.  That contraction
-matrix, read one f_i per row, spans the inverse system, whose dimension
-checks the colength.  Dual
-polynomials use uppercase variables in the text grammar of the ring.
+If D is the largest total degree of the f_i, a monomial of degree D + 1
+divides no term of any f_i, so it annihilates them all: the annihilator
+contains m^(D+1), and Ann/m^(D+1) is an ideal of S/m^(D+1), whose
+standard monomials are the monomials of degree <= D.  A single kernel
+computation of the contraction map on them finds it (homogeneity of the
+f_i is not needed), and poly3.span_ideal reads the annihilator's reduced
+basis and quotient off one echelon form of the kernel, without
+Buchberger.  That contraction matrix, read one f_i per row, spans the
+inverse system, whose dimension checks the colength.  Dual polynomials
+use uppercase variables in the text grammar of the ring.
 """
 from __future__ import annotations
 
@@ -50,12 +50,13 @@ def contract_monomial(m: tuple[int, int, int], f: Poly) -> Poly:
 def annihilator(fs: Sequence[Poly], ring: PolyRing, verify: bool = False) -> PolyIdeal:
     """Ann(f_1, ..., f_r) as an ideal of the (lowercase) polynomial ring.
 
-    Every monomial of degree D + 2 annihilates, and the standard monomials
-    of m^(D+2) are those of degree <= D + 1; the kernel of the contraction
-    map on them is Ann/m^(D+2), an ideal of S/m^(D+2), which
-    poly3.span_ideal turns into Ann (checked against Buchberger when verify
-    is set).  The colength is post-verified against the rank of the
-    contractions x^m o f_i.
+    Every monomial of degree D + 1 annihilates, and the standard monomials
+    of m^(D+1) are those of degree <= D; the kernel of the contraction map
+    on them is Ann/m^(D+1), an ideal of S/m^(D+1), which poly3.span_ideal
+    turns into Ann (checked against Buchberger when verify is set).  The
+    reduced basis of Ann is unique, so any ambient m^n with n > D gives
+    the same answer; n = D + 1 is the smallest.  The colength is
+    post-verified against the rank of the contractions x^m o f_i.
     """
     import numpy as np
 
@@ -67,20 +68,21 @@ def annihilator(fs: Sequence[Poly], ring: PolyRing, verify: bool = False) -> Pol
     if p <= top:
         raise SmallCharacteristicError(
             f"characteristic {p} <= top degree {top}; divided-power subtleties refused")
-    n = top + 2
+    n = top + 1
     ambient = poly3.ideal(ring, (ring.monomial((a, b, n - a - b))
                                  for a in range(n + 1) for b in range(n + 1 - a)))
-    acting = poly3.quotient_data(ambient).standard_monomials
-    dual_mons = [m for m in acting if sum(m) <= top]  # acting is sorted by degree first
-    col = {m: i for i, m in enumerate(dual_mons)}
-    mat = np.zeros((len(acting), len(fs) * len(dual_mons)), dtype=np.int64)
-    for r, m in enumerate(acting):
+    # the monomials of degree <= D both act and index the contractions
+    mons = poly3.quotient_data(ambient).standard_monomials
+    d = len(mons)
+    col = {m: i for i, m in enumerate(mons)}
+    mat = np.zeros((d, len(fs) * d), dtype=np.int64)
+    for r, m in enumerate(mons):
         for k, f in enumerate(fs):
             g = contract_monomial(m, f)
             for e, c in g.terms.items():
-                mat[r, k * len(dual_mons) + col[e]] = c
+                mat[r, k * d + col[e]] = c
     ann = poly3.span_ideal(ambient, gfp.kernel_basis(mat.T, p), verify=verify)
-    expected = gfp.rank(mat.reshape(-1, len(dual_mons)), p)
+    expected = gfp.rank(mat.reshape(-1, d), p)
     got = poly3.quotient_data(ann).colength
     if got != expected:
         raise InvariantError(f"annihilator colength {got} != closure dim {expected}")

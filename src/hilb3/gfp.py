@@ -68,7 +68,11 @@ def is_prime(n: int) -> bool:
 
 
 def inv_mod(a: int, p: int) -> int:
-    return pow(int(a) % p, p - 2, p)
+    """The inverse of a mod p, by the extended Euclidean algorithm
+    (pow(a, -1, p)), and 0 when p divides a: duality.gorenstein_type
+    relies on that 0 to reject a colength that p divides."""
+    a = int(a) % p
+    return pow(a, -1, p) if a else 0
 
 
 def rational_reconstruction(c: int, p: int) -> tuple[int, int] | None:

@@ -8,6 +8,12 @@ three commuting multiplication matrices) for zero-dimensional ideals, and
 the colon (I : J) of a zero-dimensional I as a kernel on S/I.
 The one monomial order is degree reverse lexicographic with x > y > z.
 
+The multiplication matrices take no division: the normal forms of the
+border terms x_v m outside the staircase are read off the reduced basis
+in increasing degrevlex order, as in FGLM (Faugere, Gianni, Lazard and
+Mora, J. Symb. Comp. 16, 1993), each from the tail of a basis element or
+from the normal forms of smaller border terms (see quotient_data).
+
 Buchberger runs only where no quotient is known.  A list of monomials has
 its minimal exponents as its reduced basis.  An ideal A + V, with V an
 ideal of a known finite quotient S/A given by spanning vectors (a colon,
@@ -586,8 +592,64 @@ def standard_monomials(gb: Sequence[Poly]) -> list[Exponent]:
     return sorted(from_generators(lts).staircase, key=degrevlex_key)
 
 
+def _border_normal_forms(gb: Sequence[Poly], index: dict[Exponent, int],
+                         p: int) -> dict[Exponent, dict[int, int]]:
+    """NF(t), as {standard index: coefficient}, for each border term t that
+    a leading term with a tail divides, in increasing degrevlex order (see
+    quotient_data); every other border term lies in I."""
+    basis = list(index)
+    tailed: dict[Exponent, dict[int, int]] = {}
+    for g in gb:
+        lt = g.leading()[0]
+        if len(g.terms) > 1:
+            if any(e != lt and e not in index for e in g.terms):
+                raise InvariantError("a tail of the reduced basis is not standard")
+            tailed[lt] = {index[e]: p - c for e, c in g.terms.items() if e != lt}
+    if not tailed:
+        return {}
+    border = {(a + x, b + y, c + z) for a, b, c in basis for x, y, z in _VARIABLES}
+    nfs: dict[Exponent, dict[int, int]] = {}
+    for t in sorted((t for t in border - index.keys()
+                     if any(a <= t[0] and b <= t[1] and c <= t[2] for a, b, c in tailed)),
+                    key=degrevlex_key):
+        if t in tailed:
+            nfs[t] = tailed[t]
+            continue
+        u = next(u for k, u in zip(t, _VARIABLES) if k and exp_sub(t, u) not in index)
+        x, y, z = u
+        acc: dict[int, int] = {}
+        for k, c in nfs.get(exp_sub(t, u), {}).items():
+            a, b, w = basis[k]
+            s = (a + x, b + y, w + z)
+            if s in index:
+                acc[index[s]] = acc.get(index[s], 0) + c
+            else:
+                for i, ci in nfs.get(s, {}).items():
+                    acc[i] = acc.get(i, 0) + c * ci
+        nfs[t] = {i: c % p for i, c in acc.items() if c % p}
+    return nfs
+
+
 def quotient_data(I: PolyIdeal) -> QuotientData:
-    """The quotient data of a zero-dimensional I, cached on the ideal."""
+    """The quotient data of a zero-dimensional I, cached on the ideal.
+
+    The multiplication matrices are read off the reduced basis with no
+    division (the FGLM construction: Faugere, Gianni, Lazard and Mora,
+    J. Symb. Comp. 16, 1993).  Column j of M_v is NF(x_v m_j): x_v m_j
+    itself when it is standard, else the normal form of a border term t.
+    A t that leads an element g of the reduced basis has NF(t) = t - g,
+    minus g's tail, which is standard because the basis is reduced
+    (InvariantError otherwise).  A t that no leading term with a tail
+    divides lies in the ideal of the monomial elements, so its column is
+    0.  Every other t lies in LT(I) without being a minimal generator, so
+    t/x_u is not standard for some u; as t/x_v = m_j is standard, u != v
+    and t' = t/x_u = x_v (m_j/x_u) is a border term.  Then
+    NF(t) = x_u NF(t') = sum_k c_k NF(x_u m_k) over NF(t') = sum_k c_k m_k,
+    and since degrevlex is multiplicative and each m_k < t', every
+    x_u m_k < t.  So taking those t in increasing degrevlex order finds
+    each column they need already built.  The columns are gathered
+    sparsely and the three matrices filled by one indexed assignment.
+    """
     if I._qd is not None:
         return I._qd
     import numpy as np
@@ -596,21 +658,22 @@ def quotient_data(I: PolyIdeal) -> QuotientData:
     basis = standard_monomials(gb)
     d = len(basis)
     index = {m: i for i, m in enumerate(basis)}
-    ring = I.ring
-    mats = []
-    for v in _VARIABLES:
-        mat = np.zeros((d, d), dtype=np.int64)
-        for j, (a, b, c) in enumerate(basis):
-            shifted = (a + v[0], b + v[1], c + v[2])
-            if shifted in index:
-                mat[index[shifted], j] = 1
-                continue
-            nf, _ = reduce_full(ring.monomial(shifted), gb)
-            for e, c in nf.terms.items():
-                mat[index[e], j] = c
-        mat.setflags(write=False)
-        mats.append(mat)
-    I._qd = QuotientData(ring=ring, standard_monomials=tuple(basis),
+    nfs = _border_normal_forms(gb, index, I.ring.p)
+    flat, vals = [], []  # entries of the stacked matrices, at v*d*d + row*d + column
+    for v, (x, y, z) in enumerate(_VARIABLES):
+        for col, (a, b, c) in enumerate(basis, v * d * d):
+            t = (a + x, b + y, c + z)
+            if t in index:
+                flat.append(col + d * index[t])
+                vals.append(1)
+            elif t in nfs:
+                for i, ci in nfs[t].items():
+                    flat.append(col + d * i)
+                    vals.append(ci)
+    mats = np.zeros((3, d, d), dtype=np.int64)
+    np.put(mats, flat, vals)
+    mats.setflags(write=False)
+    I._qd = QuotientData(ring=I.ring, standard_monomials=tuple(basis),
                          standard_set=frozenset(basis), colength=d,
                          mult_matrices=tuple(mats), groebner_basis=gb)
     return I._qd

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import numpy as np
@@ -189,10 +190,24 @@ class TestAnnihilatorOracle:
         assert apolarity.annihilator(fs, R, verify=True) == apolarity.annihilator(fs, R)
 
     def test_runs_no_buchberger(self, buchberger_runs):
-        # the ambient m^(D+2) is monomial and the kernel is read off by rref
+        # the ambient m^(D+1) is monomial and the kernel is read off by rref
         ann = apolarity.annihilator([dual("X^3 - Y^3"), dual("X*Y^2 + X*Z^2")], R)
         assert poly3.quotient_data(ann).colength == 11
         assert buchberger_runs == []
+
+    @pytest.mark.parametrize("text", ["5", "X + 2*Y", "X^3 - Y^3", "X*Y*Z^2 + Y^4", "X^5 + Z^5"])
+    def test_ambient_is_m_to_the_top_degree_plus_one(self, text, monkeypatch):
+        # every monomial of degree D + 1 annihilates, so S/m^(D+1), of
+        # colength C(D+3, 3), holds Ann/m^(D+1)
+        ambients = []
+        original = poly3.span_ideal
+        monkeypatch.setattr(poly3, "span_ideal", lambda A, rows, verify=False:
+                            ambients.append(A) or original(A, rows, verify))
+        f = dual(text)
+        ann = apolarity.annihilator([f], R)
+        (ambient,) = ambients
+        assert poly3.quotient_data(ambient).colength == math.comb(f.degree() + 3, 3)
+        assert poly3.groebner(ann) == oracle_annihilator([f])  # the oracle works mod m^(D+2)
 
 
 class TestDualParsing:

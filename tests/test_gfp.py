@@ -18,6 +18,31 @@ def test_primes_are_prime():
     assert not gfp.is_prime(1)
 
 
+@pytest.mark.parametrize("p", [P, P2, 97])
+def test_inv_mod_inverts(p):
+    rng = np.random.default_rng(p)
+    for a in [1, 2, p - 1, *map(int, rng.integers(1, p, size=50))]:
+        inv = gfp.inv_mod(a, p)
+        assert 0 < inv < p and a * inv % p == 1
+        assert inv == pow(a, p - 2, p)  # Fermat's inverse, the same residue
+
+
+@pytest.mark.parametrize("p", [P, P2, 97])
+def test_inv_mod_reduces_its_input(p):
+    assert gfp.inv_mod(-1, p) == p - 1
+    assert gfp.inv_mod(-3, p) * 3 % p == p - 1
+    assert gfp.inv_mod(p + 2, p) == gfp.inv_mod(2, p)
+    assert gfp.inv_mod(np.int64(5), p) == gfp.inv_mod(5, p)
+
+
+@pytest.mark.parametrize("p", [P, P2, 97])
+def test_inv_mod_of_a_multiple_of_p_is_zero(p):
+    # duality.gorenstein_type reads 0 as "p divides the colength"
+    assert gfp.inv_mod(0, p) == 0
+    assert gfp.inv_mod(p, p) == 0
+    assert gfp.inv_mod(-2 * p, p) == 0
+
+
 def test_kernel_identity_empty():
     a = gfp.identity(3)
     assert gfp.kernel_basis(a, P).shape == (0, 3)

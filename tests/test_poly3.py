@@ -1,3 +1,4 @@
+import itertools
 import random
 import re
 
@@ -6,9 +7,9 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from hilb3 import gfp, mono3, poly3, tancomb, tanlin
+from hilb3 import apolarity, gfp, linkage, mono3, poly3, tancomb, tanlin
 from hilb3.errors import InputError, InvariantError, NotZeroDimensionalError
-from helpers import shifts_to
+from helpers import GENERIC_ALPHA, IDENTITY, invertible, linear_forms, linear_image, shifts_to
 
 P = gfp.DEFAULT_PRIME
 R = poly3.PolyRing(P)
@@ -324,21 +325,25 @@ class TestNormalForm:
             assert nf(f + g, QUADRIC_APOLAR) == nf(f, QUADRIC_APOLAR) + nf(g, QUADRIC_APOLAR)
 
 
-def moved(I, point):
-    """The ideal moved to the point: x, y, z -> x - a, y - b, z - c in every generator."""
-    ring = I.ring
-    shifts = shifts_to(ring, point)
-    gens = []
-    for g in I.gens:
+def substituted(gens, forms):
+    """Each polynomial with x, y, z replaced by the three forms."""
+    ring = forms[0].ring
+    out = []
+    for g in gens:
         f = ring.zero()
         for e, c in g.terms.items():
             term = ring.monomial((0, 0, 0), c)
-            for shift, k in zip(shifts, e):
+            for form, k in zip(forms, e):
                 for _ in range(k):
-                    term = term * shift
+                    term = term * form
             f = f + term
-        gens.append(f)
-    return poly3.ideal(ring, gens)
+        out.append(f)
+    return out
+
+
+def moved(I, point):
+    """The ideal moved to the point: x, y, z -> x - a, y - b, z - c in every generator."""
+    return poly3.ideal(I.ring, substituted(I.gens, shifts_to(I.ring, point)))
 
 
 def translate(ideal, point):
@@ -618,6 +623,23 @@ class TestQuotientData:
         assert qd.standard_monomials[0] == (0, 0, 0)
         assert qd.colength == 8  # complete intersection of degrees 2,2,2
 
+    @pytest.mark.parametrize("text", [
+        "x^3, y^2, z^2, x*y*z",  # monomial: no tail, every border column 0 or a shift
+        "x^2 - y*z, x*z, x*y, y^2, z^2",  # monomial elements beside one with a tail
+        "x^2 - y, y^2 - z, z^2",  # border terms that are no leading term
+        GENERIC_ALPHA,
+    ])
+    def test_no_division(self, text):
+        I = pi(text)
+        poly3.groebner(I)  # Buchberger's basis reduction divides; the quotient must not
+        calls = []
+        original = poly3.reduce_full
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(poly3, "reduce_full",
+                      lambda f, b, track=False: calls.append(f) or original(f, b, track))
+            poly3.quotient_data(I)
+        assert calls == []
+
 
 class TestDoubleColon:
     def test_round_trip_through_link(self):
@@ -626,6 +648,100 @@ class TestDoubleColon:
         J = poly3.colon(alpha, I)
         back = poly3.colon(alpha, J)
         assert back == I
+
+
+# quotient_data against the builder it replaced, one division per border
+# monomial, on ideals with and without tails in their reduced basis
+
+def oracle_quotient(gb):
+    """Standard monomials (from the box under the pure powers) and the three
+    multiplication matrices, column j of M_v being reduce_full(x_v m_j)."""
+    lts = [g.leading()[0] for g in gb]
+    box = [min(lt[v] for lt in lts if lt[v] == sum(lt)) for v in range(3)]
+    basis = sorted((e for e in itertools.product(*map(range, box))
+                    if not any(poly3.exp_divides(lt, e) for lt in lts)), key=poly3.degrevlex_key)
+    index = {m: i for i, m in enumerate(basis)}
+    mats = []
+    for v in IDENTITY:
+        mat = np.zeros((len(basis), len(basis)), dtype=np.int64)
+        for j, m in enumerate(basis):
+            shifted = tuple(a + b for a, b in zip(m, v))
+            if shifted in index:
+                mat[index[shifted], j] = 1
+                continue
+            nf, _ = poly3.reduce_full(R.monomial(shifted), gb)
+            for e, c in nf.terms.items():
+                mat[index[e], j] = c
+        mats.append(mat)
+    return tuple(basis), mats
+
+
+@st.composite
+def coordinate_changes(draw):
+    """An invertible affine change x_i -> sum_j a[i][j] x_j + t[i] whose
+    off-diagonal and translation entries are each 0 or random, so the
+    images range from monomial ideals (every entry 0) to generic ones, with
+    reduced bases that mix monomial elements and elements with tails."""
+    entry = st.one_of(st.just(0), st.integers(1, P - 1))
+    three = st.lists(entry, min_size=3, max_size=3)
+    diag = draw(st.lists(st.integers(1, P - 1), min_size=3, max_size=3))
+    a = invertible(draw(three), draw(three), diag, draw(st.permutations(range(3))))
+    return a, draw(three)
+
+
+LINK_FAMILIES = (
+    lambda n: linkage.family_tripod22_to_m2(R, n),
+    lambda n: linkage.family_tripod_to_tripod22(R, 2, 3, n),
+    lambda n: linkage.family_j1_to_tripod(R, 2, n),
+    lambda n: linkage.family_jabb_to_j1(R, 2, n),
+)
+
+
+@st.composite
+def link_targets(draw):
+    """The link of a catalog source after a coordinate change."""
+    src, alpha, _ = draw(st.sampled_from(LINK_FAMILIES))(draw(st.integers(2, 4)))
+    forms = linear_forms(R, *draw(coordinate_changes()))
+    return linkage.link(poly3.ideal(R, substituted(src.gens, forms)),
+                        substituted(alpha, forms)).target
+
+
+def annihilators():
+    exps = st.tuples(*[st.integers(0, 4)] * 3).filter(lambda e: sum(e) <= 4)
+    duals = st.dictionaries(exps, st.integers(1, P - 1), min_size=1, max_size=4).map(
+        apolarity.dual_ring(P).poly)
+    return st.lists(duals, min_size=1, max_size=2).map(lambda fs: apolarity.annihilator(fs, R))
+
+
+def quotient_inputs():
+    images = st.builds(lambda J, change: linear_image(J, R, *change),
+                       st.sampled_from(COLON_IDEALS), coordinate_changes())
+    return st.one_of(st.sampled_from(COLON_IDEALS).map(mono_ideal), images, link_targets(),
+                     annihilators(), zero_dim_ideals())
+
+
+class TestQuotientFromBasis:
+    @settings(max_examples=120, deadline=None)
+    @given(quotient_inputs())
+    def test_matches_a_division_per_border_monomial(self, I):
+        gb = poly3.groebner(I)
+        # a fresh ideal: span_ideal's quotients (links, annihilators) are
+        # cached on theirs, read off the parent's matrices
+        qd = poly3.quotient_data(poly3.PolyIdeal(ring=R, gens=gb, _gb=gb))
+        basis, mats = oracle_quotient(gb)
+        assert qd.standard_monomials == basis
+        for got, want in zip(qd.mult_matrices, mats):
+            assert (got == want).all()
+        for a in range(3):
+            for b in range(a + 1, 3):
+                lhs = gfp.matmul(qd.mult_matrices[a], qd.mult_matrices[b], P)
+                assert (lhs == gfp.matmul(qd.mult_matrices[b], qd.mult_matrices[a], P)).all()
+
+    def test_tail_off_the_staircase_is_rejected(self):
+        # the tail x of y^2 + x is no standard monomial of (z, x, y^2)
+        gb = (R.monomial((0, 0, 1)), R.monomial((1, 0, 0)), pp("y^2 + x"))
+        with pytest.raises(InvariantError, match="tail"):
+            poly3.quotient_data(poly3.PolyIdeal(ring=R, gens=gb, _gb=gb))
 
 
 # span_ideal against Buchberger, the route it replaced: the reduced basis of
