@@ -7,7 +7,7 @@ Subpackages by theme:
 - tancomb:   tangent spaces of monomial points via bounded components
 - smoothcls: singularizing triples, no-flip chains, smooth census
 - poly3:     degrevlex Groebner bases, intersection by syzygies, colon as a kernel on S/I
-             read off one echelon form (span_ideal)
+             read off one elimination of its relations (span_ideal)
 - tanlin:    tangent dimension of arbitrary finite algebras via syzygies,
              cross-checked by the border-basis scheme's tangent space
 - linkage:   links by length-3 regular sequences, chain verification

@@ -11,10 +11,10 @@ arises this way.
 If D is the largest total degree of the f_i, a monomial of degree D + 1
 divides no term of any f_i, so it annihilates them all: the annihilator
 contains m^(D+1), and Ann/m^(D+1) is an ideal of S/m^(D+1), whose
-standard monomials are the monomials of degree <= D.  A single kernel
-computation of the contraction map on them finds it (homogeneity of the
-f_i is not needed), and poly3.span_ideal reads the annihilator's reduced
-basis and quotient off one echelon form of the kernel, without
+standard monomials are the monomials of degree <= D.  It is the kernel
+of the contraction map on them (homogeneity of the f_i is not needed),
+and poly3.span_ideal reads the annihilator's reduced basis and quotient
+off one elimination of that map, taken as the relations, without
 Buchberger.  That contraction matrix, read one f_i per row, spans the
 inverse system, whose dimension checks the colength.  Dual polynomials
 use uppercase variables in the text grammar of the ring.
@@ -52,8 +52,10 @@ def annihilator(fs: Sequence[Poly], ring: PolyRing, verify: bool = False) -> Pol
 
     Every monomial of degree D + 1 annihilates, and the standard monomials
     of m^(D+1) are those of degree <= D; the kernel of the contraction map
-    on them is Ann/m^(D+1), an ideal of S/m^(D+1), which poly3.span_ideal
-    turns into Ann (checked against Buchberger when verify is set).  The
+    on them is Ann/m^(D+1), an ideal of S/m^(D+1), so poly3.span_ideal
+    takes that map's transpose (row k d + e holds the coefficients of the
+    e-th monomial in each x^m o f_k) as the relations and turns them into
+    Ann (checked against Buchberger when verify is set).  The
     reduced basis of Ann is unique, so any ambient m^n with n > D gives
     the same answer; n = D + 1 is the smallest.  The colength is
     post-verified against the rank of the contractions x^m o f_i.
@@ -81,7 +83,7 @@ def annihilator(fs: Sequence[Poly], ring: PolyRing, verify: bool = False) -> Pol
             g = contract_monomial(m, f)
             for e, c in g.terms.items():
                 mat[r, k * d + col[e]] = c
-    ann = poly3.span_ideal(ambient, gfp.kernel_basis(mat.T, p), verify=verify)
+    ann = poly3.span_ideal(ambient, mat.T, verify=verify)
     expected = gfp.rank(mat.reshape(-1, d), p)
     got = poly3.quotient_data(ann).colength
     if got != expected:

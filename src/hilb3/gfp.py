@@ -6,15 +6,20 @@ package, or running only its combinatorial code, never loads numpy.
 With p < 2^31 every intermediate product fits in an int64, so plain
 Gaussian elimination with ``% p`` after each row operation is exact;
 ``matmul`` and ``rref`` raise ``InputError`` for any larger p.
+``matmul`` splits its right factor into 16-bit limbs so that one product
+per limb, reduced once, covers up to 2^15 inner indices (the delayed
+reduction of FFLAS/FFPACK: Dumas, Giorgi and Pernet, ACM TOMS 35(3),
+2008).  ``rref`` first peels rows with one nonzero entry, which are rows
+of the reduced form as they stand; the rest go through a dense loop.
 Pivoting always takes the first row with a nonzero entry, which makes
 every result deterministic.  ``sparse_rank`` ranks a matrix given by its
 nonzero entries.  It first peels off rows and columns with one entry,
 exactly (the first step of structured Gaussian elimination: LaMacchia and
 Odlyzko, CRYPTO '90, LNCS 537), then ranks the rest block by block: the
 connected components of its row-column graph (the coarse
-Dulmage-Mendelsohn decomposition) each go through the same dense
-elimination.  ``sylvester_entries`` gives the entries of the Sylvester
-map X -> A X - X B on a patterned X (the linearised commutators of the
+Dulmage-Mendelsohn decomposition) each go through the dense loop.
+``sylvester_entries`` gives the entries of the Sylvester map
+X -> A X - X B on a patterned X (the linearised commutators of the
 border-basis tangent space and the intertwiners behind the bicanonical
 degree), ``dense_entries`` those of a dense block placed in a larger
 matrix (the syzygy blocks of the tangent space).
@@ -106,30 +111,77 @@ def identity(n: int) -> np.ndarray:
 
 
 def matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """Exact product mod p, reducing after every slice of two inner indices.
+    """Exact product mod p, by 16-bit limbs of the right factor.
 
-    No int64 sum overflows: a reduced entry plus two products of residues
-    is at most (p - 1) + 2 (p - 1)^2 < 2^63 - 1 for every p < 2^31.
+    With b = 2^16 hi + lo, a b = 2^16 (a hi mod p) + a lo.  Over an inner
+    chunk of at most 2^15 indices each of a hi and a lo is a sum of
+    products of a residue (< 2^31) and a limb (< 2^16), so it stays below
+    2^62; with 2^16 (a hi mod p) < 2^47 and the running total < p added,
+    no int64 sum overflows, for every p < 2^31 and every size.
     """
     import numpy as np
 
     require_exact(p)
     a = np.mod(a, p)
     b = np.mod(b, p)
-    n = a.shape[1]
-    out = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
-    step = 2
-    for k in range(0, n, step):
-        out = (out + a[:, k:k + step] @ b[k:k + step, :]) % p
+    hi, lo = b >> 16, b & 0xFFFF
+    out = zeros(a.shape[0], b.shape[1])
+    step = 2**15
+    for k in range(0, a.shape[1], step):
+        x = a[:, k:k + step]
+        out = (out + ((x @ hi[k:k + step] % p) << 16) + x @ lo[k:k + step]) % p
     return out
 
 
 def rref(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form and the list of pivot columns."""
+    """Reduced row echelon form and the list of pivot columns.
+
+    Rows with one nonzero entry are peeled first, exactly.  If row r's only
+    entry is in column c, then e_c lies in the row space, so c is a pivot
+    column and e_c is its row of the reduced form (a row-space vector is
+    the sum of the reduced rows weighted by its pivot entries).  Zeroing
+    column c in every other row keeps the row space, which is then
+    <e_c> + the row space of the other rows, all zero at c; peeling repeats
+    until no row has a single entry.  The rows left go through the dense
+    loop (_eliminate), their pivot rows are zero at every peeled column,
+    and the e_c are zero at their pivots, so merging the two sets of rows
+    by pivot column gives the reduced form, which is unique.
+    """
     import numpy as np
 
     require_exact(p)
     a = np.mod(np.array(a, dtype=np.int64, copy=True), p)
+    nrows, ncols = a.shape
+    units: list[int] = []
+    rest = a
+    while True:
+        counts = np.count_nonzero(rest, axis=1)
+        single = counts == 1
+        if not single.any():
+            break
+        cols = np.unique(np.nonzero(rest[single])[1])
+        units += cols.tolist()
+        rest = rest[counts > 1]  # a copy: zero rows and peeled rows leave
+        rest[:, cols] = 0
+    if not units:
+        return _eliminate(a, p)
+    red, dense = _eliminate(rest, p)
+    pivots = sorted(units + dense)
+    at = {c: i for i, c in enumerate(pivots)}
+    out = zeros(nrows, ncols)
+    out[[at[c] for c in units], units] = 1
+    out[[at[c] for c in dense]] = red[:len(dense)]
+    return out, pivots
+
+
+def _eliminate(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
+    """rref by dense Gauss-Jordan elimination, in place on a reduced int64 a.
+
+    Pivoting takes the first row with a nonzero entry; a pivot row is zero
+    left of its pivot, so each update touches only the columns from it on.
+    """
+    import numpy as np
+
     nrows, ncols = a.shape
     pivots: list[int] = []
     r = 0
@@ -208,9 +260,10 @@ def sparse_rank(rows, cols, vals, shape: tuple[int, int], p: int) -> int:
     Two singleton columns on one row give one pivot, the second column
     being empty once the row is gone.
 
-    The rank of what is left is the sum of ``rank`` over the connected
+    The rank of what is left is the sum of the ranks of the connected
     components of its row-column graph (a node per row and per column, an
-    edge per nonzero entry), each densified as its own block.
+    edge per nonzero entry), each densified as its own block and, having
+    no singleton left to peel, sent straight to the dense loop.
     """
     import numpy as np
 
@@ -265,26 +318,30 @@ def sparse_rank(rows, cols, vals, shape: tuple[int, int], p: int) -> int:
         uc, lc = np.unique(bc, return_inverse=True)
         block = zeros(len(ur), len(uc))
         block[lr, lc] = bv
-        total += rank(block, p)
+        total += len(_eliminate(block, p)[1])
     return total
 
 
-def kernel_basis(a: np.ndarray, p: int) -> np.ndarray:
-    """Basis of the right null space {v : a v = 0}, one vector per row.
+def kernel_basis(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
+    """Basis of the right null space {v : a v = 0}, one vector per row, and
+    the free (non-pivot) columns of a, ascending.
 
-    The number of rows returned is ncols - rank(a).  A 0 x n matrix has
-    kernel all of F_p^n.
+    Row i has a 1 at free[i], 0 at the other free columns, and its other
+    entries at pivot columns of a left of free[i]: the basis is in reduced
+    echelon form read right to left.  The number of rows is
+    ncols - rank(a).  A 0 x n matrix has kernel all of F_p^n.
     """
     import numpy as np
 
     a = np.asarray(a, dtype=np.int64)
     ncols = a.shape[1]
     if a.shape[0] == 0 or ncols == 0:
-        return identity(ncols)
+        return identity(ncols), list(range(ncols))
     r, pivots = rref(a, p)
-    free = np.setdiff1d(np.arange(ncols), pivots)
+    free = np.ones(ncols, dtype=bool)
+    free[pivots] = False
+    free = np.flatnonzero(free)
     basis = zeros(len(free), ncols)
     basis[np.arange(len(free)), free] = 1
     basis[:, pivots] = (-r[:len(pivots)][:, free]).T % p
-    return basis
-
+    return basis, free.tolist()

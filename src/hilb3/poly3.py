@@ -16,8 +16,8 @@ from the normal forms of smaller border terms (see quotient_data).
 
 Buchberger runs only where no quotient is known.  A list of monomials has
 its minimal exponents as its reduced basis.  An ideal A + V, with V an
-ideal of a known finite quotient S/A given by spanning vectors (a colon,
-an annihilator), is read off one echelon form of those vectors by
+ideal of a known finite quotient S/A cut out by linear relations (a
+colon, an annihilator), is read off one elimination of those relations by
 span_ideal, basis and quotient data together (Marinari, Moeller and Mora,
 AAECC 4, 1993).
 
@@ -503,9 +503,17 @@ def groebner(I: PolyIdeal) -> tuple[Poly, ...]:
     """
     if I._gb is None:
         if all(len(g.terms) == 1 for g in I.gens):
-            exps = {e for g in I.gens for e in g.terms}
-            minimal = [e for e in exps if not any(o != e and exp_divides(o, e) for o in exps)]
-            I._gb = tuple(Poly(I.ring, {e: 1}) for e in sorted(minimal, key=degrevlex_key))
+            # a proper divisor has lower degree, so it comes first in
+            # degrevlex: each exponent is minimal unless one kept in a lower
+            # degree divides it
+            minimal: list[Exponent] = []
+            lower, degree = 0, -1  # minimal[:lower] has degree < degree
+            for e in sorted({e for g in I.gens for e in g.terms}, key=degrevlex_key):
+                if sum(e) > degree:
+                    lower, degree = len(minimal), sum(e)
+                if not any(exp_divides(o, e) for o in minimal[:lower]):
+                    minimal.append(e)
+            I._gb = tuple(Poly(I.ring, {e: 1}) for e in minimal)
         else:
             I._gb = reduce_basis(buchberger(I.gens))
     return I._gb
@@ -589,7 +597,9 @@ def standard_monomials(gb: Sequence[Poly]) -> list[Exponent]:
         return []
     from .mono3 import from_generators  # mono3 imports this module
 
-    return sorted(from_generators(lts).staircase, key=degrevlex_key)
+    heights = from_generators(lts).heights
+    return sorted(((i, j, k) for i, row in enumerate(heights)
+                   for j, h in enumerate(row) for k in range(h)), key=degrevlex_key)
 
 
 def _border_normal_forms(gb: Sequence[Poly], index: dict[Exponent, int],
@@ -734,32 +744,36 @@ def evaluate_at_matrices(f: Poly, qd: QuotientData) -> np.ndarray:
     return out
 
 
-def span_ideal(A: PolyIdeal, rows, verify: bool = False) -> PolyIdeal:
-    """A + V for a zero-dimensional A and rows, coordinates on A's standard
-    monomials, that span an ideal V of S/A; basis and quotient filled in.
+def span_ideal(A: PolyIdeal, relations, verify: bool = False) -> PolyIdeal:
+    """A + V for a zero-dimensional A and V = {v : relations v = 0}, an
+    ideal of S/A in coordinates on A's standard monomials; basis and
+    quotient filled in.
 
-    One echelon form of the rows replaces Buchberger, as for ideals given
-    by functionals (Marinari, Moeller and Mora, AAECC 4, 1993).  With the
-    columns in descending degrevlex order the pivots are the leading terms
-    of V.  An f in A + V whose leading term lies outside LT(A) has NF_A(f)
-    in V with the same leading term, so the standard monomials of A + V
-    are A's less the pivots.  Reducing A's multiplication matrices by the
-    rows gives those of A + V, and x_v V inside V is checked on the way
-    (InvariantError otherwise).  The reduced basis has one element per
-    minimal generator t of the new leading terms: the rref row when t is a
-    pivot, else A's basis element with leading term t, its tail reduced by
-    the rows.  With verify set, the basis is compared with the one
-    Buchberger finds from A's generators and the rows.
+    One elimination of the relations replaces Buchberger, as for ideals
+    given by functionals (Marinari, Moeller and Mora, AAECC 4, 1993).
+    The standard monomials ascend in degrevlex, and gfp.kernel_basis gives
+    V's basis with the row of each free column f holding a 1 at f, 0 at
+    the other free columns and its other entries at pivot columns left of
+    f, which are smaller monomials.  Read with the columns in descending
+    degrevlex order that is already V's reduced echelon form, so the free
+    columns (the pivots below) are the leading terms of V.  An f in A + V
+    whose leading term lies outside LT(A) has NF_A(f) in V with the same
+    leading term, so the standard monomials of A + V are A's less the
+    pivots.  Reducing A's multiplication matrices by V's basis gives those
+    of A + V, and x_v V inside V is checked on the way (InvariantError
+    otherwise).  The reduced basis has one element per minimal generator t
+    of the new leading terms: the basis row when t is a pivot, else A's
+    basis element with leading term t, its tail reduced by V's basis.
+    With verify set, the reduced basis is compared with the one Buchberger
+    finds from A's generators and V's basis.
     """
     import numpy as np
-    from .gfp import matmul, rref
+    from .gfp import matmul
 
     qd = quotient_data(A)
     ring, p, d = A.ring, A.ring.p, qd.colength
-    rows = np.asarray(rows, dtype=np.int64).reshape(len(rows), d)
-    echelon, cols = rref(rows[:, ::-1], p)
-    red = echelon[:len(cols), ::-1]  # row i: 1 at pivots[i], 0 at the other pivots
-    pivots = [d - 1 - c for c in cols]
+    relations = np.asarray(relations, dtype=np.int64).reshape(len(relations), d)
+    red, pivots = kernel_basis(relations, p)  # row i: 1 at pivots[i], 0 at the other pivots
     pivot_row = {qd.standard_monomials[j]: i for i, j in enumerate(pivots)}
     keep = [j for j, m in enumerate(qd.standard_monomials) if m not in pivot_row]
     free = red[:, keep]  # the rows off the pivots
@@ -795,7 +809,7 @@ def span_ideal(A: PolyIdeal, rows, verify: bool = False) -> PolyIdeal:
         gb.append(Poly(ring, terms))
     gb = tuple(sorted(gb, key=lambda g: degrevlex_key(g.leading()[0])))
     if verify:
-        lifts = (ring.poly(dict(zip(qd.standard_monomials, map(int, v)))) for v in rows)
+        lifts = (ring.poly(dict(zip(qd.standard_monomials, map(int, v)))) for v in red)
         if groebner(ideal(ring, A.gens + tuple(lifts))) != gb:
             raise InvariantError("the echelon-form basis differs from Buchberger's")
     qd = QuotientData(ring=ring, standard_monomials=std, standard_set=std_set,
@@ -807,8 +821,9 @@ def colon(I: PolyIdeal, J, verify: bool = False) -> PolyIdeal:
     """(I : J) for a zero-dimensional I and J an ideal or a single polynomial.
 
     (I : J)/I is the common kernel of multiplication by the generators of
-    J on S/I, an ideal of S/I; span_ideal reads (I : J) off its basis
-    vectors, checked against Buchberger when verify is set.
+    J on S/I, an ideal of S/I.  Their stacked matrices are its relations,
+    from which span_ideal reads (I : J) with one elimination, checked
+    against Buchberger when verify is set.
     """
     import numpy as np
 
@@ -818,4 +833,4 @@ def colon(I: PolyIdeal, J, verify: bool = False) -> PolyIdeal:
         return ideal(ring, (ring.one(),))
     qd = quotient_data(I)
     stacked = np.vstack([evaluate_at_matrices(g, qd) for g in gens])
-    return span_ideal(I, kernel_basis(stacked, ring.p), verify=verify)
+    return span_ideal(I, stacked, verify=verify)

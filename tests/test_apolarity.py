@@ -164,7 +164,7 @@ def oracle_annihilator(fs):
         for k, f in enumerate(fs):
             for e, c in apolarity.contract_monomial(m, f).terms.items():
                 mat[k * len(dual_mons) + col[e], j] = c
-    gens = [R.poly(dict(zip(acting, map(int, v)))) for v in gfp.kernel_basis(mat, P)]
+    gens = [R.poly(dict(zip(acting, map(int, v)))) for v in gfp.kernel_basis(mat, P)[0]]
     return poly3.reduce_basis(poly3.buchberger(gens))
 
 
@@ -195,14 +195,24 @@ class TestAnnihilatorOracle:
         assert poly3.quotient_data(ann).colength == 11
         assert buchberger_runs == []
 
+    def test_two_eliminations(self, monkeypatch):
+        # the kernel of the contraction map, read by span_ideal, and the
+        # rank of the inverse system that checks the colength
+        calls = []
+        original = gfp.rref
+        monkeypatch.setattr(gfp, "rref", lambda a, p: calls.append(a.shape) or original(a, p))
+        ann = apolarity.annihilator([dual("X^3 - Y^3"), dual("X*Y^2 + X*Z^2")], R)
+        assert poly3.quotient_data(ann).colength == 11
+        assert len(calls) == 2
+
     @pytest.mark.parametrize("text", ["5", "X + 2*Y", "X^3 - Y^3", "X*Y*Z^2 + Y^4", "X^5 + Z^5"])
     def test_ambient_is_m_to_the_top_degree_plus_one(self, text, monkeypatch):
         # every monomial of degree D + 1 annihilates, so S/m^(D+1), of
         # colength C(D+3, 3), holds Ann/m^(D+1)
         ambients = []
         original = poly3.span_ideal
-        monkeypatch.setattr(poly3, "span_ideal", lambda A, rows, verify=False:
-                            ambients.append(A) or original(A, rows, verify))
+        monkeypatch.setattr(poly3, "span_ideal", lambda A, relations, verify=False:
+                            ambients.append(A) or original(A, relations, verify))
         f = dual(text)
         ann = apolarity.annihilator([f], R)
         (ambient,) = ambients

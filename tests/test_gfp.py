@@ -45,21 +45,22 @@ def test_inv_mod_of_a_multiple_of_p_is_zero(p):
 
 def test_kernel_identity_empty():
     a = gfp.identity(3)
-    assert gfp.kernel_basis(a, P).shape == (0, 3)
+    k, free = gfp.kernel_basis(a, P)
+    assert k.shape == (0, 3) and free == []
 
 
 def test_kernel_zero_map():
     a = gfp.zeros(2, 3)
-    k = gfp.kernel_basis(a, P)
-    assert k.shape == (3, 3)
+    k, free = gfp.kernel_basis(a, P)
+    assert k.shape == (3, 3) and free == [0, 1, 2]
     assert gfp.rank(k, P) == 3
 
 
 def test_kernel_hand_reduced():
     # [[1,1,0],[0,0,1]]: kernel spanned by (1, p-1, 0)
     a = np.array([[1, 1, 0], [0, 0, 1]], dtype=np.int64)
-    k = gfp.kernel_basis(a, P)
-    assert k.shape == (1, 3)
+    k, free = gfp.kernel_basis(a, P)
+    assert k.shape == (1, 3) and free == [1]
     v = k[0]
     assert (gfp.matmul(a, v.reshape(-1, 1), P) == 0).all()
     scale = gfp.inv_mod(int(v[0]), P)
@@ -68,7 +69,8 @@ def test_kernel_hand_reduced():
 
 def test_zero_row_matrix_kernel():
     a = np.zeros((0, 4), dtype=np.int64)
-    assert gfp.kernel_basis(a, P).shape == (4, 4)
+    k, free = gfp.kernel_basis(a, P)
+    assert k.shape == (4, 4) and free == [0, 1, 2, 3]
 
 
 @pytest.mark.parametrize("p", [P, P2, 97])
@@ -78,7 +80,7 @@ def test_rank_nullity_random(p):
         n, m = rng.integers(1, 12, size=2)
         a = rng.integers(0, p, size=(n, m), dtype=np.int64)
         r = gfp.rank(a, p)
-        k = gfp.kernel_basis(a, p)
+        k, _ = gfp.kernel_basis(a, p)
         assert r + k.shape[0] == m
         if k.size:
             assert (gfp.matmul(a, k.T, p) == 0).all()
@@ -92,6 +94,17 @@ def test_matmul_matches_python_ints():
     want = [[sum(int(a[i, k]) * int(b[k, j]) for k in range(7)) % P
              for j in range(4)] for i in range(5)]
     assert got.tolist() == want
+
+
+@pytest.mark.parametrize("p", [P, P2])
+def test_matmul_is_exact_at_its_worst_case(p):
+    # every entry p - 1 and an inner dimension past 2^16: one sum over all
+    # of it overflows int64, so this needs more than one chunk
+    n = 70000
+    a = np.full((2, n), p - 1, dtype=np.int64)
+    b = np.full((n, 3), p - 1, dtype=np.int64)
+    want = sum((p - 1) * (p - 1) for _ in range(n)) % p
+    assert gfp.matmul(a, b, p).tolist() == [[want] * 3] * 2
 
 
 # entries near 2^32 make int64 products overflow, so the answers would be wrong
@@ -230,7 +243,7 @@ def test_sparse_rank_peeling_matches_dense_oracle(p):
 @pytest.mark.parametrize("p", [3, P])
 def test_chains_and_permutations_peel_without_elimination(p, monkeypatch):
     calls = []
-    monkeypatch.setattr(gfp, "rank", lambda a, q: calls.append(a.shape))
+    monkeypatch.setattr(gfp, "_eliminate", lambda a, q: calls.append(a.shape))
     for name, rows, cols, vals, shape in peel_cases(p, np.random.default_rng(p)):
         if name in ("upper chain", "lower chain", "permutation"):
             assert gfp.sparse_rank(rows, cols, vals, shape, p) == min(shape), name
@@ -277,36 +290,40 @@ def test_sylvester_entries_match_kronecker_oracle(p):
 
 
 def oracle_kernel_basis(a, p):
-    """kernel_basis read off the rref one free column and one pivot at a time."""
+    """kernel_basis read off the full-width rref one free column and one
+    pivot at a time, with the free columns."""
     a = np.asarray(a, dtype=np.int64)
     ncols = a.shape[1]
     if a.shape[0] == 0 or ncols == 0:
-        return gfp.identity(ncols)
-    r, pivots = gfp.rref(a, p)
+        return gfp.identity(ncols), list(range(ncols))
+    r, pivots = oracle_rref(a, p)
     free = [c for c in range(ncols) if c not in pivots]
     basis = gfp.zeros(len(free), ncols)
     for k, c in enumerate(free):
         basis[k, c] = 1
         for row, pc in enumerate(pivots):
             basis[k, pc] = (-int(r[row, c])) % p
-    return basis
+    return basis, free
 
 
 @pytest.mark.parametrize("p", [P, P2, 3])
 def test_kernel_basis_matches_oracle(p):
     rng = np.random.default_rng(p)
+    inputs = []
     for trial in range(120):
         n, m = (int(v) for v in rng.integers(1, 16, size=2))
         if trial % 3 == 0:  # rank at most k < min(n, m)
             k = int(rng.integers(0, min(n, m)))
-            a = gfp.matmul(rng.integers(0, p, size=(n, k), dtype=np.int64),
-                           rng.integers(0, p, size=(k, m), dtype=np.int64), p)
+            inputs.append(gfp.matmul(rng.integers(0, p, size=(n, k), dtype=np.int64),
+                                     rng.integers(0, p, size=(k, m), dtype=np.int64), p))
         else:
-            a = rng.integers(0, p, size=(n, m), dtype=np.int64)
-        got, want = gfp.kernel_basis(a, p), oracle_kernel_basis(a, p)
-        assert got.shape == want.shape == (m - gfp.rank(a, p), m)
+            inputs.append(rng.integers(0, p, size=(n, m), dtype=np.int64))
+    for a in inputs + [a for _ in range(4) for a in rref_inputs(p, rng)]:
+        (got, got_free), (want, want_free) = gfp.kernel_basis(a, p), oracle_kernel_basis(a, p)
+        assert got.shape == want.shape == (a.shape[1] - gfp.rank(a, p), a.shape[1])
         assert got.dtype == np.int64
         assert (got == want).all()
+        assert got_free == want_free
 
 
 def oracle_rref(a, p):
@@ -335,7 +352,8 @@ def oracle_rref(a, p):
 
 
 def rref_inputs(p, rng):
-    """Tall, wide, rank-deficient (also with zero columns) and zero matrices."""
+    """Tall, wide, rank-deficient (also with zero columns) and zero matrices,
+    and sparse ones with rows of one entry for rref to peel."""
     out = [gfp.zeros(0, 3), gfp.zeros(3, 0), gfp.zeros(4, 5)]
     for n, m in ((20, 6), (6, 20), (12, 12), (1, 9), (9, 1)):
         out.append(rng.integers(0, p, size=(n, m), dtype=np.int64))
@@ -344,6 +362,30 @@ def rref_inputs(p, rng):
                          rng.integers(0, p, size=(k, m), dtype=np.int64), p)
         low[:, rng.integers(0, m, size=2)] = 0
         out.append(low)
+    # upper bidiagonal: only the last row is a singleton, and each peel
+    # leaves the row above it one; its rows shuffled peel the same way
+    n = 9
+    chain = gfp.zeros(n, n + 2)
+    chain[np.arange(n), np.arange(n)] = rng.integers(1, p, size=n)
+    chain[np.arange(n - 1), np.arange(1, n)] = rng.integers(1, p, size=n - 1)
+    out += [chain, chain[rng.permutation(n)]]
+    # two singleton rows on column 2, with different values, among dense rows
+    twins = rng.integers(0, p, size=(5, 6), dtype=np.int64)
+    twins[1], twins[3] = 0, 0
+    twins[1, 2], twins[3, 2] = 1, p - 1
+    out.append(twins)
+    for n, m in ((8, 5), (5, 8), (12, 12)):
+        # singleton rows on random columns beside dense rows, and zero rows
+        # written as multiples of p
+        a = rng.integers(0, p, size=(n, m), dtype=np.int64)
+        for i in rng.choice(n, size=n // 2, replace=False):
+            a[i] = 0
+            a[i, rng.integers(0, m)] = rng.integers(1, p)
+        a[rng.integers(0, n)] = p * rng.integers(0, 3, size=m)
+        out.append(a)
+        # sparse: each entry nonzero with probability 0.2
+        out.append(np.where(rng.random((n, m)) < 0.2,
+                            rng.integers(1, p, size=(n, m), dtype=np.int64), 0))
     return out
 
 

@@ -787,7 +787,13 @@ def span_inputs(draw):
 def colon_rows(A, J):
     qd = poly3.quotient_data(A)
     stacked = np.vstack([poly3.evaluate_at_matrices(g, qd) for g in J.gens])
-    return gfp.kernel_basis(stacked, P)
+    return gfp.kernel_basis(stacked, P)[0]
+
+
+def relations(rows):
+    """Relations whose kernel is the span of rows: the kernel of the kernel
+    is the row space."""
+    return gfp.kernel_basis(np.asarray(rows, dtype=np.int64), P)[0]
 
 
 class TestSpanIdeal:
@@ -810,9 +816,9 @@ class TestSpanIdeal:
     def test_zero_and_everything(self, text):
         A = pi(text)
         d = poly3.quotient_data(A).colength
-        assert_same_quotient(poly3.span_ideal(A, np.zeros((0, d), dtype=np.int64)),
+        assert_same_quotient(poly3.span_ideal(A, relations(np.zeros((0, d)))),
                              poly3.groebner(A))
-        full = poly3.span_ideal(A, 3 * np.eye(d, dtype=np.int64))
+        full = poly3.span_ideal(A, relations(3 * np.eye(d)))
         assert_same_quotient(full, (R.one(),))
         assert poly3.quotient_data(full).colength == 0
 
@@ -824,7 +830,8 @@ class TestSpanIdeal:
         v[0, std.index((0, 1, 1))] = 1
         v[1, std.index((1, 1, 1))] = 5
         v[2] = (v[0] + v[1]) % P
-        assert_same_quotient(poly3.span_ideal(A, v), poly3.groebner(pi("x^2, y^2, z^2, y*z")))
+        assert_same_quotient(poly3.span_ideal(A, relations(v)),
+                             poly3.groebner(pi("x^2, y^2, z^2, y*z")))
 
     def test_tails_reduced_by_the_rows(self):
         # A's element y^2 + (z - 1)^2 keeps its leading term, but its tail
@@ -839,6 +846,19 @@ class TestSpanIdeal:
         got = poly3.colon(A, pp("x"))
         assert_same_quotient(got, (R.one(),))
 
+    @pytest.mark.parametrize("text, j", [("x^3, y^3, z^3, x*y*z", "x, y^2 + z"),
+                                         ("x^2 - y, y^2 - z, z^2", "y")])
+    def test_one_elimination(self, text, j, monkeypatch):
+        # the stacked maps are the relations: span_ideal's kernel is the
+        # only elimination, its basis already the echelon form of (I : J)/I
+        A, J = pi(text), pi(j)
+        calls = []
+        original = gfp.rref
+        monkeypatch.setattr(gfp, "rref", lambda a, p: calls.append(a.shape) or original(a, p))
+        got = poly3.colon(A, J)
+        assert len(calls) == 1
+        assert_same_quotient(got, oracle_span(A, colon_rows(A, J)))
+
     @pytest.mark.parametrize("text, row", [
         ("x^3, x^2*y, x^2*z, x*y^2, x*y*z, x*z^2, y^3, y^2*z, y*z^2, z^3", "x"),
         ("x^3, x^2*y, x^2*z, x*y^2, x*y*z, x*z^2, y^3, y^2*z, y*z^2, z^3", "x + y^2"),
@@ -851,7 +871,7 @@ class TestSpanIdeal:
         f = pp(row)
         v = np.array([[f.terms.get(m, 0) for m in std]], dtype=np.int64)
         with pytest.raises(InvariantError):
-            poly3.span_ideal(A, v)
+            poly3.span_ideal(A, relations(v))
 
 
 @st.composite

@@ -143,10 +143,9 @@ def test_cofactor_rows_only_inside_buchberger():
     # tracks or takes rows of cofactors
     assert _functions_with_parameter({"track"}) == {("poly3", "buchberger"),
                                                     ("poly3", "reduce_full")}
-    # these three take matrix rows (spanning vectors, COO row indices) and
-    # plane-partition rows, not cofactors
-    assert _functions_with_parameter({"rows"}) == {("poly3", "span_ideal"),
-                                                   ("gfp", "sparse_rank"),
+    # these two take matrix rows (COO row indices) and plane-partition rows,
+    # not cofactors; span_ideal takes the relations that cut its ideal out
+    assert _functions_with_parameter({"rows"}) == {("gfp", "sparse_rank"),
                                                    ("mono3", "_canonical")}
     assert not [p.name for p in SRC.glob("*.py")
                 if "sub_multiples" in p.read_text(encoding="utf-8")]
