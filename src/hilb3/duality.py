@@ -6,7 +6,10 @@ the dual module omega_R = Hom_k(R, k) carries the R-action
 transpose of its multiplication matrix.  The Gorenstein type is the
 dimension of the socle (0 : m) at the one rational point where R is
 local: the simultaneous kernel of the three multiplication matrices,
-each shifted by that point's coordinate.
+each shifted by that point's coordinate.  Each shifted matrix must be
+nilpotent; a strictly lower triangular one is (every M_v of a monomial
+or homogeneous ideal in the ascending degrevlex basis), and only the
+others are squared to prove it.
 
 The bicanonical module is Sym^2_R omega_R: the k-linear symmetric square
 of omega_R, dimension d(d+1)/2, modulo the relations
@@ -20,10 +23,16 @@ symmetric F, and row (v, j, i) is its negative.  So deg Sym^2 omega_R
 = homsym_dim, an identity of the assembly that tests/test_duality.py
 pins against a dense relation matrix.
 
-Both maps are Sylvester maps X -> A X - X B with A = M_v, B = M_v^T,
-built as sparse entries by gfp.sylvester_entries and ranked by
-``gfp.sparse_rank``: singleton rows and columns peel off, and the rest
-goes over the connected components of the row-column graph.
+Both maps are Sylvester maps X -> A X - X B with A = M_v, B = M_v^T.
+Their sparse entries are built once, by one gfp.sylvester_entries call
+on the stack of the three M_v, with F[s, t] numbered s d + t, and ranked
+twice by ``gfp.sparse_rank``: as they are for the full map, and with
+each column s d + t relabelled as the pair {s, t} for the symmetric one.
+The relabelled entries are exactly those built with the symmetric
+numbering, since the builder reads the numbering only to look up column
+numbers and drops negative ones, which neither numbering holds.  In each
+rank singleton rows and columns peel off, and the rest goes over the
+connected components of the row-column graph.
 For a monomial ideal every entry carries a torus weight, so the
 components are small; in generic coordinates there is one component
 and one dense elimination.
@@ -79,35 +88,67 @@ def gorenstein_type(I: PolyIdeal) -> int:
 
 
 def _is_nilpotent(m: np.ndarray, p: int) -> bool:
-    """m^(2^k) == 0 for the least 2^k >= len(m), by repeated squaring."""
+    """Whether m is nilpotent: at once when m is strictly lower triangular
+    (then m^len(m) = 0), else by m^(2^k) == 0 for the least 2^k >= len(m),
+    by repeated squaring.
+
+    In the ascending degrevlex basis x_v m_j > m_j, and for a homogeneous
+    ideal NF(x_v m_j) is homogeneous of degree deg m_j + 1, so every M_v
+    of a monomial or homogeneous ideal is strictly lower triangular: it
+    needs no product, and its trace 0 leaves it unshifted.  Translated
+    points and other non-homogeneous local algebras are squared.
+    """
+    import numpy as np
+
+    if not np.triu(m).any():
+        return True
     power, n = m, 1
     while n < len(m) and power.any():
         power, n = gfp.matmul(power, power, p), 2 * n
     return not power.any()
 
 
-def _intertwiner_rank(mats, unknown: np.ndarray, p: int) -> int:
-    """Rank of F -> (M_v F - F M_v^T for each v), entry (s, t) of F being
-    the unknown numbered unknown[s, t]; the block of v starts at row v d^2."""
+def _intertwiner_entries(mats, unknown: np.ndarray):
+    """COO entries of F -> (M_v F - F M_v^T for each v), entry (s, t) of F
+    being the unknown numbered unknown[s, t]; the block of v starts at row
+    v d^2."""
     import numpy as np
 
+    stack = np.stack(mats)
+    return gfp.sylvester_entries(stack, stack.transpose(0, 2, 1), unknown)
+
+
+def _intertwiner_rank(mats, unknown: np.ndarray, p: int) -> int:
+    """Rank of the map of _intertwiner_entries."""
     if not len(mats):
         return 0
     d = len(unknown)
-    rows, cols, vals = zip(*(gfp.sylvester_entries(m, m.T, unknown) for m in mats))
-    rows = [r + v * d * d for v, r in enumerate(rows)]
-    return gfp.sparse_rank(np.concatenate(rows), np.concatenate(cols), np.concatenate(vals),
+    return gfp.sparse_rank(*_intertwiner_entries(mats, unknown),
                            (len(mats) * d * d, int(unknown.max()) + 1), p)
 
 
 def _symmetric_unknowns(d: int) -> np.ndarray:
-    """F[s, t] = F[t, s] numbered by the pair {s, t} in the row-major upper triangle."""
+    """F[s, t] = F[t, s] numbered by the pair {s, t} in the row-major upper
+    triangle: for s <= t, the rows above s hold s (2d - 1 - s) / 2 pairs."""
     import numpy as np
 
-    s, t = np.triu_indices(d)
-    unknown = np.empty((d, d), dtype=np.int64)
-    unknown[s, t] = unknown[t, s] = np.arange(len(s))
-    return unknown
+    i = np.arange(d)
+    lo, hi = np.minimum.outer(i, i), np.maximum.outer(i, i)
+    return lo * (2 * d - 1 - lo) // 2 + hi
+
+
+def _intertwiner_dims(mats, d: int, p: int) -> tuple[int, int]:
+    """(homsym_dim, hom_full_dim): the dimensions of the symmetric and of
+    all F with M_v F = F M_v^T, from one assembly ranked twice (see the
+    module docstring)."""
+    import numpy as np
+
+    nsym = d * (d + 1) // 2
+    rows, cols, vals = _intertwiner_entries(mats, np.arange(d * d).reshape(d, d))
+    shape = len(mats) * d * d
+    sym_cols = _symmetric_unknowns(d).ravel()[cols]
+    return (nsym - gfp.sparse_rank(rows, sym_cols, vals, (shape, nsym), p),
+            d * d - gfp.sparse_rank(rows, cols, vals, (shape, d * d), p))
 
 
 def bicanonical_degree(I: PolyIdeal, verify: bool = False) -> BicanonicalReport:
@@ -115,13 +156,15 @@ def bicanonical_degree(I: PolyIdeal, verify: bool = False) -> BicanonicalReport:
 
     The degree is homsym_dim, from one rank of the symmetric intertwiner
     map (see the module docstring for why that rank is the relation
-    rank).  With verify that rank is recomputed with M_v running over
-    the matrices of every standard monomial of positive degree instead
-    of the three variables; the two must agree, else InvariantError.
-    The unit ideal raises UnitIdealError.
+    rank).  Both Hom dimensions come from one assembly of the intertwiner
+    map with F[s, t] numbered s d + t, ranked as it is and with each
+    column relabelled as the pair {s, t}, which is exact because the
+    assembly reads the numbering only to look up columns.  With verify
+    the symmetric rank is recomputed, with its own assembly, with M_v
+    running over the matrices of every standard monomial of positive
+    degree instead of the three variables; the two must agree, else
+    InvariantError.  The unit ideal raises UnitIdealError.
     """
-    import numpy as np
-
     qd = poly3.quotient_data(I)
     p = qd.ring.p
     if p == 2:
@@ -129,15 +172,13 @@ def bicanonical_degree(I: PolyIdeal, verify: bool = False) -> BicanonicalReport:
     d = qd.colength
     if d == 0:
         raise UnitIdealError("the ideal is the whole ring")
-    mats, sym = qd.mult_matrices, _symmetric_unknowns(d)
-    sym_rank = _intertwiner_rank(mats, sym, p)
+    homsym_dim, hom_full_dim = _intertwiner_dims(qd.mult_matrices, d, p)
     if verify:
         all_mats = [poly3.evaluate_at_matrices(qd.ring.monomial(e), qd)
                     for e in qd.standard_monomials if sum(e) > 0]
-        if _intertwiner_rank(all_mats, sym, p) != sym_rank:
+        sym_rank = _intertwiner_rank(all_mats, _symmetric_unknowns(d), p)
+        if d * (d + 1) // 2 - sym_rank != homsym_dim:
             raise InvariantError("algebra generators missed Sym^2 relations")
-    homsym_dim = d * (d + 1) // 2 - sym_rank
-    full_rank = _intertwiner_rank(mats, np.arange(d * d).reshape(d, d), p)
     return BicanonicalReport(colength=d, sym2_omega_deg=homsym_dim,
-                             homsym_dim=homsym_dim, hom_full_dim=d * d - full_rank,
+                             homsym_dim=homsym_dim, hom_full_dim=hom_full_dim,
                              gorenstein_type=gorenstein_type(I))

@@ -19,7 +19,8 @@ Odlyzko, CRYPTO '90, LNCS 537), then ranks the rest block by block: the
 connected components of its row-column graph (the coarse
 Dulmage-Mendelsohn decomposition) each go through the dense loop.
 ``sylvester_entries`` gives the entries of the Sylvester map
-X -> A X - X B on a patterned X (the linearised commutators of the
+X -> A X - X B on a patterned X, for one pair (A, B) or a stack of
+pairs in one pass (the linearised commutators of the
 border-basis tangent space and the intertwiners behind the bicanonical
 degree), ``dense_entries`` those of a dense block placed in a larger
 matrix (the syzygy blocks of the tangent space).
@@ -219,16 +220,22 @@ def sylvester_entries(a: np.ndarray, b: np.ndarray, unknown: np.ndarray):
     unknown[r, c]: a negative number is a fixed zero, and a number used
     twice is one unknown shared by both entries.  Entry (r, c) of the
     image is row r * d + c.  Entries at one position are not summed.
+    A and B may also be stacks of n matrices each, n x d x d: then the
+    map is X -> (A_v X - X B_v for each v), pair v's image starting at
+    row v d^2, and one pass over the stacks gives every block.
     """
     import numpy as np
 
     d = len(unknown)
-    # A X: entry (r, c) gets A[r, k] X[k, c]
-    r, k = np.nonzero(a)
-    left = ((r * d)[:, None] + np.arange(d), unknown[k], np.repeat(a[r, k][:, None], d, 1))
-    # - X B: entry (r, c) gets - X[r, k] B[k, c]
-    k, c = np.nonzero(b)
-    right = ((np.arange(d) * d)[:, None] + c, unknown[:, k], np.repeat(-b[k, c][None], d, 0))
+    a, b = np.reshape(a, (-1, d, d)), np.reshape(b, (-1, d, d))
+    # A_v X: entry (r, c) gets A_v[r, k] X[k, c]
+    v, r, k = np.nonzero(a)
+    left = ((v * d * d + r * d)[:, None] + np.arange(d), unknown[k],
+            np.repeat(a[v, r, k][:, None], d, 1))
+    # - X B_v: entry (r, c) gets - X[r, k] B_v[k, c]
+    v, k, c = np.nonzero(b)
+    right = ((np.arange(d) * d)[:, None] + (v * d * d + c), unknown[:, k],
+             np.repeat(-b[v, k, c][None], d, 0))
     rows, cols, vals = (np.concatenate((x.ravel(), y.ravel())) for x, y in zip(left, right))
     known = cols >= 0
     return rows[known], cols[known], vals[known]
@@ -274,11 +281,11 @@ def sparse_rank(rows, cols, vals, shape: tuple[int, int], p: int) -> int:
         return 0
     order = np.argsort(key, kind="stable")
     key = key[order]
-    starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+    starts = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
     vals = np.add.reduceat(np.mod(np.asarray(vals, dtype=np.int64)[order], p), starts) % p
     key = key[starts][vals != 0]
     vals = vals[vals != 0]
-    r, c = key // ncols, key % ncols
+    r, c = np.divmod(key, ncols)
     total = 0
     while r.size:
         # a column with one entry makes its row a pivot; failing that, a

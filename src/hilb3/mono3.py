@@ -199,32 +199,38 @@ def from_generators(gens: Iterable[ExponentVec]) -> MonomialIdeal3:
     Raises UnitIdealError if 1 is among the generators and
     NotZeroDimensionalError if some coordinate axis never enters the ideal.
     """
-    gens = [tuple(int(e) for e in g) for g in gens]
+    gens = [(int(a), int(b), int(c)) for a, b, c in gens]
     if not gens:
         raise InputError("empty generator list")
-    if any(min(g) < 0 for g in gens):
+    if min(itertools.chain.from_iterable(gens)) < 0:
         raise InputError(f"negative exponent in {gens}")
-    if ORIGIN in gens:
+    # the variables each generator involves, as the bits 1, 2, 4 for x, y, z
+    support = {(a > 0) + 2 * (b > 0) + 4 * (c > 0) for a, b, c in gens}
+    if 0 in support:
         raise UnitIdealError("1 is a generator")
-    missing = [poly3.VAR_NAMES[i] for i in range(3) if not any(g[i] == sum(g) for g in gens)]
+    missing = [name for name, bit in zip(poly3.VAR_NAMES, (1, 2, 4)) if bit not in support]
     if missing:
         raise NotZeroDimensionalError(
             f"no pure power of {', '.join(missing)} among the generators")
-    low: dict[tuple[int, int], int] = {}
-    for a, b, c in gens:
-        low[a, b] = min(c, low.get((a, b), c))
-    # the pure powers keep every h finite and end the sweep
+    # the least c over the generators (a, b, c), written last
+    low = {(a, b): c for a, b, c in sorted(gens, reverse=True)}
+    # h(i, j) = min(low(i, j), h(i - 1, j), h(i, j - 1)); row i - 1 ends
+    # where h drops to 0, which ends row i too, and the pure powers end the
+    # first row and the sweep
     rows: list[tuple[int, ...]] = []
+    above = itertools.repeat(_INF)  # the row above row 0 is unbounded
     for i in itertools.count():
         row: list[int] = []
-        for j in itertools.count():
-            h = min(low.get((i, j), _INF), _at(rows, i - 1, j), row[-1] if row else _INF)
+        h = _INF
+        for j, up in enumerate(above):
+            h = min(h, up, low.get((i, j), h))
             if not h:
                 break
             row.append(h)
         if not row:
             return MonomialIdeal3(tuple(rows))
         rows.append(tuple(row))
+        above = row
 
 
 def socle(ideal: MonomialIdeal3) -> tuple[ExponentVec, ...]:

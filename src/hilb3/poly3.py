@@ -133,15 +133,17 @@ class Poly:
     """Immutable sparse polynomial: exponent tuple -> coefficient in (0, p).
 
     terms must not change after construction: leading() caches its
-    answer on first use.
+    answer on first use.  A caller that already knows the leading term
+    (exponent, coefficient) may pass it as leading, which fills the cache.
     """
 
     __slots__ = ("ring", "terms", "_leading")
 
-    def __init__(self, ring: PolyRing, terms: dict[Exponent, int]):
+    def __init__(self, ring: PolyRing, terms: dict[Exponent, int],
+                 leading: Optional[tuple[Exponent, int]] = None):
         self.ring = ring
         self.terms = terms
-        self._leading = None
+        self._leading = leading
 
     @property
     def is_zero(self) -> bool:
@@ -264,11 +266,25 @@ def parse_poly(text: str, ring: PolyRing) -> Poly:
     terms: dict[Exponent, int] = {}
     coeff, exp = 1, [0, 0, 0]  # the term being read; signs multiply into coeff
     prev = "start"  # start | sign | star | factor
-    for m in _TOKEN.finditer(text):
-        num, var, caret, power, op, bad = m.groups()
-        if bad:
-            raise InputError(f"bad character in {text!r} at position {m.start()}")
-        if op == "+" or op == "-":
+    for num, var, caret, power, op, bad in _TOKEN.findall(text):
+        if var:
+            if var in names:
+                letters = (var,)
+            elif all(ch in names for ch in var):
+                letters = var
+            else:
+                raise InputError(f"unknown variable {var!r} in {text!r}")
+            if caret and not power:
+                raise InputError(f"missing exponent in {text!r}")
+            for ch in letters[:-1]:
+                exp[names.index(ch)] += 1
+            exp[names.index(letters[-1])] += int(power) if caret else 1
+        elif op == "*":
+            if prev != "factor":
+                raise InputError(f"misplaced '*' in {text!r}")
+            prev = "star"
+            continue
+        elif op == "+" or op == "-":
             if prev == "star":
                 raise InputError(f"sign after '*' in {text!r}")
             if prev == "factor":  # the sign ends a term
@@ -278,26 +294,15 @@ def parse_poly(text: str, ring: PolyRing) -> Poly:
                 coeff = -coeff
             prev = "sign"
             continue
-        if op == "*":
-            if prev != "factor":
-                raise InputError(f"misplaced '*' in {text!r}")
-            prev = "star"
-            continue
-        if op:
-            raise InputError(f"misplaced '^' in {text!r}")
-        if num:
+        elif num:
             if prev == "factor":
                 raise InputError(f"missing '*' before {num!r} in {text!r}")
             coeff *= int(num)
-        else:
-            letters = [var] if var in names else list(var)
-            if any(ch not in names for ch in letters):
-                raise InputError(f"unknown variable {var!r} in {text!r}")
-            if caret and not power:
-                raise InputError(f"missing exponent in {text!r}")
-            for ch in letters[:-1]:
-                exp[names.index(ch)] += 1
-            exp[names.index(letters[-1])] += int(power) if caret else 1
+        elif op:
+            raise InputError(f"misplaced '^' in {text!r}")
+        else:  # the position is looked up only here, on the error path
+            at = next(m.start() for m in _TOKEN.finditer(text) if m.group(6))
+            raise InputError(f"bad character in {text!r} at position {at}")
         prev = "factor"
     if prev != "factor":
         raise InputError(f"incomplete polynomial in {text!r}")
@@ -513,7 +518,7 @@ def groebner(I: PolyIdeal) -> tuple[Poly, ...]:
                     lower, degree = len(minimal), sum(e)
                 if not any(exp_divides(o, e) for o in minimal[:lower]):
                     minimal.append(e)
-            I._gb = tuple(Poly(I.ring, {e: 1}) for e in minimal)
+            I._gb = tuple(Poly(I.ring, {e: 1}, (e, 1)) for e in minimal)
         else:
             I._gb = reduce_basis(buchberger(I.gens))
     return I._gb
@@ -589,12 +594,13 @@ def standard_monomials(gb: Sequence[Poly]) -> list[Exponent]:
     if not gb:
         raise NotZeroDimensionalError("the zero ideal is not zero-dimensional")
     lts = [g.leading()[0] for g in gb]
-    for i in range(3):
-        if not any(lt[i] == sum(lt) for lt in lts):
-            raise NotZeroDimensionalError(
-                f"no pure power of {gb[0].ring.names[i]} among the leading terms")
-    if ORIGIN in lts:
+    # the variables each leading term involves, as the bits 1, 2, 4 for x, y, z
+    support = {(a > 0) + 2 * (b > 0) + 4 * (c > 0) for a, b, c in lts}
+    if 0 in support:  # 1 is in the ideal
         return []
+    for name, bit in zip(gb[0].ring.names, (1, 2, 4)):
+        if bit not in support:
+            raise NotZeroDimensionalError(f"no pure power of {name} among the leading terms")
     from .mono3 import from_generators  # mono3 imports this module
 
     heights = from_generators(lts).heights
@@ -658,7 +664,8 @@ def quotient_data(I: PolyIdeal) -> QuotientData:
     and since degrevlex is multiplicative and each m_k < t', every
     x_u m_k < t.  So taking those t in increasing degrevlex order finds
     each column they need already built.  The columns are gathered
-    sparsely and the three matrices filled by one indexed assignment.
+    sparsely and the three matrices filled by two indexed assignments:
+    the 1s of the standard x_v m_j, then the border normal forms.
     """
     if I._qd is not None:
         return I._qd
@@ -669,18 +676,21 @@ def quotient_data(I: PolyIdeal) -> QuotientData:
     d = len(basis)
     index = {m: i for i, m in enumerate(basis)}
     nfs = _border_normal_forms(gb, index, I.ring.p)
-    flat, vals = [], []  # entries of the stacked matrices, at v*d*d + row*d + column
+    # entries of the stacked matrices, at v*d*d + row*d + column
+    ones, flat, vals = [], [], []
+    row_of = index.get
     for v, (x, y, z) in enumerate(_VARIABLES):
         for col, (a, b, c) in enumerate(basis, v * d * d):
             t = (a + x, b + y, c + z)
-            if t in index:
-                flat.append(col + d * index[t])
-                vals.append(1)
+            i = row_of(t)
+            if i is not None:
+                ones.append(col + d * i)
             elif t in nfs:
                 for i, ci in nfs[t].items():
                     flat.append(col + d * i)
                     vals.append(ci)
     mats = np.zeros((3, d, d), dtype=np.int64)
+    np.put(mats, ones, 1)
     np.put(mats, flat, vals)
     mats.setflags(write=False)
     I._qd = QuotientData(ring=I.ring, standard_monomials=tuple(basis),
@@ -804,9 +814,9 @@ def span_ideal(A: PolyIdeal, relations, verify: bool = False) -> PolyIdeal:
     tails = (tails[:, keep] - matmul(tails[:, pivots], free, p)) % p
     for lead, vec in [(g.leading()[0], v) for g, v in zip(outside, tails)] + \
             [(t, red[pivot_row[t], keep]) for t in minimal if t in pivot_row]:
-        terms = {std[j]: int(c) for j, c in enumerate(vec) if c}
+        terms = {m: c for m, c in zip(std, vec.tolist()) if c}
         terms[lead] = 1
-        gb.append(Poly(ring, terms))
+        gb.append(Poly(ring, terms, (lead, 1)))
     gb = tuple(sorted(gb, key=lambda g: degrevlex_key(g.leading()[0])))
     if verify:
         lifts = (ring.poly(dict(zip(qd.standard_monomials, map(int, v)))) for v in red)

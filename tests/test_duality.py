@@ -154,6 +154,24 @@ class TestGorensteinType:
         I = linear_image(ideal, poly3.PolyRing(p), *random_change(random.Random(seed), p))
         assert duality.gorenstein_type(I) == len(mono3.socle(ideal))
 
+    def test_triangular_matrices_need_no_product(self, monkeypatch):
+        # every M_v of a monomial or homogeneous ideal is strictly lower
+        # triangular in the ascending degrevlex basis; a moved ideal is not
+        calls = []
+        matmul = gfp.matmul
+        monkeypatch.setattr(gfp, "matmul", lambda a, b, p: calls.append(1) or matmul(a, b, p))
+        rng = random.Random(3)
+        ideals = [maximal_ideal_power(k) for k in range(2, 6)]
+        ideals += [linear_image(I, R, random_change(rng, P)[0], [0, 0, 0])
+                   for I in rng.sample(list(mono3.enumerate_ideals(6)), 4)]
+        for I in ideals:
+            assert duality.gorenstein_type(I) > 0
+        assert not calls
+        moved = moved_mono_ideal(mono3.from_generators([(2, 0, 0), (0, 2, 0), (0, 0, 1)]),
+                                 (1, 2, 3), R)
+        assert duality.gorenstein_type(moved) == 1
+        assert calls
+
     @pytest.mark.parametrize("text, p", [
         ("x^2 - x, y, z", gfp.DEFAULT_PRIME),  # two points
         ("x^2 + 1, y, z", gfp.DEFAULT_PRIME),  # one point, not rational: p = 3 mod 4
@@ -247,6 +265,22 @@ class TestBicanonical:
                 assert rep.homsym_dim == homsym_dim_reference(
                     qd.mult_matrices, qd.colength, p), (p, text)
 
+    @pytest.mark.parametrize("verify, matrices", [(False, 3), (True, 3 + 19)])
+    def test_one_assembly_for_both_ranks(self, monkeypatch, verify, matrices):
+        # the three variables' entries serve the symmetric and the full
+        # rank; only --verify builds more, one per standard monomial of
+        # positive degree (19 for m^4)
+        built = []
+        entries = gfp.sylvester_entries
+
+        def counted(a, b, unknown):
+            built.append(np.size(a) // len(unknown) ** 2)
+            return entries(a, b, unknown)
+        monkeypatch.setattr(gfp, "sylvester_entries", counted)
+        rep = duality.bicanonical_degree(maximal_ideal_power(4), verify=verify)
+        assert (rep.colength, rep.sym2_omega_deg, rep.hom_full_dim) == (20, 55, 100)
+        assert sum(built) == matrices
+
     def test_reports_the_gorenstein_type(self):
         for I in [M2, PLANAR_97, pi("x^2 - y*z, x*z, x*y, y^2, z^2"), pi("x^3, y^2, z^2")]:
             assert duality.bicanonical_degree(I).gorenstein_type == duality.gorenstein_type(I)
@@ -295,6 +329,8 @@ class TestSparseRanksMatchDenseOracles:
         for mats, d in oracle_cases(p, rng):
             homsym_dim, hom_full_dim = intertwiner_dims(mats, d, p)
             assert (homsym_dim, hom_full_dim) == oracle_intertwiner_dims(mats, d, p)
+            # bicanonical_degree's one assembly, ranked under both numberings
+            assert duality._intertwiner_dims(mats, d, p) == (homsym_dim, hom_full_dim)
             # the relation rank is the symmetric intertwiner rank
             assert oracle_sym2_relation_rank(mats, d, p) == d * (d + 1) // 2 - homsym_dim
 

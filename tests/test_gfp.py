@@ -280,13 +280,25 @@ def sylvester_inputs(p, rng):
 @pytest.mark.parametrize("p", [P, P2, 3])
 def test_sylvester_entries_match_kronecker_oracle(p):
     rng = np.random.default_rng(p + 7)
-    for a, b, unknown, n in sylvester_inputs(p, rng):
+    inputs = list(sylvester_inputs(p, rng))
+    for a, b, unknown, n in inputs:
         d = len(unknown)
         rows, cols, vals = gfp.sylvester_entries(a, b, unknown)
         assert ((0 <= rows) & (rows < d * d) & (0 <= cols) & (cols < n)).all()
         got = gfp.zeros(d * d, n)
         np.add.at(got, (rows, cols), np.mod(vals, p))
         assert (got % p == oracle_sylvester(a, b, unknown, n, p)).all()
+    # the pairs of each size stacked, under the first one's numbering: pair
+    # v's block starts at row v d^2
+    for d in range(1, 6):
+        pairs = [(a, b) for a, b, _, _ in inputs if len(a) == d]
+        unknown, n = next((u, n) for a, _, u, n in inputs if len(a) == d)
+        a, b = (np.stack(x) for x in zip(*pairs))
+        rows, cols, vals = gfp.sylvester_entries(a, b, unknown)
+        got = gfp.zeros(len(pairs) * d * d, n)
+        np.add.at(got, (rows, cols), np.mod(vals, p))
+        want = np.vstack([oracle_sylvester(x, y, unknown, n, p) for x, y in pairs])
+        assert (got % p == want).all()
 
 
 def oracle_kernel_basis(a, p):

@@ -192,6 +192,10 @@ class TestLeadingTerm:
         rem, quots = poly3.reduce_full(f * g + pp("y^5 + x"), [g.monic(), pp("z^3 - x")],
                                        track=True)
         built += [rem] + quots
+        # bases that fill the cache as they build: the all-monomial branch
+        # of groebner, and span_ideal's (here through a colon)
+        built += poly3.groebner(poly3.parse_ideal("x^2, x*y, y^3, x*z, z^2, y^2*z", R))
+        built += poly3.colon(poly3.parse_ideal("x^3, y^2, z^2", R), pp("x + y*z")).gens
         for h in built:
             if h.is_zero:
                 continue
