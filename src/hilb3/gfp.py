@@ -105,12 +105,6 @@ def zeros(nrows: int, ncols: int) -> np.ndarray:
     return np.zeros((nrows, ncols), dtype=np.int64)
 
 
-def identity(n: int) -> np.ndarray:
-    import numpy as np
-
-    return np.eye(n, dtype=np.int64)
-
-
 def matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     """Exact product mod p, by 16-bit limbs of the right factor.
 
@@ -208,8 +202,6 @@ def _eliminate(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
 
 
 def rank(a: np.ndarray, p: int) -> int:
-    if a.size == 0:
-        return 0
     return len(rref(a, p)[1])
 
 
@@ -340,10 +332,7 @@ def kernel_basis(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     """
     import numpy as np
 
-    a = np.asarray(a, dtype=np.int64)
-    ncols = a.shape[1]
-    if a.shape[0] == 0 or ncols == 0:
-        return identity(ncols), list(range(ncols))
+    ncols = np.shape(a)[1]
     r, pivots = rref(a, p)
     free = np.ones(ncols, dtype=bool)
     free[pivots] = False

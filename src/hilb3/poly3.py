@@ -771,9 +771,10 @@ def span_ideal(A: PolyIdeal, relations, verify: bool = False) -> PolyIdeal:
     leading term, so the standard monomials of A + V are A's less the
     pivots.  Reducing A's multiplication matrices by V's basis gives those
     of A + V, and x_v V inside V is checked on the way (InvariantError
-    otherwise).  The reduced basis has one element per minimal generator t
-    of the new leading terms: the basis row when t is a pivot, else A's
-    basis element with leading term t, its tail reduced by V's basis.
+    otherwise).  The reduced basis is read off the new matrices: column m
+    of M_v is NF(x_v m), so a minimal generator t of the new leading terms,
+    a border term whose every t/x_u is standard, has t - NF(t) as its
+    element, NF(t) being column t/x_v of M_v for any v with t_v > 0.
     With verify set, the reduced basis is compared with the one Buchberger
     finds from A's generators and V's basis.
     """
@@ -784,8 +785,7 @@ def span_ideal(A: PolyIdeal, relations, verify: bool = False) -> PolyIdeal:
     ring, p, d = A.ring, A.ring.p, qd.colength
     relations = np.asarray(relations, dtype=np.int64).reshape(len(relations), d)
     red, pivots = kernel_basis(relations, p)  # row i: 1 at pivots[i], 0 at the other pivots
-    pivot_row = {qd.standard_monomials[j]: i for i, j in enumerate(pivots)}
-    keep = [j for j, m in enumerate(qd.standard_monomials) if m not in pivot_row]
+    keep = sorted(set(range(d)).difference(pivots))
     free = red[:, keep]  # the rows off the pivots
     # column j of block v: NF_A(x_v m_j) less its pivot coordinates times
     # the rows; one product serves the three variables
@@ -800,23 +800,18 @@ def span_ideal(A: PolyIdeal, relations, verify: bool = False) -> PolyIdeal:
         m.setflags(write=False)
     std = tuple(qd.standard_monomials[j] for j in keep)
     std_set = frozenset(std)
-    steps = {(a + u, b + v, c + w) for a, b, c in std for u, v, w in _VARIABLES}
-    minimal = {t for t in steps - std_set
-               if all(not k or exp_sub(t, v) in std_set for k, v in zip(t, _VARIABLES))}
     gb = [] if std else [ring.one()]
-    outside = [g for g in groebner(A) if g.leading()[0] in minimal]
-    index = {m: j for j, m in enumerate(qd.standard_monomials)}
-    tails = np.zeros((len(outside), d), dtype=np.int64)
-    for i, g in enumerate(outside):
-        for e, c in g.terms.items():
-            if e in index:
-                tails[i, index[e]] = c
-    tails = (tails[:, keep] - matmul(tails[:, pivots], free, p)) % p
-    for lead, vec in [(g.leading()[0], v) for g, v in zip(outside, tails)] + \
-            [(t, red[pivot_row[t], keep]) for t in minimal if t in pivot_row]:
-        terms = {m: c for m, c in zip(std, vec.tolist()) if c}
-        terms[lead] = 1
-        gb.append(Poly(ring, terms, (lead, 1)))
+    for v, (mat, step) in enumerate(zip(mats, _VARIABLES)):
+        for j, m in enumerate(std):
+            t = (m[0] + step[0], m[1] + step[1], m[2] + step[2])
+            # t = x_v m_j has NF(t) in column j of M_v; a minimal generator
+            # of the new leading terms is taken at its first variable only
+            if t in std_set or any(t[:v]) or not all(
+                    not k or exp_sub(t, u) in std_set for k, u in zip(t, _VARIABLES)):
+                continue
+            terms = {s: p - c for s, c in zip(std, mat[:, j].tolist()) if c}
+            terms[t] = 1
+            gb.append(Poly(ring, terms, (t, 1)))
     gb = tuple(sorted(gb, key=lambda g: degrevlex_key(g.leading()[0])))
     if verify:
         lifts = (ring.poly(dict(zip(qd.standard_monomials, map(int, v)))) for v in red)

@@ -86,6 +86,10 @@ CASES = {
     "link-zero-alpha": ["link", "x,y,z", "--alpha", "0, y, z"],
     "link-unit-source": ["link", "x + 1, x", "--alpha", "x, y, z"],
     "link-unit-target": ["link", "x, y, z", "--alpha", "x, y, z"],
+    "link-small-prime": ["--prime", "3", "link", "x^3, y^2, z^2, x*y",
+                         "--alpha", "x^3 + y^2, y^2 + 2*z^2, z^2 + x*y"],
+    "link-small-prime-verify": ["--prime", "3", "--verify", "link", "x^3, y^2, z^2, x*y",
+                                "--alpha", "x^3 + y^2, y^2 + 2*z^2, z^2 + x*y"],
     "verify-chain": ["verify-chain", "{data}/chain.json"],
     "verify-chain-text": ["--format", "text", "verify-chain", "{data}/chain.json"],
     "verify-chain-bad-json": ["verify-chain", "{data}/mats.json"],
@@ -99,6 +103,8 @@ CASES = {
     "ann-verify": ["--verify", "ann", "X^2 + Y*Z"],
     "ann-csv": ["--format", "csv", "ann", "X^3 - Y^3, X*Y^2 + X*Z^2"],
     "ann-empty": ["ann", " , "],
+    "ann-small-prime": ["--prime", "5", "ann", "X^3 + 2*Y^3 + 3*Z^3"],
+    "ann-small-prime-verify": ["--prime", "5", "ann", "X^2*Y + Z^3, X*Y*Z", "--verify"],
     "bicanonical": ["bicanonical", "x^2, x*y^2, y^5, z"],
     "bicanonical-verify": ["--verify", "bicanonical", "x^2+y*z, x*y^2, y^5, z-x"],
     "bicanonical-m5": ["bicanonical", maximal_ideal_power(5)],

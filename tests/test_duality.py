@@ -118,7 +118,7 @@ def random_presentation(mats, p, rng):
     d = mats[0].shape[0]
     while True:
         g = np.array([[rng.randrange(p) for _ in range(d)] for _ in range(d)], dtype=np.int64)
-        red, pivots = gfp.rref(np.hstack([g, gfp.identity(d)]), p)
+        red, pivots = gfp.rref(np.hstack([g, np.eye(d, dtype=np.int64)]), p)
         if pivots == list(range(d)):
             ginv = red[:, d:]
             return [gfp.matmul(gfp.matmul(g, m, p), ginv, p) for m in mats]

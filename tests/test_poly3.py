@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from hilb3 import apolarity, gfp, linkage, mono3, poly3, tancomb, tanlin
 from hilb3.errors import InputError, InvariantError, NotZeroDimensionalError
-from helpers import GENERIC_ALPHA, IDENTITY, invertible, linear_forms, linear_image, shifts_to
+from helpers import (GENERIC_ALPHA, IDENTITY, invertible, linear_forms, linear_image,
+                     random_change, shifts_to)
 
 P = gfp.DEFAULT_PRIME
 R = poly3.PolyRing(P)
@@ -791,7 +792,7 @@ def span_inputs(draw):
 def colon_rows(A, J):
     qd = poly3.quotient_data(A)
     stacked = np.vstack([poly3.evaluate_at_matrices(g, qd) for g in J.gens])
-    return gfp.kernel_basis(stacked, P)[0]
+    return gfp.kernel_basis(stacked, A.ring.p)[0]
 
 
 def relations(rows):
@@ -838,12 +839,57 @@ class TestSpanIdeal:
                              poly3.groebner(pi("x^2, y^2, z^2, y*z")))
 
     def test_tails_reduced_by_the_rows(self):
-        # A's element y^2 + (z - 1)^2 keeps its leading term, but its tail
-        # holds the pivot z^2 of V = ((z - 1)^2), so it becomes y^2
+        # y^2 leads A's element y^2 + (z - 1)^2 and stays a minimal
+        # generator; its new element is y^2 - NF(y^2), NF(y^2) being column y
+        # of the new M_y, and NF(y^2) = -(z - 1)^2 = 0 once V = ((z - 1)^2)
+        # is added, so it becomes y^2
         A = moved(pi("z^3, y^2*z, y^4, x, y^2 + z^2"), (0, 0, 1))
         got = poly3.colon(A, pp("z - 1"))
         assert [poly3.poly_str(g) for g in poly3.groebner(got)] == ["x", "z^2 - 2*z + 1", "y^2"]
         assert_same_quotient(got, oracle_span(A, colon_rows(A, pi("z - 1"))))
+
+    def test_reads_only_the_quotient(self, monkeypatch):
+        # the reduced basis is read off the new multiplication matrices: no
+        # Groebner basis of A, and only the two products that build the
+        # matrices and check that V is an ideal
+        A = moved(pi("x^3, y^2, z^2, x*y"), (1, -2, 3))
+        J = moved(pi("x + y*z, z^2"), (1, -2, 3))
+        qd = poly3.quotient_data(A)
+        for g in J.gens:  # caches the monomial matrices of J's terms
+            poly3.evaluate_at_matrices(g, qd)
+        bases, products = [], []
+        groebner, matmul = poly3.groebner, gfp.matmul
+        monkeypatch.setattr(poly3, "groebner", lambda I: bases.append(I) or groebner(I))
+        monkeypatch.setattr(gfp, "matmul", lambda a, b, p: products.append(p) or matmul(a, b, p))
+        got = poly3.colon(A, J)
+        assert (len(bases), len(products)) == (0, 2)
+        monkeypatch.undo()
+        assert_same_quotient(got, oracle_span(A, colon_rows(A, J)))
+        assert got.gens != A.gens and got.gens != (R.one(),)
+
+    @pytest.mark.parametrize("p", [3, 5])
+    def test_small_primes(self, p):
+        # at a small p the normal-form entries cancel often and p - c is
+        # small: monomial ideals of colength up to 6 under a random change
+        # of coordinates, coloned by one or two random polynomials of degree
+        # 1 or 2 that vanish at the ideal's point
+        ring, rng = poly3.PolyRing(p), random.Random(p)
+        exps = [e for e in itertools.product(range(3), repeat=3) if 1 <= sum(e) <= 2]
+        tails = 0
+        for I in (I for d in range(1, 7) for I in mono3.enumerate_ideals(d)):
+            forms = linear_forms(ring, *random_change(rng, p))
+            A = poly3.ideal(ring, substituted(mono_ideal(I, ring).gens, forms))
+            js, count = [], rng.randint(1, 2)
+            while len(js) < count:
+                degree = rng.randint(1, 2)
+                f = ring.poly({e: rng.randrange(p) for e in exps if sum(e) <= degree})
+                if not f.is_zero:
+                    js.append(f)
+            J = poly3.ideal(ring, substituted(js, forms))
+            got = poly3.colon(A, J)
+            assert_same_quotient(got, oracle_span(A, colon_rows(A, J)))
+            tails += sum(len(g.terms) > 1 for g in got.gens)
+        assert tails > 100
 
     def test_unit_ambient(self):
         A = pi("x + 1, x")
