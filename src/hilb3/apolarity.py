@@ -9,15 +9,17 @@ algebra, Gorenstein when r = 1, and every finite local quotient of S
 arises this way.
 
 If D is the largest total degree of the f_i, a monomial of degree D + 1
-divides no term of any f_i, so it annihilates them all: the annihilator
-contains m^(D+1), and Ann/m^(D+1) is an ideal of S/m^(D+1), whose
-standard monomials are the monomials of degree <= D.  It is the kernel
-of the contraction map on them (homogeneity of the f_i is not needed),
-and poly3.span_ideal reads the annihilator's reduced basis and quotient
-off one elimination of that map, taken as the relations, without
-Buchberger.  That contraction matrix, read one f_i per row, spans the
-inverse system, whose dimension checks the colength.  Dual polynomials
-use uppercase variables in the text grammar of the ring.
+divides no term of any f_i, so it annihilates them all, as does x^(a+1)
+for a the largest exponent of X among their terms, and likewise y^(b+1)
+and z^(c+1).  So Ann contains the ambient A these generate, and Ann/A is
+an ideal of S/A, whose standard monomials are the monomials of degree
+<= D in the box [0, a] x [0, b] x [0, c].  It is the kernel of the
+contraction map on them (homogeneity of the f_i is not needed), and
+poly3.span_ideal reads the annihilator's reduced basis and quotient off
+one elimination of that map, taken as the relations, without Buchberger.
+That contraction matrix, read one f_i per row, spans the inverse system,
+whose dimension checks the colength.  Dual polynomials use uppercase
+variables in the text grammar of the ring.
 """
 from __future__ import annotations
 
@@ -50,15 +52,15 @@ def contract_monomial(m: tuple[int, int, int], f: Poly) -> Poly:
 def annihilator(fs: Sequence[Poly], ring: PolyRing, verify: bool = False) -> PolyIdeal:
     """Ann(f_1, ..., f_r) as an ideal of the (lowercase) polynomial ring.
 
-    Every monomial of degree D + 1 annihilates, and the standard monomials
-    of m^(D+1) are those of degree <= D; the kernel of the contraction map
-    on them is Ann/m^(D+1), an ideal of S/m^(D+1), so poly3.span_ideal
-    takes that map's transpose (row k d + e holds the coefficients of the
-    e-th monomial in each x^m o f_k) as the relations and turns them into
-    Ann (checked against Buchberger when verify is set).  The
-    reduced basis of Ann is unique, so any ambient m^n with n > D gives
-    the same answer; n = D + 1 is the smallest.  The colength is
-    post-verified against the rank of the contractions x^m o f_i.
+    The kernel of the contraction map on the standard monomials of the
+    ambient A = m^(D+1) + (x^(a+1), y^(b+1), z^(c+1)) is Ann/A, so
+    poly3.span_ideal takes that map's transpose (row k d + e holds the
+    coefficients of the e-th monomial in each x^m o f_k) as the relations
+    and turns them into Ann (checked against Buchberger when verify is
+    set).  The reduced basis of Ann is unique, so any ambient inside Ann
+    gives the same answer; the powers keep X^40 at 41 cells where m^41
+    has 12341, and a dual with X^D, Y^D and Z^D as terms keeps m^(D+1).
+    The colength is post-verified against the rank of the contractions.
     """
     import numpy as np
 
@@ -71,9 +73,11 @@ def annihilator(fs: Sequence[Poly], ring: PolyRing, verify: bool = False) -> Pol
         raise SmallCharacteristicError(
             f"characteristic {p} <= top degree {top}; divided-power subtleties refused")
     n = top + 1
-    ambient = poly3.ideal(ring, (ring.monomial((a, b, n - a - b))
-                                 for a in range(n + 1) for b in range(n + 1 - a)))
-    # the monomials of degree <= D both act and index the contractions
+    a, b, c = map(max, zip(*(e for f in fs for e in f.terms)))
+    powers = ((a + 1, 0, 0), (0, b + 1, 0), (0, 0, c + 1))
+    ambient = poly3.ideal(ring, map(ring.monomial, powers + tuple(
+        (i, j, n - i - j) for i in range(n + 1) for j in range(n + 1 - i))))
+    # the standard monomials of the ambient both act and index the contractions
     mons = poly3.quotient_data(ambient).standard_monomials
     d = len(mons)
     col = {m: i for i, m in enumerate(mons)}

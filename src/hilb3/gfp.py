@@ -22,8 +22,8 @@ Dulmage-Mendelsohn decomposition) each go through the dense loop.
 X -> A X - X B on a patterned X, for one pair (A, B) or a stack of
 pairs in one pass (the linearised commutators of the
 border-basis tangent space and the intertwiners behind the bicanonical
-degree), ``dense_entries`` those of a dense block placed in a larger
-matrix (the syzygy blocks of the tangent space).
+degree), ``dense_entries`` those of a dense matrix (each M_e of the
+tangent space's syzygy matrix sum_e C_e (x) M_e).
 
 The default prime is 2^31 - 1.  Characteristic-zero statements are only
 certified numerically by agreement over two large primes, so a second
@@ -233,13 +233,12 @@ def sylvester_entries(a: np.ndarray, b: np.ndarray, unknown: np.ndarray):
     return rows[known], cols[known], vals[known]
 
 
-def dense_entries(a: np.ndarray, row: int, col: int):
-    """COO entries (rows, cols, vals) of the nonzero entries of a, placed
-    with its top left corner at (row, col)."""
+def dense_entries(a: np.ndarray):
+    """COO entries (rows, cols, vals) of the nonzero entries of a."""
     import numpy as np
 
     r, c = np.nonzero(a)
-    return r + row, c + col, a[r, c]
+    return r, c, a[r, c]
 
 
 def sparse_rank(rows, cols, vals, shape: tuple[int, int], p: int) -> int:

@@ -20,7 +20,6 @@ family builders for the exact sequences.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -186,10 +185,7 @@ def borel_p3_instance(ring: PolyRing):
 # ---------------------------------------------------------------------------
 
 def parse_chain_json(text: str, ring: PolyRing) -> list[tuple[PolyIdeal, tuple[Poly, ...]]]:
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InputError(f"bad JSON: {exc}") from exc
+    data = poly3.parse_json(text)
     if not isinstance(data, list):
         raise InputError("chain file must hold a JSON list of steps")
     chain = []

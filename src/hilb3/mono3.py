@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import json
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, NamedTuple, Sequence
@@ -376,10 +375,7 @@ def parse_monomial_ideal(text: str) -> MonomialIdeal3:
 
 def parse_exponent_json(text: str) -> MonomialIdeal3:
     """Parse the JSON exponent-triple form [[2,0,0],[1,1,0],...]."""
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InputError(f"bad JSON: {exc}") from exc
+    data = poly3.parse_json(text)
     if (not isinstance(data, list) or not data
             or not all(isinstance(g, list) and len(g) == 3
                        and all(type(e) is int and e >= 0 for e in g) for g in data)):

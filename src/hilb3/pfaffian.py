@@ -140,10 +140,7 @@ def broken_ideal(mats: Sequence[SkewMatrix]) -> BrokenIdealReport:
 
 def parse_skew_json(text: str, ring: PolyRing) -> list[SkewMatrix]:
     """JSON form: {"matrices": [{"n": 3, "upper": ["z", "y", "x"]}, ...]}."""
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InputError(f"bad JSON: {exc}") from exc
+    data = poly3.parse_json(text)
     if not isinstance(data, dict) or "matrices" not in data \
             or not isinstance(data["matrices"], list) or not data["matrices"]:
         raise InputError("expected an object with a nonempty 'matrices' list")

@@ -44,6 +44,7 @@ x*y^2).
 from __future__ import annotations
 
 import heapq
+import json
 import re
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
@@ -497,6 +498,14 @@ def parse_ideal(text: str, ring: PolyRing) -> PolyIdeal:
     if not parts:
         raise InputError("no generators given")
     return ideal(ring, (parse_poly(s, ring) for s in parts))
+
+
+def parse_json(text: str):
+    """json.loads, with InputError for text that is not JSON."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise InputError(f"bad JSON: {exc}") from exc
 
 
 def groebner(I: PolyIdeal) -> tuple[Poly, ...]:

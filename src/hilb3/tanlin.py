@@ -7,14 +7,14 @@ each h_j in the standard monomial basis and each syzygy coefficient as a
 multiplication matrix turns Hom into the kernel of a block matrix over
 F_p, whose dimension equals the tangent dimension of the point [S/I] of
 the Hilbert scheme.  Syzygies come from the recorded S-pair reductions
-of a Groebner basis; these generate the whole syzygy module.  The block
-matrix is never formed, nor any of its blocks: each coefficient's normal
-form is split into terms, each distinct standard monomial's matrix is
-listed once as COO entries (gfp.dense_entries), and every term gathers
-those entries, offset to its block and scaled by its coefficient, into
-one gfp.sparse_rank call, which peels singleton rows and columns exactly
-before any dense elimination.  A box's Koszul coefficients all reduce to
-zero, so its rank has no entries and costs no elimination at all.
+of a Groebner basis; these generate the whole syzygy module.  With the
+coefficients in normal form the block matrix is B = sum_e C_e (x) M_e,
+C_e holding their e-terms and M_e the matrix of the standard monomial e.
+Neither B nor a block is formed: one broadcast per e spreads M_e's COO
+entries (gfp.dense_entries) over C_e's terms, into one gfp.sparse_rank
+call, which peels singleton rows and columns exactly before any dense
+elimination.  A box's Koszul coefficients all reduce to zero, so its
+rank has no entries and costs no elimination at all.
 
 hom_dim is the cross-check and shares no syzygy code with this route: it
 reads the same dimension as the tangent space of the border-basis
@@ -114,44 +114,34 @@ def generator_syzygies(I: PolyIdeal) -> SyzygySet:
 # ---------------------------------------------------------------------------
 
 def _hom_dim_from_syzygies(syz: SyzygySet, qd: poly3.QuotientData) -> int:
-    """r d - rank of the block matrix with block (n, j) the matrix of
+    """r d - rank of the block matrix B with block (n, j) the matrix of
     syzygy n's coefficient s_j on S/I: the dimension of the tuples
     (h_1, ..., h_r) in (S/I)^r with sum_j s_j h_j = 0 for every syzygy.
 
-    Each coefficient is replaced by its normal form, as evaluate_at_matrices
-    does, and split into terms.  The COO entries (gfp.dense_entries) of each
-    distinct standard monomial's matrix are listed once; every term gathers
-    those of its monomial, offset to (n d, j d) and scaled by its
-    coefficient (a product of two residues, below 2^62).  One
-    gfp.sparse_rank call sums the entries that share a position and ranks
-    them all, so no block and no dense matrix of the whole is formed.
+    With each coefficient in normal form, as evaluate_at_matrices takes it,
+    B = sum_e C_e (x) M_e.  Each M_e is evaluated once, and one broadcast
+    places its entry v at (r, k) at (n d + r, j d + k) with value c v,
+    below 2^62, for each (n d, j d, c) of C_e.  One gfp.sparse_rank call
+    sums the entries that share a position and ranks them all.
     """
     import numpy as np
 
     r, d = len(syz.generators_used), qd.colength
-    index: dict[Exponent, int] = {}  # standard monomial -> its place in the table
-    terms = []  # (table place, row offset, column offset, coefficient) per term
+    by_monomial: dict[Exponent, list[tuple[int, int, int]]] = {}  # e -> C_e's triples
     for n, s in enumerate(syz.syzygies):
         for j, coeff in enumerate(s):
             if any(e not in qd.standard_set for e in coeff.terms):
                 coeff, _ = reduce_full(coeff, qd.groebner_basis)
-            terms += [(index.setdefault(e, len(index)), n * d, j * d, c)
-                      for e, c in coeff.terms.items()]
-    if not terms:
+            for e, c in coeff.terms.items():
+                by_monomial.setdefault(e, []).append((n * d, j * d, c))
+    if not by_monomial:
         return r * d
-    table = [gfp.dense_entries(poly3.evaluate_at_matrices(qd.ring.monomial(e), qd), 0, 0)
-             for e in index]
-    sizes = np.array([len(t[0]) for t in table])
-    starts = np.cumsum(sizes) - sizes
-    t_rows, t_cols, t_vals = (np.concatenate(x) for x in zip(*table))
-    place, row_off, col_off, coeffs = (np.array(x, dtype=np.int64) for x in zip(*terms))
-    counts = sizes[place]
-    # entry k of term i sits at starts[place[i]] + k of the table
-    pos = np.repeat(starts[place] - (np.cumsum(counts) - counts), counts) \
-        + np.arange(counts.sum())
-    rows = t_rows[pos] + np.repeat(row_off, counts)
-    cols = t_cols[pos] + np.repeat(col_off, counts)
-    vals = t_vals[pos] * np.repeat(coeffs, counts)
+    entries = []
+    for e, triples in by_monomial.items():
+        rows, cols, vals = gfp.dense_entries(poly3.evaluate_at_matrices(qd.ring.monomial(e), qd))
+        row_off, col_off, coeffs = np.array(triples, dtype=np.int64).T[..., None]
+        entries.append([x.ravel() for x in (row_off + rows, col_off + cols, coeffs * vals)])
+    rows, cols, vals = (np.concatenate(x) for x in zip(*entries))
     return r * d - gfp.sparse_rank(rows, cols, vals, (len(syz.syzygies) * d, r * d),
                                    qd.ring.p)
 

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -101,6 +102,19 @@ class TestAnnihilator:
 
     def test_single_variable(self):
         assert apolarity.annihilator([dual("X")], R) == pi("x^2, y, z")
+
+    def test_pure_power_stays_small(self):
+        # the ambient (x^17, y, z) has colength 17, where m^17 has 1140 cells
+        # and its three dense multiplication matrices about 31 MB
+        f = dual("X^16")
+        tracemalloc.start()
+        try:
+            ann = apolarity.annihilator([f], R)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ann == pi("x^17, y, z")
+        assert peak < 2_000_000
 
     def test_recovers_smooth_staircase_example(self):
         # Ann(X, YZ) is the colength-5 ideal with socle {x, yz}
@@ -205,10 +219,13 @@ class TestAnnihilatorOracle:
         assert poly3.quotient_data(ann).colength == 11
         assert len(calls) == 2
 
-    @pytest.mark.parametrize("text", ["5", "X + 2*Y", "X^3 - Y^3", "X*Y*Z^2 + Y^4", "X^5 + Z^5"])
+    @pytest.mark.parametrize("text", ["5", "X + 2*Y", "X^3 - Y^3", "X*Y*Z^2 + Y^4", "X^5 + Z^5",
+                                      "X^2 + Y^2 + Z^2", "X^3 + X*Y*Z + Y^3 + Z^3"])
     def test_ambient_is_m_to_the_top_degree_plus_one(self, text, monkeypatch):
-        # every monomial of degree D + 1 annihilates, so S/m^(D+1), of
-        # colength C(D+3, 3), holds Ann/m^(D+1)
+        # every monomial of degree D + 1 annihilates, and so does x_v^(a_v+1)
+        # for the largest exponent a_v of X_v among the terms: S/ambient
+        # holds Ann/ambient, and the ambient is m^(D+1), of colength
+        # C(D+3, 3), when X^D, Y^D and Z^D are all terms
         ambients = []
         original = poly3.span_ideal
         monkeypatch.setattr(poly3, "span_ideal", lambda A, relations, verify=False:
@@ -216,7 +233,11 @@ class TestAnnihilatorOracle:
         f = dual(text)
         ann = apolarity.annihilator([f], R)
         (ambient,) = ambients
-        assert poly3.quotient_data(ambient).colength == math.comb(f.degree() + 3, 3)
+        top = [max(e[v] for e in f.terms) for v in range(3)]
+        cells = {m for m in monomials_up_to(f.degree()) if all(k <= t for k, t in zip(m, top))}
+        assert poly3.quotient_data(ambient).standard_set == cells
+        if top == [f.degree()] * 3:
+            assert len(cells) == math.comb(f.degree() + 3, 3)
         assert poly3.groebner(ann) == oracle_annihilator([f])  # the oracle works mod m^(D+2)
 
 

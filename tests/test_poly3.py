@@ -4,7 +4,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hilb3 import apolarity, gfp, linkage, mono3, poly3, tancomb, tanlin
@@ -370,16 +370,25 @@ def polys(low, high, ring=R):
     return st.dictionaries(exps, coeffs, min_size=1, max_size=3).map(ring.poly)
 
 
+def vanishing_at(f, point):
+    """f less its value at the point, so that it vanishes there."""
+    p = f.ring.p
+    value = sum(c * pow(point[0], a, p) * pow(point[1], b, p) * pow(point[2], e, p)
+                for (a, b, e), c in f.terms.items())
+    return f - f.ring.monomial((0, 0, 0), value)
+
+
 @st.composite
 def zero_dim_ideals(draw, ring=R):
     """A monomial ideal of colength 3 to 8, moved to a random point, plus up
-    to two polynomials of degree 2 to 3; unit ideals are discarded.  Moving
-    the base matters: at the origin the extra terms mostly lie in the
-    monomial ideal already, and the Groebner basis stays monomial."""
-    base = moved(mono_ideal(draw(st.sampled_from(COLON_IDEALS)), ring), draw(points))
-    I = poly3.ideal(ring, base.gens + tuple(draw(st.lists(polys(2, 3, ring), max_size=2))))
-    assume(not is_unit_ideal(I))
-    return I
+    to two polynomials of degree 2 to 3, each less its value at the point.
+    Every generator vanishes there, so the ideal is never the unit ideal.
+    Moving the base matters: at the origin the extra terms mostly lie in
+    the monomial ideal already, and the Groebner basis stays monomial."""
+    point = draw(points)
+    base = moved(mono_ideal(draw(st.sampled_from(COLON_IDEALS)), ring), point)
+    extra = (vanishing_at(f, point) for f in draw(st.lists(polys(2, 3, ring), max_size=2)))
+    return poly3.ideal(ring, base.gens + tuple(extra))
 
 
 class TestReduceBasis:

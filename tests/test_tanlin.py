@@ -140,9 +140,12 @@ def oracle_hom_dim_from_syzygies(syz, qd):
     """r d - rank of the block matrix, each nonzero syzygy coefficient
     evaluated densely on S/I (evaluate_at_matrices) and placed as its block."""
     r, d = len(syz.generators_used), qd.colength
-    parts = [gfp.dense_entries(poly3.evaluate_at_matrices(coeff, qd), n * d, j * d)
-             for n, s in enumerate(syz.syzygies)
-             for j, coeff in enumerate(s) if not coeff.is_zero]
+    parts = []
+    for n, s in enumerate(syz.syzygies):
+        for j, coeff in enumerate(s):
+            if not coeff.is_zero:
+                rows, cols, vals = gfp.dense_entries(poly3.evaluate_at_matrices(coeff, qd))
+                parts.append((rows + n * d, cols + j * d, vals))
     rows, cols, vals = (np.concatenate(x) for x in zip(*parts)) if parts else ([], [], [])
     return r * d - gfp.sparse_rank(rows, cols, vals, (len(syz.syzygies) * d, r * d),
                                    qd.ring.p)
@@ -396,6 +399,23 @@ class TestGatheredEntries:
         assert tanlin._hom_dim_from_syzygies(syz, qd) == want
         if not given_generators:
             assert want == tancomb.tangent_report(ideal).total
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from((3, 5, 7)), st.sampled_from(UP_TO_TEN[:40]), st.booleans(),
+           st.data())
+    def test_matches_dense_blocks_at_small_primes(self, p, ideal, given_generators, data):
+        # a permutation with unit scalings and a translation is invertible
+        # mod p; a monomial ideal's tangent space does not see the field
+        scale = data.draw(st.tuples(*[st.integers(1, p - 1)] * 3))
+        a = invertible((0, 0, 0), (0, 0, 0), scale, data.draw(st.permutations(range(3))))
+        I = linear_image(ideal, poly3.PolyRing(p), a,
+                         list(data.draw(st.tuples(*[st.integers(0, p - 1)] * 3))))
+        if given_generators:
+            I = poly3.ideal(I.ring, I.gens + (I.gens[0] * I.gens[-1],))
+        syz = (tanlin.generator_syzygies if given_generators else tanlin.syzygies)(I)
+        qd = poly3.quotient_data(I)
+        got = tanlin._hom_dim_from_syzygies(syz, qd)
+        assert got == oracle_hom_dim_from_syzygies(syz, qd) == tancomb.tangent_report(ideal).total
 
     @pytest.mark.parametrize("text, distinct, nonzero", [
         (GGGL, 9, 50), ("x^2 - y*z, x*z, x*y, y^2, z^2", 3, 12), ("x^6, y^6, z^6", 0, 0)])
