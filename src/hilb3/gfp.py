@@ -158,8 +158,6 @@ def rref(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
         units += cols.tolist()
         rest = rest[counts > 1]  # a copy: zero rows and peeled rows leave
         rest[:, cols] = 0
-    if not units:
-        return _eliminate(a, p)
     red, dense = _eliminate(rest, p)
     pivots = sorted(units + dense)
     at = {c: i for i, c in enumerate(pivots)}

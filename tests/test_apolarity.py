@@ -1,5 +1,4 @@
 import itertools
-import math
 import random
 import tracemalloc
 
@@ -29,6 +28,12 @@ def monomials_up_to(degree):
     return [e for e in itertools.product(range(degree + 1), repeat=3) if sum(e) <= degree]
 
 
+def contract_monomial(m, f):
+    """x^m o f: exponent subtraction, terms going negative vanish."""
+    return f.ring.poly({tuple(a - b for a, b in zip(e, m)): c for e, c in f.terms.items()
+                        if all(a >= b for a, b in zip(e, m))})
+
+
 def contraction_closure_dim(fs, p):
     """dim_k of the S-submodule of P generated by the f_i under contraction,
     from the nonzero contractions by monomials of degree <= D; equals the
@@ -39,7 +44,7 @@ def contraction_closure_dim(fs, p):
     rows = []
     for m in dual_mons:
         for f in fs:
-            g = apolarity.contract_monomial(m, f)
+            g = contract_monomial(m, f)
             if g.is_zero:
                 continue
             row = np.zeros(len(dual_mons), dtype=np.int64)
@@ -53,19 +58,19 @@ def contract(s, f):
     """s o f for a polynomial s in the acting ring."""
     out = f.ring.zero()
     for e, c in s.terms.items():
-        out = out + apolarity.contract_monomial(e, f).scale(c)
+        out = out + contract_monomial(e, f).scale(c)
     return out
 
 
 class TestContract:
     def test_single_steps(self):
         X = dual("X")
-        assert apolarity.contract_monomial((1, 0, 0), X) == dual("1")
-        assert apolarity.contract_monomial((0, 1, 0), X).is_zero
+        assert contract_monomial((1, 0, 0), X) == dual("1")
+        assert contract_monomial((0, 1, 0), X).is_zero
 
     def test_mixed_monomial(self):
         f = dual("X^2*Y^3")
-        assert apolarity.contract_monomial((0, 1, 0), f) == dual("X^2*Y^2")
+        assert contract_monomial((0, 1, 0), f) == dual("X^2*Y^2")
 
     def test_multiplicative(self):
         f = dual("X^3*Z + Y^2")
@@ -105,16 +110,23 @@ class TestAnnihilator:
 
     def test_pure_power_stays_small(self):
         # the ambient (x^17, y, z) has colength 17, where m^17 has 1140 cells
-        # and its three dense multiplication matrices about 31 MB
-        f = dual("X^16")
-        tracemalloc.start()
-        try:
-            ann = apolarity.annihilator([f], R)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert ann == pi("x^17, y, z")
-        assert peak < 2_000_000
+        # and its three dense multiplication matrices about 31 MB; the
+        # ambient of X^10 Y^3 + Z^12 has the 56 divisors of its terms as
+        # cells, where the monomials of degree <= 13 in the box
+        # [0, 10] x [0, 3] x [0, 12] number 329
+        for text in ("X^16", "X^10*Y^3 + Z^12"):
+            f = dual(text)
+            tracemalloc.start()
+            try:
+                ann = apolarity.annihilator([f], R)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2_000_000, text
+            if text == "X^16":
+                assert ann == pi("x^17, y, z")
+            else:
+                assert poly3.quotient_data(ann).colength == 55 == contraction_closure_dim([f], P)
 
     def test_recovers_smooth_staircase_example(self):
         # Ann(X, YZ) is the colength-5 ideal with socle {x, yz}
@@ -176,18 +188,18 @@ def oracle_annihilator(fs):
     mat = np.zeros((len(fs) * len(dual_mons), len(acting)), dtype=np.int64)
     for j, m in enumerate(acting):
         for k, f in enumerate(fs):
-            for e, c in apolarity.contract_monomial(m, f).terms.items():
+            for e, c in contract_monomial(m, f).terms.items():
                 mat[k * len(dual_mons) + col[e], j] = c
     gens = [R.poly(dict(zip(acting, map(int, v)))) for v in gfp.kernel_basis(mat, P)[0]]
     return poly3.reduce_basis(poly3.buchberger(gens))
 
 
-def dual_polys(top):
-    """A dual polynomial of one to four terms of degree 1 to top."""
+def dual_polys(top, p=P, terms=4):
+    """A dual polynomial over F_p of one to `terms` terms of degree 1 to top."""
     exps = st.tuples(*[st.integers(0, top)] * 3).filter(lambda e: 1 <= sum(e) <= top)
-    coeffs = st.integers(1, P - 1)
-    return st.dictionaries(exps, coeffs, min_size=1, max_size=4).map(
-        apolarity.dual_ring(P).poly)
+    coeffs = st.integers(1, p - 1)
+    return st.dictionaries(exps, coeffs, min_size=1, max_size=terms).map(
+        apolarity.dual_ring(p).poly)
 
 
 class TestAnnihilatorOracle:
@@ -203,8 +215,21 @@ class TestAnnihilatorOracle:
     def test_verify_agrees(self, fs):
         assert apolarity.annihilator(fs, R, verify=True) == apolarity.annihilator(fs, R)
 
+    @pytest.mark.parametrize("p", [P, 11])
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_sparse_duals_of_high_degree(self, p, data):
+        # a few terms of degree up to 10 have few divisors: the ambient is
+        # far smaller than the monomials of degree <= D in the exponent box
+        fs = data.draw(st.lists(dual_polys(10, p, terms=3), min_size=1, max_size=2))
+        ring = poly3.PolyRing(p)
+        ann = apolarity.annihilator(fs, ring)
+        assert poly3.quotient_data(ann).colength == contraction_closure_dim(fs, p)
+        assert apolarity.annihilator(fs, ring, verify=True) == ann
+
     def test_runs_no_buchberger(self, buchberger_runs):
-        # the ambient m^(D+1) is monomial and the kernel is read off by rref
+        # the ambient, spanned by the monomials that divide no term, is
+        # monomial and the kernel is read off by rref
         ann = apolarity.annihilator([dual("X^3 - Y^3"), dual("X*Y^2 + X*Z^2")], R)
         assert poly3.quotient_data(ann).colength == 11
         assert buchberger_runs == []
@@ -222,10 +247,9 @@ class TestAnnihilatorOracle:
     @pytest.mark.parametrize("text", ["5", "X + 2*Y", "X^3 - Y^3", "X*Y*Z^2 + Y^4", "X^5 + Z^5",
                                       "X^2 + Y^2 + Z^2", "X^3 + X*Y*Z + Y^3 + Z^3"])
     def test_ambient_is_m_to_the_top_degree_plus_one(self, text, monkeypatch):
-        # every monomial of degree D + 1 annihilates, and so does x_v^(a_v+1)
-        # for the largest exponent a_v of X_v among the terms: S/ambient
-        # holds Ann/ambient, and the ambient is m^(D+1), of colength
-        # C(D+3, 3), when X^D, Y^D and Z^D are all terms
+        # a monomial annihilates exactly when it divides no term, so the
+        # ambient's standard monomials are the divisors of the terms (7 for
+        # X^2 + Y^2 + Z^2, where m^3 has 10), and S/ambient holds Ann/ambient
         ambients = []
         original = poly3.span_ideal
         monkeypatch.setattr(poly3, "span_ideal", lambda A, relations, verify=False:
@@ -233,11 +257,9 @@ class TestAnnihilatorOracle:
         f = dual(text)
         ann = apolarity.annihilator([f], R)
         (ambient,) = ambients
-        top = [max(e[v] for e in f.terms) for v in range(3)]
-        cells = {m for m in monomials_up_to(f.degree()) if all(k <= t for k, t in zip(m, top))}
+        cells = {m for m in monomials_up_to(f.degree())
+                 if any(all(k <= t for k, t in zip(m, e)) for e in f.terms)}
         assert poly3.quotient_data(ambient).standard_set == cells
-        if top == [f.degree()] * 3:
-            assert len(cells) == math.comb(f.degree() + 3, 3)
         assert poly3.groebner(ann) == oracle_annihilator([f])  # the oracle works mod m^(D+2)
 
 
